@@ -2,9 +2,6 @@
 for the MCRL interpretive bytecode."""
 
 from .greedy import (
-    MACRO_CODE_HI,
-    MACRO_CODE_LO,
-    MAX_MACROS,
     CompactionResult,
     Macro,
     best_single_macro,
@@ -36,5 +33,7 @@ from .macros import (
 )
 from .objfile import MacroEntry, ObjectError, ObjectImage
 from .vm import LoadError, RunOutcome, VmFault, load, run
+from .isa import MACRO_OPCODE_BASE as MACRO_CODE_LO, MAX_MACROS
 
+MACRO_CODE_HI = 0xFF  # macro opcodes are MACRO_CODE_LO..MACRO_CODE_HI
 __version__ = "0.1.0"

@@ -27,6 +27,7 @@ import re
 from dataclasses import dataclass, field
 
 from . import isa
+from .decode import decode_literal, decode_short_branch  # noqa: F401
 
 
 class AsmError(Exception):
@@ -264,14 +265,6 @@ def encode_literal(value: int) -> bytes:
     return bytes([value >> 8, value & 0xFF])
 
 
-def decode_literal(data, pos: int) -> tuple[int, int]:
-    """Inverse of encode_literal at data[pos:]; returns (value, width)."""
-    b0 = data[pos]
-    if b0 >= 0x80:
-        return b0 - 0x80, 1
-    return (b0 << 8) | data[pos + 1], 2
-
-
 def encode_short_branch(target: int, offset_addr: int) -> int | None:
     """One-byte PC-relative branch: 0xC0 - (target - L) where L is the
     address of the offset byte itself.  None when out of range."""
@@ -279,12 +272,6 @@ def encode_short_branch(target: int, offset_addr: int) -> int | None:
     if -0x3F <= delta <= 0x40:
         return 0xC0 - delta
     return None
-
-
-def decode_short_branch(byte: int, offset_addr: int) -> int:
-    if byte < 0x80:
-        raise ValueError("not a short branch byte")
-    return (offset_addr + 0xC0 - byte) & 0xFFFF
 
 
 _SRC_KINDS = {"reg", "ind", "pop", "mem", "lit", "idx"}

@@ -115,19 +115,9 @@ def cmd_compact(args) -> int:
               "macro bodies never nest", file=sys.stderr)
     if args.max_macros < 0:
         raise CliError("--max-macros must be 0 or more")
-    if args.max_macros == 0:
-        # degenerate request: assemble only, emit the image untouched
-        t0 = time.perf_counter()
-        image = asm.assemble(text, origin=args.origin, entry=args.entry)
-        dt = time.perf_counter() - t0
-        info = {"input_bytes": len(image.code),
-                "residual_bytes": len(image.code),
-                "table_bytes": 0, "macro_count": 0,
-                "elapsed": {"assemble": dt, "select": 0.0, "emit": 0.0}}
-    else:
-        image, info = macros.compact_source(
-            text, mode=args.mode, max_macros=args.max_macros,
-            max_len=args.max_len, origin=args.origin, entry=args.entry)
+    image, info = macros.compact_source(
+        text, mode=args.mode, max_macros=args.max_macros,
+        max_len=args.max_len, origin=args.origin, entry=args.entry)
     out = args.out or _default_out(args.source, ".mco")
     _write_bytes(out, image.serialize())
     emit_report(build_report(info["input_bytes"], info["residual_bytes"],
@@ -196,14 +186,11 @@ def cmd_disasm(args) -> int:
 def cmd_verify(args) -> int:
     text = _read_source(args.source)
     base_image = asm.assemble(text, origin=args.origin)
-    if args.max_macros == 0:
-        compacted = base_image  # nothing to select; trivially equivalent
-    elif args.max_macros < 0:
+    if args.max_macros < 0:
         raise CliError("--max-macros must be 0 or more")
-    else:
-        compacted, _ = macros.compact_source(
-            text, mode=args.mode, max_macros=args.max_macros,
-            max_len=args.max_len, origin=args.origin)
+    compacted, _ = macros.compact_source(
+        text, mode=args.mode, max_macros=args.max_macros,
+        max_len=args.max_len, origin=args.origin)
     if args.corrupt_table and compacted.macros:
         first = compacted.macros[0]
         body = bytearray(first.body)

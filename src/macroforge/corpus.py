@@ -13,21 +13,23 @@ Register discipline keeps every generated program safe to compact:
   XS       stack, always balanced push/pop pairs
 
 Data lives in the zero-page scratch area (below 0x100) and in a block
-at 0x7000, far above any generated code, so a program never reads or
-writes its own instruction bytes.  That property is what makes traces
-identical before and after macro substitution.  Loops count up to at
-most 5 with a dedicated register, so every program halts well inside
-the default fuel.
+at 0x7000, above the code: generate_corpus refuses a size that would
+reach the block, so a program never reads or writes its own instruction
+bytes.  That property is what makes traces identical before and after
+macro substitution.  Loops count up to at most 5 with a dedicated
+register, so every program halts well inside the default fuel.
 """
 
 from __future__ import annotations
 
 import random
 
-from . import asm
+from . import asm, isa
 
 DATA_REGS = ("WA", "WB")
 ADDR_REGS = ("XL", "XR")
+DATA_BLOCK = 0x7000
+MAX_CODE_BYTES = DATA_BLOCK - isa.DEFAULT_ORIGIN  # code ends below the block
 
 
 class _Gen:
@@ -41,7 +43,7 @@ class _Gen:
         large = [rng.randrange(0x80, 0x8000) for _ in range(2)]
         self.lits = small + large
         self.mem1 = [rng.randrange(0x10, 0x2C) * 2 for _ in range(3)]
-        self.mem2 = [0x7000 + rng.randrange(0, 0x2C) * 2 for _ in range(2)]
+        self.mem2 = [DATA_BLOCK + rng.randrange(0, 0x2C) * 2 for _ in range(2)]
         self.bases = [rng.randrange(0x10, 0x28) * 2 for _ in range(2)]
         self.offs = [0, rng.choice((2, 4, 6, 8))]
 
@@ -207,13 +209,23 @@ def generate_program(seed: int, min_instructions: int = 50,
 
 
 def generate_corpus(seed: int, min_bytes: int = 8000) -> str:
-    """One large program whose assembled size reaches min_bytes."""
+    """One large program whose assembled size reaches min_bytes.
+
+    Raises ValueError when the code would reach the data block, which
+    leaves MAX_CODE_BYTES for code at the default origin.
+    """
+    if min_bytes >= MAX_CODE_BYTES:
+        raise ValueError(f"min_bytes {min_bytes} reaches the data block; "
+                         f"code must stay under {MAX_CODE_BYTES} bytes")
     rng = random.Random(seed)
     gen = _Gen(rng)
     while True:
         for _ in range(60):
             gen.step()
         text = gen.text()
-        image = asm.assemble(text)
-        if len(image.code) >= min_bytes:
+        size = len(asm.assemble(text).code)
+        if size >= MAX_CODE_BYTES:
+            raise ValueError(f"seed {seed}: {size} bytes of code reach "
+                             f"the data block at {DATA_BLOCK:#06x}")
+        if size >= min_bytes:
             return text

@@ -1,8 +1,9 @@
 """Listing and source reconstruction from object images.
 
-Decoding walks the byte stream exactly the way the interpreter fetches
-it, macro cursor included, so a macro whose body stops mid-instruction
-still renders as the complete instruction it produces in context.  A
+Decoding uses the interpreter's decoder (decode.decode) on the bytes
+the interpreter fetches, macro cursor included, so a macro whose body
+stops mid-instruction still renders as the complete instruction it
+produces in context.  A
 listing line for a macro opcode is flagged *** and shows everything the
 activation executes.
 
@@ -13,9 +14,9 @@ property the round-trip checks lean on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from . import asm, isa
+from . import asm, decode, isa
 
 
 class DisasmError(Exception):
@@ -52,153 +53,75 @@ class DecodedUnit:
         return self.macro_code is not None
 
 
-class _Walker:
-    """Cursor-aware byte supplier over an image's code."""
-
-    def __init__(self, image) -> None:
-        self.code = image.code
-        self.origin = image.origin
-        self.end = image.origin + len(image.code)
-        self.pos = image.origin
-        self.bodies = [m.body for m in image.macros]
-        self.body: bytes | None = None
-        self.body_off = 0
-        self.consumed: list = []
-
-    @property
-    def in_body(self) -> bool:
-        return self.body is not None
-
-    def at_end(self) -> bool:
-        return self.body is None and self.pos >= self.end
-
-    def activate(self, code_byte: int) -> None:
-        idx = code_byte - isa.MACRO_OPCODE_BASE
-        if idx >= len(self.bodies):
-            raise DisasmError(f"unknown opcode {code_byte:#04x} at "
-                              f"{self.pos - 1:04X}")
-        self.body = self.bodies[idx]
-        self.body_off = 0
-
-    def take(self) -> tuple[int, int | None]:
-        if self.body is not None:
-            byte = self.body[self.body_off]
-            self.body_off += 1
-            if self.body_off >= len(self.body):
-                self.body = None
-            return byte, None
-        if self.pos >= self.end:
-            raise DisasmError("truncated image: instruction runs past "
-                              "the end of code")
-        byte = self.code[self.pos - self.origin]
-        addr = self.pos
-        self.pos += 1
-        self.consumed.append(byte)
-        return byte, addr
+_OPERAND_KINDS = {isa.MODE_IND_XL: "ind", isa.MODE_IND_XR: "ind",
+                  isa.MODE_POP: "pop", isa.MODE_PUSH: "push",
+                  isa.MODE_MEM1: "mem", isa.MODE_MEM2: "mem",
+                  isa.MODE_LIT: "lit", isa.MODE_OFF_XL: "idx",
+                  isa.MODE_OFF_XR: "idx", isa.MODE_OFF_XS: "idx"}
 
 
-def _take_literal(walker) -> tuple[int, str | None]:
-    b, _ = walker.take()
-    if b >= 0x80:
-        return b - 0x80, None
-    lo, _ = walker.take()
-    value = (b << 8) | lo
-    reason = "long-form literal under 0x80" if value <= 0x7F else None
-    return value, reason
-
-
-def _operand(walker, mode: int) -> tuple[asm.Operand, str | None]:
-    """Decode one operand per its mode nibble; mirrors vm._resolve."""
+def _operand_text(mode: int, ext: int | None) -> str:
     if mode <= isa.REG_XS:
-        return asm.Operand("reg", value=mode), None
-    if mode in (isa.MODE_IND_XL, isa.MODE_IND_XR):
-        return asm.Operand("ind", value=mode), None
-    if mode == isa.MODE_POP:
-        return asm.Operand("pop"), None
-    if mode == isa.MODE_PUSH:
-        return asm.Operand("push"), None
-    if mode == isa.MODE_MEM1:
-        b, _ = walker.take()
-        return asm.Operand("mem", value=b), None
-    if mode == isa.MODE_MEM2:
-        hi, _ = walker.take()
-        lo, _ = walker.take()
-        value = (hi << 8) | lo
-        reason = "2-byte address under 0x100" if value <= 0xFF else None
-        return asm.Operand("mem", value=value), reason
-    if mode == isa.MODE_LIT:
-        value, reason = _take_literal(walker)
-        return asm.Operand("lit", value=value), reason
-    reg = {isa.MODE_OFF_XL: isa.REG_XL,
-           isa.MODE_OFF_XR: isa.REG_XR,
-           isa.MODE_OFF_XS: isa.REG_XS}[mode]
-    value, reason = _take_literal(walker)
-    return asm.Operand("idx", value=value, index_reg=reg), reason
+        return isa.REGISTERS[mode]
+    kind = _OPERAND_KINDS[mode]
+    return asm._print_operand(asm.Operand(
+        kind, value=mode if kind == "ind" else ext,
+        index_reg=isa.BASE_REG[mode] if kind == "idx" else None))
 
 
-def _take_target(walker) -> tuple[int, bool]:
-    b, addr = walker.take()
-    if b >= 0x80:
-        if addr is None:
-            raise DisasmError("short branch byte inside a macro body")
-        return (addr + 0xC0 - b) & 0xFFFF, True
-    lo, _ = walker.take()
-    return (b << 8) | lo, False
+def _instr(fields: tuple) -> DecodedInstr:
+    name, mode1, ext1, mode2, ext2, target, short, noncanonical, _ = fields
+    texts = [_operand_text(mode, ext)
+             for mode, ext in ((mode1, ext1), (mode2, ext2))
+             if mode is not None]
+    return DecodedInstr(name, texts, target, short, noncanonical)
 
 
-def _decode_instr(walker, opcode: int) -> DecodedInstr:
-    name = isa.MNEMONICS.get(opcode)
-    if name is None:
-        raise DisasmError(f"unknown opcode {opcode:#04x}")
-    sig = isa.SIGNATURES[name]
-    if not sig:
-        return DecodedInstr(name, [])
-    if name == "BRN":
-        header, _ = walker.take()
-        target, short = _take_target(walker)
-        bad = None if header == isa.MODE_MEM2 else "unexpected BRN header"
-        return DecodedInstr(name, [], target, short, bad)
-    header, _ = walker.take()
-    nibbles = [header & 0x0F, header >> 4]
-    texts = []
-    noncanonical = None
-    for mode in nibbles[:len(sig) - (1 if sig[-1] == "target" else 0)]:
-        op, reason = _operand(walker, mode)
-        noncanonical = noncanonical or reason
-        texts.append(asm._print_operand(op))
-    if sig[-1] == "target":
-        target, short = _take_target(walker)
-        return DecodedInstr(name, texts, target, short, noncanonical)
-    if len(sig) == 1 and nibbles[1] != 0:
-        noncanonical = noncanonical or "stray high header nibble"
-    return DecodedInstr(name, texts, noncanonical=noncanonical)
+def _decode_run(buf, pos: int, main_from: int, main_addr: int) -> tuple:
+    """Decode instructions from buf[pos] until one reaches main_from, the
+    way the interpreter executes a macro activation; returns (instrs,
+    end).  With pos >= main_from it decodes one instruction."""
+    instrs = []
+    while True:
+        fields = decode.decode(buf, pos, main_from, main_addr)
+        instrs.append(_instr(fields))
+        pos = fields[-1]
+        if pos >= main_from:
+            return instrs, pos
 
 
 def decode_image(image) -> list[DecodedUnit]:
     """Decode the whole code region into instruction units."""
     if image.is_raw:
         raise DisasmError("raw container holds packed bytes, not a program")
-    walker = _Walker(image)
+    code, origin = image.code, image.origin
+    bodies = [m.body for m in image.macros]
     units: list[DecodedUnit] = []
-    while not walker.at_end():
-        start = walker.pos
-        walker.consumed = []
-        byte, _ = walker.take()
-        if byte >= isa.MACRO_OPCODE_BASE:
-            walker.activate(byte)
-            instrs = []
-            while True:
-                op, addr = walker.take()
-                if op >= isa.MACRO_OPCODE_BASE and addr is None:
-                    raise DisasmError("macro opcode inside a macro body")
-                instrs.append(_decode_instr(walker, op))
-                if not walker.in_body:
-                    break
-            units.append(DecodedUnit(start, bytes(walker.consumed), instrs,
+    pos = 0
+    try:
+        while pos < len(code):
+            byte = code[pos]
+            if byte < isa.MACRO_OPCODE_BASE:
+                instrs, end = _decode_run(code, pos, 0, origin)
+                units.append(DecodedUnit(origin + pos, code[pos:end], instrs))
+                pos = end
+                continue
+            idx = byte - isa.MACRO_OPCODE_BASE
+            if idx >= len(bodies):
+                raise DisasmError(f"unknown opcode {byte:#04x} at "
+                                  f"{origin + pos:04X}")
+            body = bodies[idx]
+            instrs, end = _decode_run(body + code[pos + 1:pos + 9], 0,
+                                      len(body), origin + pos + 1)
+            end += pos + 1 - len(body)
+            units.append(DecodedUnit(origin + pos, code[pos:end], instrs,
                                      macro_code=byte))
-        else:
-            instr = _decode_instr(walker, byte)
-            units.append(DecodedUnit(start, bytes(walker.consumed), [instr]))
+            pos = end
+    except IndexError:
+        raise DisasmError("truncated image: instruction runs past the end "
+                          "of code") from None
+    except decode.DecodeError as err:
+        raise DisasmError(str(err)) from None
     return units
 
 
@@ -239,34 +162,11 @@ def render_listing(image) -> str:
 def _body_text(body: bytes) -> str:
     """Best-effort rendering of a body on its own; prefix bodies that stop
     mid-instruction fall back to a plain marker."""
-
-    class _BodyWalker:
-        def __init__(self) -> None:
-            self.data = body
-            self.off = 0
-
-        @property
-        def in_body(self) -> bool:
-            return self.off < len(self.data)
-
-        def take(self):
-            if self.off >= len(self.data):
-                raise DisasmError("body exhausted")
-            b = self.data[self.off]
-            self.off += 1
-            return b, None
-
-    bw = _BodyWalker()
-    texts = []
     try:
-        while bw.in_body:
-            op, _ = bw.take()
-            if op >= isa.MACRO_OPCODE_BASE:
-                raise DisasmError("macro opcode in body")
-            texts.append(_decode_instr(bw, op).text())
-    except DisasmError:
+        instrs, _ = _decode_run(body, 0, len(body), 0)
+    except (IndexError, decode.DecodeError):
         return "(instruction prefix)"
-    return " / ".join(texts)
+    return " / ".join(i.text() for i in instrs)
 
 
 def disassemble(image) -> str:

@@ -15,9 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-MACRO_CODE_LO = 0x50
-MACRO_CODE_HI = 0xFF
-MAX_MACROS = MACRO_CODE_HI - MACRO_CODE_LO + 1  # 176
+from . import isa
 
 
 @dataclass
@@ -139,7 +137,7 @@ def substitute(data: Sequence[int], body: Sequence[int], code: int) -> bytes:
     byte `code`."""
     if len(body) < 2:
         raise ValueError("macro body must be at least 2 bytes")
-    if not MACRO_CODE_LO <= code <= MACRO_CODE_HI:
+    if not isa.MACRO_OPCODE_BASE <= code <= 0xFF:
         raise ValueError(f"macro opcode {code:#04x} outside 0x50..0xFF")
     data = bytes(data)
     body = bytes(body)
@@ -195,7 +193,7 @@ def pick_free_code(data: Sequence[int], assigned: Iterable[int]) -> int | None:
     """
     taken = set(assigned)
     present = set(data)
-    for code in range(MACRO_CODE_LO, MACRO_CODE_HI + 1):
+    for code in range(isa.MACRO_OPCODE_BASE, 0x100):
         if code not in taken and code not in present:
             return code
     return None
@@ -211,8 +209,8 @@ def greedy_select(data: Sequence[int], max_macros: int, max_len: int,
     candidate may not contain a previously assigned opcode, so bodies never
     nest; with allow_embed=True later bodies may cover earlier macro bytes.
     """
-    if not 1 <= max_macros <= MAX_MACROS:
-        raise ValueError(f"macro count must be 1..{MAX_MACROS}")
+    if not 1 <= max_macros <= isa.MAX_MACROS:
+        raise ValueError(f"macro count must be 1..{isa.MAX_MACROS}")
     if max_len < 2:
         raise ValueError("max_len must be at least 2")
     residual = bytes(data)

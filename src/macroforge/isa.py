@@ -26,7 +26,6 @@ OPCODES = {
     "OUT": 0x40,
     "ZER": 0x44,
 }
-MNEMONICS = {code: name for name, code in OPCODES.items()}
 
 REGISTERS = ("WA", "WB", "WC", "XL", "XR", "XS")
 REG_WA, REG_WB, REG_WC, REG_XL, REG_XR, REG_XS = range(6)
@@ -42,6 +41,10 @@ MODE_MEM2 = 0xC     # 2-byte direct address
 MODE_OFF_XL = 0xD   # word at XL + offset
 MODE_OFF_XR = 0xE   # word at XR + offset
 MODE_OFF_XS = 0xF   # word at XS + offset
+
+# Register holding the address (or the base the offset is added to).
+BASE_REG = {MODE_IND_XL: REG_XL, MODE_IND_XR: REG_XR, MODE_OFF_XL: REG_XL,
+            MODE_OFF_XR: REG_XR, MODE_OFF_XS: REG_XS}
 
 # Operand roles: src is read, dst is written, mod is read then written,
 # target is a code address (the only operand of BRN, the third of the

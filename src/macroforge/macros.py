@@ -366,14 +366,18 @@ def compact_source(text: str, mode: str = "greedy",
     Returns (image, info); info carries the sizes and per-phase timings
     the reporting layer wants.  Branch relaxation runs once, before
     selection, and widths are frozen from then on so the accounting that
-    justified each adoption holds exactly in the emitted image.
+    justified each adoption holds exactly in the emitted image.  With
+    max_macros == 0 the image is the plain assembly.
     """
     t0 = time.perf_counter()
     stream, layout = asm.assemble_stream(text, origin=origin)
     input_bytes = layout.size
     t1 = time.perf_counter()
-    out, macros = compact_stream(stream, mode, max_macros, max_len,
-                                 budget=budget)
+    if max_macros == 0:
+        out, macros = stream, []
+    else:
+        out, macros = compact_stream(stream, mode, max_macros, max_len,
+                                     budget=budget)
     t2 = time.perf_counter()
     final = asm.layout_and_resolve(out, origin=origin, relax=False)
     code = asm.resolve_stream(out, final)

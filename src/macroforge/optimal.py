@@ -16,14 +16,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
-from .greedy import (
-    MACRO_CODE_HI,
-    MACRO_CODE_LO,
-    MAX_MACROS,
-    CompactionResult,
-    Macro,
-    count_occurrences,
-)
+from . import isa
+from .greedy import CompactionResult, Macro, pick_free_code
 
 DEFAULT_BUDGET = 10 ** 8
 BUDGET_ENV = "MACROFORGE_BUDGET"
@@ -207,8 +201,8 @@ def exact_select(data: Sequence[int], max_macros: int, max_len: int,
     residual realizes the chosen schedule exactly, so the objective equals
     len(residual) + table size by construction.
     """
-    if not 1 <= max_macros <= MAX_MACROS:
-        raise ValueError(f"macro count must be 1..{MAX_MACROS}")
+    if not 1 <= max_macros <= isa.MAX_MACROS:
+        raise ValueError(f"macro count must be 1..{isa.MAX_MACROS}")
     if max_len < 2:
         raise ValueError("max_len must be at least 2")
     data = bytes(data)
@@ -220,7 +214,7 @@ def exact_select(data: Sequence[int], max_macros: int, max_len: int,
     codes: dict[bytes, int] = {}
     assigned: set[int] = set()
     for body in bodies:
-        code = _clean_code(data, assigned)
+        code = pick_free_code(data, assigned)
         if code is None:
             raise ValueError("no opcode in 0x50..0xFF is free of the input")
         codes[body] = code
@@ -240,13 +234,6 @@ def exact_select(data: Sequence[int], max_macros: int, max_len: int,
     result = CompactionResult(macros=macros, residual=bytes(residual), objective=obj)
     assert result.objective == len(result.residual) + result.table_size()
     return result
-
-
-def _clean_code(data: bytes, assigned: set[int]) -> int | None:
-    for code in range(MACRO_CODE_LO, MACRO_CODE_HI + 1):
-        if code not in assigned and code not in data:
-            return code
-    return None
 
 
 def brute_force_select(data: Sequence[int], max_macros: int,

@@ -1,13 +1,15 @@
 """Interpreter for assembled images, including macro-table expansion.
 
 The core trick is the macro cursor: fetching an opcode in 0x50..0xFF
-switches the byte source to that entry of the macro table, and byte
-fetches drain the body before falling back to the saved PC.  Expansion
-is one level deep by construction; a macro opcode fetched from a body
-is a fault, never a recursion.
+switches the byte source to that entry of the macro table, and
+instructions decode from the body before falling back to the saved PC.
+Expansion is one level deep by construction; a macro opcode fetched
+from a body is a fault, never a recursion.
 
 A body can end mid-instruction (a macro may cover just an opcode/header
-prefix); operand fetches then continue seamlessly from the main stream.
+prefix); the instruction's remaining bytes then come from the main
+stream, which is why decode.decode reads a body step from the rest of
+the body followed by main memory.
 Taken branches drop the cursor outright: the jump target is a main
 stream address, so whatever remained of the body is abandoned.
 """
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import isa
+from . import decode, isa
 
 
 class LoadError(Exception):
@@ -77,26 +79,49 @@ def load(image) -> VmState:
 
 
 # ---------------------------------------------------------------------------
-# Byte plumbing
+# Fetch
 
-def _fetch(state: VmState) -> tuple[int, int | None]:
-    """Next byte and its physical address (None when read from a body)."""
-    if state.cursor is not None:
-        idx, off, resume = state.cursor
-        body = state.macros[idx]
-        byte = body[off]
-        if off + 1 >= len(body):
-            state.cursor = None
-            state.pc = resume
+def _fetch(state: VmState) -> tuple:
+    """Decode the next instruction and move pc and cursor past it.
+
+    Main-stream instructions decode in place from memory.  A body step
+    decodes the rest of the body followed by main memory at the resume
+    pc, which covers a body that ends mid-instruction.
+    """
+    memory = state.memory
+    try:
+        if state.cursor is None:
+            pc = state.pc
+            op = memory[pc]
+            if op < isa.MACRO_OPCODE_BASE:
+                instr = decode.decode(memory, pc, 0, 0)
+                state.pc = instr[-1]
+                return instr
+            idx = op - isa.MACRO_OPCODE_BASE
+            if idx >= len(state.macros):
+                raise VmFault(f"undefined opcode {op:#04x}")
+            off, resume = 0, pc + 1
+            body = state.macros[idx]
+            if body[0] >= isa.MACRO_OPCODE_BASE:
+                raise VmFault(f"macro body begins with opcode {body[0]:#04x}")
         else:
-            state.cursor = (idx, off + 1, resume)
-        return byte, None
-    if state.pc > 0xFFFF:
-        raise VmFault("fetch past the end of memory")
-    byte = state.memory[state.pc]
-    addr = state.pc
-    state.pc += 1
-    return byte, addr
+            idx, off, resume = state.cursor
+            body = state.macros[idx]
+        left = len(body) - off
+        instr = decode.decode(body[off:] + memory[resume:resume + 8], 0,
+                              left, resume)
+    except IndexError:
+        raise VmFault("fetch past the end of memory") from None
+    except decode.DecodeError as err:
+        raise VmFault(str(err)) from None
+    end = instr[-1]
+    if end < left:
+        state.cursor = (idx, off + end, resume)
+        state.pc = resume
+    else:
+        state.cursor = None
+        state.pc = resume + end - left
+    return instr
 
 
 def _read_word(state: VmState, addr: int) -> int:
@@ -110,88 +135,53 @@ def _write_word(state: VmState, addr: int, value: int) -> None:
     state.memory[(addr + 1) & 0xFFFF] = value & 0xFF
 
 
-def _fetch_literal(state: VmState) -> int:
-    b, _ = _fetch(state)
-    if b >= 0x80:
-        return b - 0x80
-    lo, _ = _fetch(state)
-    return (b << 8) | lo
-
-
-def _fetch_target(state: VmState) -> int:
-    """Branch target: one short-form byte or a 2-byte absolute address."""
-    b, addr = _fetch(state)
-    if b >= 0x80:
-        if addr is None:
-            raise VmFault("short branch form inside a macro body")
-        return (addr + 0xC0 - b) & 0xFFFF
-    lo, _ = _fetch(state)
-    return (b << 8) | lo
-
-
 # ---------------------------------------------------------------------------
 # Operands
 
-@dataclass
-class _Loc:
-    kind: str                  # reg | mem | lit
-    where: int                 # register index / address / literal value
-
-
-def _resolve(state: VmState, mode: int) -> _Loc:
-    """Decode one operand; consumes its extension bytes and applies any
-    stack side effect immediately (operands resolve left to right)."""
+def _resolve(state: VmState, mode: int, ext: int | None) -> tuple:
+    """Location of one decoded operand as (kind, where): kind is reg, mem
+    or lit, where a register index, address or literal value.  Applies
+    any stack side effect immediately (operands resolve left to right)."""
     if mode <= isa.REG_XS:
-        return _Loc("reg", mode)
-    if mode == isa.MODE_IND_XL:
-        return _Loc("mem", state.regs[isa.REG_XL])
-    if mode == isa.MODE_IND_XR:
-        return _Loc("mem", state.regs[isa.REG_XR])
+        return "reg", mode
     if mode == isa.MODE_POP:
         addr = state.regs[isa.REG_XS]
         moved = addr + 2
         if moved > state.stack_top:
             raise VmFault("stack underflow")
         state.regs[isa.REG_XS] = moved
-        return _Loc("mem", addr)
+        return "mem", addr
     if mode == isa.MODE_PUSH:
         moved = state.regs[isa.REG_XS] - 2
         if moved < state.stack_bottom:
             raise VmFault("stack overflow")
         state.regs[isa.REG_XS] = moved
-        return _Loc("mem", moved)
-    if mode == isa.MODE_MEM1:
-        b, _ = _fetch(state)
-        return _Loc("mem", b)
-    if mode == isa.MODE_MEM2:
-        hi, _ = _fetch(state)
-        lo, _ = _fetch(state)
-        return _Loc("mem", (hi << 8) | lo)
+        return "mem", moved
     if mode == isa.MODE_LIT:
-        return _Loc("lit", _fetch_literal(state))
-    if mode == isa.MODE_OFF_XL:
-        return _Loc("mem", state.regs[isa.REG_XL] + _fetch_literal(state))
-    if mode == isa.MODE_OFF_XR:
-        return _Loc("mem", state.regs[isa.REG_XR] + _fetch_literal(state))
-    if mode == isa.MODE_OFF_XS:
-        return _Loc("mem", state.regs[isa.REG_XS] + _fetch_literal(state))
-    raise VmFault(f"bad operand mode {mode:#x}")
+        return "lit", ext
+    if mode in (isa.MODE_MEM1, isa.MODE_MEM2):
+        return "mem", ext
+    if mode in (isa.MODE_IND_XL, isa.MODE_IND_XR):
+        return "mem", state.regs[isa.BASE_REG[mode]]
+    return "mem", state.regs[isa.BASE_REG[mode]] + ext
 
 
-def _read(state: VmState, loc: _Loc) -> int:
-    if loc.kind == "reg":
-        return state.regs[loc.where]
-    if loc.kind == "mem":
-        return _read_word(state, loc.where)
-    return loc.where
+def _read(state: VmState, loc: tuple) -> int:
+    kind, where = loc
+    if kind == "reg":
+        return state.regs[where]
+    if kind == "mem":
+        return _read_word(state, where)
+    return where
 
 
-def _write(state: VmState, loc: _Loc, value: int) -> None:
+def _write(state: VmState, loc: tuple, value: int) -> None:
+    kind, where = loc
     value &= 0xFFFF
-    if loc.kind == "reg":
-        state.regs[loc.where] = value
-    elif loc.kind == "mem":
-        _write_word(state, loc.where, value)
+    if kind == "reg":
+        state.regs[where] = value
+    elif kind == "mem":
+        _write_word(state, where, value)
     else:
         raise VmFault("write to a literal operand")
 
@@ -216,20 +206,7 @@ def step(state: VmState) -> StepEvent:
 
 
 def _step(state: VmState) -> StepEvent:
-    op, addr = _fetch(state)
-    if op >= isa.MACRO_OPCODE_BASE:
-        if addr is None:
-            raise VmFault(f"macro opcode {op:#04x} inside a macro body")
-        idx = op - isa.MACRO_OPCODE_BASE
-        if idx >= len(state.macros):
-            raise VmFault(f"undefined opcode {op:#04x}")
-        state.cursor = (idx, 0, state.pc)
-        op, addr = _fetch(state)
-        if op >= isa.MACRO_OPCODE_BASE:
-            raise VmFault(f"macro body begins with opcode {op:#04x}")
-    name = isa.MNEMONICS.get(op)
-    if name is None:
-        raise VmFault(f"undefined opcode {op:#04x}")
+    name, mode1, ext1, mode2, ext2, target, _, _, _ = _fetch(state)
 
     if name == "HLT":
         state.halted = True
@@ -237,18 +214,12 @@ def _step(state: VmState) -> StepEvent:
     if name == "NOP":
         return StepEvent("executed")
     if name == "BRN":
-        _fetch(state)  # fixed header, nibble for the code address
-        _jump(state, _fetch_target(state))
+        _jump(state, target)
         return StepEvent("executed")
 
-    header, _ = _fetch(state)
-    first = header & 0x0F
-    second = header >> 4
-
     if name in ("BEQ", "BNE", "BLT"):
-        a = _read(state, _resolve(state, first))
-        b = _read(state, _resolve(state, second))
-        target = _fetch_target(state)
+        a = _read(state, _resolve(state, mode1, ext1))
+        b = _read(state, _resolve(state, mode2, ext2))
         taken = (a == b if name == "BEQ"
                  else a != b if name == "BNE"
                  else a < b)
@@ -257,34 +228,33 @@ def _step(state: VmState) -> StepEvent:
         return StepEvent("executed")
 
     if name == "MOV":
-        value = _read(state, _resolve(state, first))
-        _write(state, _resolve(state, second), value)
+        value = _read(state, _resolve(state, mode1, ext1))
+        _write(state, _resolve(state, mode2, ext2), value)
         return StepEvent("executed")
     if name in ("ADD", "SUB"):
-        value = _read(state, _resolve(state, first))
-        loc = _resolve(state, second)
+        value = _read(state, _resolve(state, mode1, ext1))
+        loc = _resolve(state, mode2, ext2)
         old = _read(state, loc)
         _write(state, loc, old + value if name == "ADD" else old - value)
         return StepEvent("executed")
+    loc = _resolve(state, mode1, ext1)
     if name in ("ICV", "DCV"):
-        loc = _resolve(state, first)
         old = _read(state, loc)
         _write(state, loc, old + 1 if name == "ICV" else old - 1)
         return StepEvent("executed")
     if name == "ZER":
-        _write(state, _resolve(state, first), 0)
+        _write(state, loc, 0)
         return StepEvent("executed")
     if name == "LCW":
-        loc = _resolve(state, first)
         value = _read_word(state, state.regs[isa.REG_XL])
         state.regs[isa.REG_XL] = (state.regs[isa.REG_XL] + 2) & 0xFFFF
         _write(state, loc, value)
         return StepEvent("executed")
     if name == "BRI":
-        _jump(state, _read(state, _resolve(state, first)))
+        _jump(state, _read(state, loc))
         return StepEvent("executed")
     if name == "OUT":
-        value = _read(state, _resolve(state, first))
+        value = _read(state, loc)
         state.out_trace.append(value)
         return StepEvent("output", value=value)
     raise VmFault(f"unhandled mnemonic {name}")  # unreachable by table

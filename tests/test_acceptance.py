@@ -7,7 +7,6 @@ them carry the same condition.
 import json
 import random
 import time
-from pathlib import Path
 
 import pytest
 
@@ -16,8 +15,6 @@ from macroforge.cli import main as cli_main
 from oracles import exhaustive_mwis_weight, naive_count
 
 B_STAR = b"jabcdefmrhabcdegkcdefnshabcp"
-
-REPORTS = Path(__file__).resolve().parent.parent / "reports"
 
 
 @pytest.fixture
@@ -161,10 +158,9 @@ def test_07_corpus_compression(verdict, tmp_path):
     src = tmp_path / "corpus.mcrl"
     src.write_text(corpus.generate_corpus(seed=2024))
     assert len(asm.assemble(src.read_text()).code) >= 8000
-    REPORTS.mkdir(exist_ok=True)
     results = {}
     for mode in ("freq", "greedy"):
-        report_path = REPORTS / f"criterion7_{mode}.json"
+        report_path = tmp_path / f"criterion7_{mode}.json"
         rc = cli_main(["compact", str(src), "--mode", mode,
                        "--out", str(tmp_path / f"c_{mode}.mco"),
                        "--report", str(report_path)])
