@@ -4,9 +4,8 @@ for the MCRL interpretive bytecode."""
 from .greedy import (
     CompactionResult,
     Macro,
-    best_single_macro,
-    build_freq_table,
     count_occurrences,
+    exact_select,
     expand_macros,
     greedy_select,
     length_function,
@@ -20,7 +19,6 @@ from .optimal import (
     brute_force_select,
     enumerate_occurrences,
     estimate_cost,
-    exact_select,
     mwis,
 )
 from .asm import AsmError, LayoutError, assemble

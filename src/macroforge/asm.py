@@ -27,6 +27,7 @@ import re
 from dataclasses import dataclass, field
 
 from . import isa
+from .objfile import ObjectImage
 from .decode import decode_literal, decode_short_branch  # noqa: F401
 
 
@@ -512,8 +513,6 @@ def resolve_entry(layout: Layout, entry: int | str | None) -> int:
 def assemble(text: str, origin: int = isa.DEFAULT_ORIGIN,
              entry: int | str | None = None):
     """Assemble source text into an object image (no macros)."""
-    from .objfile import ObjectImage
-
     stream, layout = assemble_stream(text, origin)
     img = ObjectImage(code=resolve_stream(stream, layout), origin=origin,
                       entry=resolve_entry(layout, entry))

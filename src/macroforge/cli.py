@@ -110,9 +110,6 @@ def cmd_asm(args) -> int:
 
 def cmd_compact(args) -> int:
     text = _read_source(args.source)
-    if args.allow_embed:
-        print("warning: --allow-embed has no effect on stream compaction; "
-              "macro bodies never nest", file=sys.stderr)
     if args.max_macros < 0:
         raise CliError("--max-macros must be 0 or more")
     image, info = macros.compact_source(
@@ -137,7 +134,7 @@ def cmd_pack(args) -> int:
         if args.allow_embed:
             print("warning: --allow-embed has no effect in exact mode",
                   file=sys.stderr)
-        result = optimal.exact_select(data, args.max_macros, args.max_len)
+        result = greedy.exact_select(data, args.max_macros, args.max_len)
     dt = time.perf_counter() - t0
     image = ObjectImage(code=result.residual,
                         macros=[MacroEntry(code=m.code, body=m.body)
@@ -294,8 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("source")
     p.add_argument("--out", "-o")
     _add_selection(p, ("greedy", "exact", "freq"))
-    p.add_argument("--allow-embed", action="store_true",
-                   help="accepted for symmetry with pack; ignored")
     p.add_argument("--report", metavar="PATH",
                    help="write the JSON report here instead of stdout")
     p.add_argument("--entry", type=_entry_arg)

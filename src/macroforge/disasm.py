@@ -118,10 +118,10 @@ def decode_image(image) -> list[DecodedUnit]:
                                      macro_code=byte))
             pos = end
     except IndexError:
-        raise DisasmError("truncated image: instruction runs past the end "
-                          "of code") from None
+        raise DisasmError(f"truncated image: instruction at {origin + pos:04X}"
+                          " runs past the end of code") from None
     except decode.DecodeError as err:
-        raise DisasmError(str(err)) from None
+        raise DisasmError(f"{err} at {origin + pos:04X}") from None
     return units
 
 

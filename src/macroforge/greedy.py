@@ -1,4 +1,4 @@
-"""Greedy macro compaction over raw byte strings.
+"""Macro compaction over raw byte strings.
 
 A macro assigns one opcode byte in 0x50..0xFF to a body of two or more
 bytes; every non-overlapping occurrence of the body is replaced by the
@@ -8,14 +8,22 @@ opcode.  The figure of merit throughout is
 
 i.e. the compacted string plus the table needed to expand it again.
 Occurrences are always counted and replaced leftmost-greedy.
+
+Selection runs on the stream selectors of macros: the string is lowered
+once to a stream of literals that each start an instruction, so a run
+may start and end at any byte.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import isa
+from .asm import LiteralByte, MacroByte, Stream
+from .macros import (check_limits, profitable_keys, rank_keys, select_exact,
+                     substitute_stream)
 
 
 @dataclass
@@ -35,6 +43,20 @@ class CompactionResult:
 
     def savings(self, original_len: int) -> int:
         return original_len - self.objective
+
+
+# one shared literal per byte value; nothing mutates stream items
+_BYTE_ITEMS = [LiteralByte(v, op_start=True) for v in range(0x100)]
+
+
+def _byte_stream(data: Sequence[int]) -> Stream:
+    return Stream([_BYTE_ITEMS[b] for b in data])
+
+
+def _stream_bytes(stream: Stream, code_of=lambda code: code) -> bytes:
+    """Bytes of a lowered stream; code_of renumbers its macro bytes."""
+    return bytes(code_of(it.code) if isinstance(it, MacroByte) else it.value
+                 for it in stream.items)
 
 
 def count_occurrences(haystack: Sequence[int], needle: Sequence[int]) -> int:
@@ -69,31 +91,6 @@ def count_occurrences(haystack: Sequence[int], needle: Sequence[int]) -> int:
     return count
 
 
-def build_freq_table(data: Sequence[int], max_len: int) -> dict:
-    """Map every distinct subsequence of length 2..max_len to its
-    non-overlapping occurrence count.
-
-    One left-to-right pass per length: an occurrence at i is taken exactly
-    when it starts at or after the end of the previous taken occurrence of
-    the same content, which reproduces the leftmost-greedy schedule for
-    every content simultaneously.
-    """
-    if max_len < 2:
-        raise ValueError("max_len must be at least 2")
-    counts: dict = {}
-    n = len(data)
-    for k in range(2, max_len + 1):
-        if k > n:
-            break
-        next_free: dict = {}
-        for i in range(n - k + 1):
-            s = data[i:i + k]
-            if next_free.get(s, 0) <= i:
-                counts[s] = counts.get(s, 0) + 1
-                next_free[s] = i + k
-    return counts
-
-
 def single_macro_objective(data: Sequence[int], body: Sequence[int]) -> int:
     """Objective after adopting body as the sole macro.
 
@@ -107,29 +104,6 @@ def single_macro_objective(data: Sequence[int], body: Sequence[int]) -> int:
     if f == 0:
         return len(data)
     return len(data) - (len(body) - 1) * (f - 1) + 1
-
-
-def best_single_macro(data: Sequence[int], max_len: int,
-                      exclude: Iterable[int] = ()) -> tuple[bytes, int] | None:
-    """Best (body, objective) over all candidates, or None when nothing
-    beats leaving the string alone.
-
-    Ties prefer the longest body, then the lexicographically smallest.
-    Candidates containing a byte from `exclude` are skipped (used to keep
-    assigned macro opcodes out of later bodies).
-    """
-    banned = set(exclude)
-    best_key = None
-    for body, f in build_freq_table(data, max_len).items():
-        if banned and any(b in banned for b in body):
-            continue
-        obj = len(data) - (len(body) - 1) * (f - 1) + 1
-        key = (obj, -len(body), bytes(body))
-        if best_key is None or key < best_key:
-            best_key = key
-    if best_key is None or best_key[0] >= len(data):
-        return None
-    return best_key[2], best_key[0]
 
 
 def substitute(data: Sequence[int], body: Sequence[int], code: int) -> bytes:
@@ -157,31 +131,18 @@ def length_function(data: Sequence[int], bodies: Iterable[Sequence[int]]) -> int
     """Objective for a whole macro set: bodies are substituted in the given
     order (leftmost-greedy each), then residual length plus table size.
 
-    Bodies need no assigned opcodes; replacements are tracked with markers
-    outside the byte range so they can never collide with data or with
-    each other.
+    Bodies need no assigned opcodes: each replacement is a macro byte,
+    which no later body can match.
     """
-    seq: tuple = tuple(data)
+    cur = _byte_stream(data)
     table = 0
-    for i, body in enumerate(bodies):
+    for body in bodies:
         if len(body) < 2:
             raise ValueError("macro body must be at least 2 bytes")
-        seq = _replace_generic(seq, tuple(body), 0x100 + i)
+        cur, _, _ = substitute_stream(cur, tuple((0, b) for b in body),
+                                      isa.MACRO_OPCODE_BASE)
         table += len(body)
-    return len(seq) + table
-
-
-def _replace_generic(seq: tuple, pat: tuple, marker: int) -> tuple:
-    out = []
-    i, n, k = 0, len(seq), len(pat)
-    while i < n:
-        if seq[i:i + k] == pat:
-            out.append(marker)
-            i += k
-        else:
-            out.append(seq[i])
-            i += 1
-    return tuple(out)
+    return len(cur.items) + table
 
 
 def pick_free_code(data: Sequence[int], assigned: Iterable[int]) -> int | None:
@@ -203,31 +164,58 @@ def greedy_select(data: Sequence[int], max_macros: int, max_len: int,
                   allow_embed: bool = False) -> CompactionResult:
     """Iterated best-single-macro adoption.
 
-    Each round adopts the candidate minimizing the single-macro objective
-    on the current residual, stopping when no candidate improves on doing
-    nothing or when max_macros is reached.  With allow_embed=False a
-    candidate may not contain a previously assigned opcode, so bodies never
-    nest; with allow_embed=True later bodies may cover earlier macro bytes.
+    Each round adopts the key with the largest net saving on the current
+    residual, which minimizes the single-macro objective, and stops when
+    no opcode is free, when no key saves a byte, or when max_macros is
+    reached.  With allow_embed=False the opcode goes in as a macro byte,
+    which ends every later run, so bodies never nest; with
+    allow_embed=True it goes in as a literal that later bodies may cover.
     """
-    if not 1 <= max_macros <= isa.MAX_MACROS:
-        raise ValueError(f"macro count must be 1..{isa.MAX_MACROS}")
-    if max_len < 2:
-        raise ValueError("max_len must be at least 2")
-    residual = bytes(data)
+    check_limits(max_macros, max_len)
+    cur = _byte_stream(data)
+    left = Counter(data)  # how often each input byte is still in cur
     macros: list[Macro] = []
     assigned: set[int] = set()
     while len(macros) < max_macros:
-        exclude = () if allow_embed else assigned
-        pick = best_single_macro(residual, max_len, exclude=exclude)
-        if pick is None:
-            break
-        code = pick_free_code(residual, assigned)
+        code = pick_free_code(+left, assigned)
         if code is None:
             break
-        body, _ = pick
-        residual = substitute(residual, body, code)
+        best = rank_keys(profitable_keys(cur, max_len, "free"), 1)
+        if not best:
+            break
+        cur, _, count = substitute_stream(cur, best[0], code)
+        if allow_embed:
+            cur = Stream([_BYTE_ITEMS[it.code] if isinstance(it, MacroByte)
+                          else it for it in cur.items])
+        body = bytes(v for _, v in best[0])
+        left.subtract(body * count)
         macros.append(Macro(body=body, code=code))
         assigned.add(code)
+    residual = _stream_bytes(cur)
+    objective = len(residual) + sum(len(m.body) for m in macros)
+    return CompactionResult(macros=macros, residual=residual, objective=objective)
+
+
+def exact_select(data: Sequence[int], max_macros: int, max_len: int,
+                 budget: int | None = None) -> CompactionResult:
+    """Globally optimal macro set of size <= max_macros.
+
+    macros.select_exact searches the lowered string and numbers its
+    macros densely in the order of the chosen body combination; each
+    then gets, in that order, the smallest opcode free of the input.
+    Guarded by optimal.estimate_cost; raises BudgetError when refused.
+    """
+    out, chosen = select_exact(_byte_stream(data), max_macros, max_len,
+                               budget=budget)
+    code_of: dict[int, int] = {}
+    for m in chosen:
+        code = pick_free_code(data, code_of.values())
+        if code is None:
+            raise ValueError("no opcode in 0x50..0xFF is free of the input")
+        code_of[m.code] = code
+    residual = _stream_bytes(out, code_of.__getitem__)
+    macros = [Macro(body=bytes(v for _, v in m.key), code=code_of[m.code])
+              for m in chosen]
     objective = len(residual) + sum(len(m.body) for m in macros)
     return CompactionResult(macros=macros, residual=residual, objective=objective)
 

@@ -69,14 +69,10 @@ SIGNATURES: dict[str, tuple[str, ...]] = {
 
 MACRO_OPCODE_BASE = 0x50
 MAX_MACROS = 0x100 - MACRO_OPCODE_BASE
+MAX_BODY_BYTES = 0xFF   # an object file stores a body's length in one byte
 
 WORK_AREA_END = 0x100        # memory below this is reserved scratch space
 LABEL_LIMIT = 0x8000         # every label must resolve below this
 DEFAULT_ORIGIN = 0x0100
 DEFAULT_STACK_TOP = 0xFF00
 DEFAULT_STACK_BOTTOM = 0x8000
-
-
-def mode_reads_memory(mode: int) -> bool:
-    return mode in (MODE_IND_XL, MODE_IND_XR, MODE_POP, MODE_PUSH,
-                    MODE_MEM1, MODE_MEM2, MODE_OFF_XL, MODE_OFF_XR, MODE_OFF_XS)

@@ -1,16 +1,18 @@
 """Macro selection on the assembler's item stream.
 
-The byte-level selectors (greedy, optimal) treat their input as an opaque
-string, which is fine for raw payloads but unsafe for executable code: a
-replacement landing between an opcode and its extension bytes would shift
-what the processor decodes.  Stream selection works on the translated
-item list instead.  Candidate runs start at instruction fetch positions
-and carry label references by symbol, so every adopted macro expands to
-the right bytes wherever the final layout lands.
+Treating executable code as an opaque string is unsafe: a replacement
+landing between an opcode and its extension bytes would shift what the
+processor decodes.  Stream selection works on the translated item list
+instead.  Candidate runs start at instruction fetch positions and carry
+label references by symbol, so every adopted macro expands to the right
+bytes wherever the final layout lands.  Raw byte strings (greedy) use
+the same selectors on a stream in which every byte starts an
+instruction.
 """
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass
 
@@ -20,22 +22,6 @@ from .objfile import MacroEntry, ObjectImage
 from .optimal import BudgetError, Occurrence, estimate_cost, exact_over_occurrences
 
 MODES = ("greedy", "exact", "freq")
-
-
-def _item_key(item):
-    """Match key for one item, or None where no run may pass.
-
-    Literals match by value and unrelaxed refs by symbol: two occurrences
-    sit at different addresses, but the same symbol resolves to the same
-    two bytes in both.  Relaxed refs encode an address-relative offset,
-    label defs pin an address, and macro bytes must never nest, so all
-    three end a run.
-    """
-    if isinstance(item, LiteralByte):
-        return (0, item.value)
-    if isinstance(item, LabelRef) and not item.relaxed:
-        return (1, item.symbol)
-    return None
 
 
 def _starts_instruction(item) -> bool:
@@ -55,12 +41,86 @@ class StreamOccurrence:
     byte_len: int
 
 
-def _at_boundary(items: list, j: int) -> bool:
-    """True when position j (exclusive end) sits between instructions."""
-    if j >= len(items):
-        return True
-    nxt = items[j]
-    return getattr(nxt, "op_start", False) or isinstance(nxt, asm.LabelDef)
+_STOP = "\u0100"  # signature character of every item that ends a run
+_LITERAL_KEYS = {chr(v): (0, v) for v in range(0x100)}
+
+
+def _signature(items: list) -> tuple[str, dict[str, tuple]]:
+    """One character per item, equal exactly where match keys are equal.
+
+    Literals match by value and unrelaxed refs by symbol: two occurrences
+    sit at different addresses, but the same symbol resolves to the same
+    two bytes in both.  Relaxed refs encode an address-relative offset,
+    label defs pin an address, and macro bytes must never nest, so all
+    three have no key and map to _STOP, which ends every run.
+
+    A literal's character is its byte value and the symbols' follow
+    _STOP in name order, so strings of characters sort, and prefix one
+    another, exactly as the key tuples they stand for.  Runs are
+    compared, hashed and ranked as string slices, far cheaper than
+    tuples of keys.  Also returns the key of each character.
+    """
+    symbols = sorted({it.symbol for it in items
+                      if isinstance(it, LabelRef) and not it.relaxed})
+    char_of = {sym: chr(0x101 + i) for i, sym in enumerate(symbols)}
+    chars = []
+    for it in items:
+        if isinstance(it, LiteralByte):
+            chars.append(chr(it.value))
+        elif isinstance(it, LabelRef) and not it.relaxed:
+            chars.append(char_of[it.symbol])
+        else:
+            chars.append(_STOP)
+    return "".join(chars), {**_LITERAL_KEYS,
+                            **{c: (1, sym) for sym, c in char_of.items()}}
+
+
+def _walk(items: list, sig: str, max_len: int, granularity: str):
+    """The candidate runs of 2..max_len bytes, one item count at a time.
+
+    A run starts where an opcode is fetched (the body is spliced into the
+    fetch stream, so a macro byte anywhere else would be read as operand
+    data) and may stop mid-instruction; the processor then finishes the
+    instruction from the bytes after the macro byte.  It takes in only
+    items with a match key.  A label definition at the start of a run
+    needs no special case: it stays in the stream, where it ends up
+    addressing the macro byte.
+
+    granularity narrows where runs may end.  "free" allows any item
+    boundary; "instruction" keeps runs inside a single instruction
+    (whole instructions and their prefixes); "aligned" requires runs to
+    cover whole instructions.
+
+    Yields (t, starts) for t = 2, 3, ...: the first item of every run of
+    t items that may end there, in stream order.
+    """
+    if max_len < 2:
+        raise ValueError("max_len must be at least 2")
+    if granularity not in ("free", "instruction", "aligned"):
+        raise ValueError(f"unknown granularity {granularity!r}")
+    n = len(items)
+    inside = granularity == "instruction"
+    # joins[j]: a run begun before item j may take it in
+    joins = [c != _STOP and not (inside and _starts_instruction(it))
+             for c, it in zip(sig, items)] + [False]
+    # run widths are differences of these offsets; _STOP items count 2
+    # here, which is harmless because no run holds one
+    offset = [0]
+    for c in sig:
+        offset.append(offset[-1] + (1 if c < _STOP else 2))
+    ends = None
+    if granularity == "aligned":
+        ends = [j == n or items[j].op_start
+                or isinstance(items[j], asm.LabelDef) for j in range(n + 1)]
+    live = [i for i, it in enumerate(items) if _starts_instruction(it)]
+    t = 1
+    while live:
+        live = [i for i in live if joins[i + t]
+                and offset[i + t + 1] - offset[i] <= max_len]
+        t += 1
+        starts = live if ends is None else [i for i in live if ends[i + t]]
+        if starts:
+            yield t, starts
 
 
 def extract_candidates(stream: Stream, max_len: int,
@@ -68,94 +128,105 @@ def extract_candidates(stream: Stream, max_len: int,
                        ) -> dict[tuple, list[StreamOccurrence]]:
     """Every candidate run of 2..max_len bytes, grouped by match key.
 
-    A run starts where an opcode is fetched (the body is spliced into the
-    fetch stream, so a macro byte anywhere else would be read as operand
-    data) and may stop mid-instruction; the processor then finishes the
-    instruction from the bytes after the macro byte.  A label definition
-    at the start of a run needs no special case: it stays in the stream,
-    where it ends up addressing the macro byte.
-
-    granularity narrows where runs may end.  "free" allows any item
-    boundary; "instruction" keeps runs inside a single instruction
-    (whole instructions and their prefixes); "aligned" requires runs to
-    cover whole instructions.  Occurrence lists come back in stream order.
+    Runs are those of _walk at the given granularity.  Occurrence lists
+    come back in stream order.
     """
-    if max_len < 2:
-        raise ValueError("max_len must be at least 2")
-    if granularity not in ("free", "instruction", "aligned"):
-        raise ValueError(f"unknown granularity {granularity!r}")
     items = stream.items
-    offsets = []
-    pos = 0
+    sig, key_of = _signature(items)
+    offsets = [0]
     for it in items:
-        offsets.append(pos)
-        pos += asm.item_width(it)
-    found: dict[tuple, list[StreamOccurrence]] = {}
-    for i, it in enumerate(items):
-        if not _starts_instruction(it):
-            continue
-        keys: list[tuple] = []
-        width = 0
-        for j in range(i, len(items)):
-            nxt = items[j]
-            if granularity == "instruction" and j > i and _starts_instruction(nxt):
-                break
-            k = _item_key(nxt)
-            if k is None:
-                break
-            w = asm.item_width(nxt)
-            if width + w > max_len:
-                break
-            width += w
-            keys.append(k)
-            if width >= 2 and (granularity != "aligned"
-                               or _at_boundary(items, j + 1)):
-                found.setdefault(tuple(keys), []).append(
-                    StreamOccurrence(i, j + 1, offsets[i], width))
-    return found
+        offsets.append(offsets[-1] + asm.item_width(it))
+    found: dict[str, list[StreamOccurrence]] = {}
+    for t, starts in _walk(items, sig, max_len, granularity):
+        for i in starts:
+            found.setdefault(sig[i:i + t], []).append(StreamOccurrence(
+                i, i + t, offsets[i], offsets[i + t] - offsets[i]))
+    return {tuple(key_of[c] for c in s): occs for s, occs in found.items()}
 
 
-def _matches_at(items: list, i: int, key: tuple) -> bool:
-    if i + len(key) > len(items) or not _starts_instruction(items[i]):
-        return False
-    return all(_item_key(items[i + t]) == key[t] for t in range(len(key)))
+def profitable_keys(stream: Stream, max_len: int, granularity: str
+                    ) -> tuple[dict[str, tuple[int, int]], dict[str, tuple]]:
+    """Every key whose net saving f*(b-1) - b is positive, b being its
+    width in bytes, as signature string -> (net, b), and the key of each
+    signature character (see _signature).
+
+    f counts non-overlapping occurrences leftmost-greedy, as
+    substitute_stream replaces them: the walk yields one item count's
+    runs in stream order, so a run counts when it starts at or after the
+    end of the last counted run of the same key.  Each item count's
+    tallies are dropped once that count is done.
+    """
+    items = stream.items
+    sig, key_of = _signature(items)
+    nets: dict[str, tuple[int, int]] = {}
+    for t, starts in _walk(items, sig, max_len, granularity):
+        free: dict[str, int] = {}
+        count: dict[str, int] = {}
+        for i in starts:
+            s = sig[i:i + t]
+            if free.get(s, 0) <= i:
+                count[s] = count.get(s, 0) + 1
+                free[s] = i + t
+        for s, f in count.items():
+            if f > 1:
+                b = t + sum(c > _STOP for c in s)  # refs are two bytes wide
+                if f * (b - 1) > b:
+                    nets[s] = (f * (b - 1) - b, b)
+    return nets, key_of
+
+
+def rank_keys(counted: tuple[dict[str, tuple[int, int]], dict[str, tuple]],
+              limit: int, defer_prefixes: bool = False) -> list[tuple]:
+    """Up to limit keys counted by profitable_keys, best first: the larger
+    net saving, then the longer body, then the smaller key.
+
+    With defer_prefixes a key that strictly prefixes another profitable
+    key is passed over: the extension's leftovers are still there for
+    the short key next round, while the short key would strand the
+    extension's tail bytes for good.
+    """
+    nets, key_of = counted
+    keys = list(nets)
+    if defer_prefixes:
+        # in sorted order every extension of a key follows it, and
+        # anything between them extends it too, so checking the next
+        # key suffices; the last key is never deferred
+        ordered = sorted(nets)
+        keys = [k for k, nxt in zip(ordered, ordered[1:] + [""])
+                if nxt[:len(k)] != k]
+    best = heapq.nsmallest(limit, keys,
+                           key=lambda k: (-nets[k][0], -nets[k][1], k))
+    return [tuple(key_of[c] for c in s) for s in best]
 
 
 def substitute_stream(stream: Stream, key: tuple, code: int
                       ) -> tuple[Stream, list | None, int]:
     """Replace matches of key left to right, resuming after each one.
 
-    Returns the new stream, the items removed by the first match (None if
-    nothing matched), and the match count.
+    A match starts at an instruction fetch position.  Returns the new
+    stream, the items removed by the first match (None if nothing
+    matched), and the match count.
     """
     items = stream.items
+    sig, key_of = _signature(items)
+    char_of = {k: c for c, k in key_of.items()}
     out: list = []
-    body: list | None = None
-    count = 0
-    i = 0
-    n = len(key)
-    while i < len(items):
-        if _matches_at(items, i, key):
-            if body is None:
-                body = list(items[i:i + n])
+    hits: list[int] = []
+    pos = 0
+    pattern = None
+    if all(k in char_of for k in key):
+        pattern = "".join(char_of[k] for k in key)
+    hit = sig.find(pattern) if pattern else -1
+    while hit >= 0:
+        if _starts_instruction(items[hit]):
+            out += items[pos:hit]
             out.append(MacroByte(code))
-            count += 1
-            i += n
-        else:
-            out.append(items[i])
-            i += 1
-    return Stream(out), body, count
-
-
-def _packed_count(occs: list[StreamOccurrence]) -> int:
-    # stream order plus equal lengths make left-to-right packing maximal
-    count = 0
-    free = 0
-    for o in occs:
-        if o.item_start >= free:
-            count += 1
-            free = o.item_end
-    return count
+            hits.append(hit)
+            pos = hit + len(key)
+        hit = sig.find(pattern, max(pos, hit + 1))
+    out += items[pos:]
+    body = items[hits[0]:hits[0] + len(key)] if hits else None
+    return Stream(out), body, len(hits)
 
 
 @dataclass
@@ -166,19 +237,20 @@ class StreamMacro:
     byte_len: int
 
 
-def _check_limits(max_macros: int, max_len: int) -> None:
+def check_limits(max_macros: int, max_len: int) -> None:
+    """The limits every selector checks before it does any work."""
     if not 1 <= max_macros <= isa.MAX_MACROS:
         raise ValueError(f"macro count must be 1..{isa.MAX_MACROS}")
-    if max_len < 2:
-        raise ValueError("max_len must be at least 2")
+    if not 2 <= max_len <= isa.MAX_BODY_BYTES:
+        raise ValueError(f"max_len must be 2..{isa.MAX_BODY_BYTES}")
 
 
 def select_greedy(stream: Stream, max_macros: int, max_len: int
                   ) -> tuple[Stream, list[StreamMacro]]:
     """Iterative best-first adoption over whole-instruction runs.
 
-    Each round re-extracts candidates from the current stream, scores
-    every key by its net saving f*(b-1) - b with f counted over
+    Each round recounts candidates on the current stream, scores every
+    key by its net saving f*(b-1) - b with f counted over
     non-overlapping occurrences, adopts the best positive one, and
     substitutes at once so the next round works on the shrunken stream.
     Ties fall to the longer body, then the smaller key.
@@ -192,42 +264,22 @@ def select_greedy(stream: Stream, max_macros: int, max_len: int
     whose full forms were too rare to adopt.
 
     Stage two defers any profitable key that strictly prefixes another
-    profitable key: the extension's leftovers are still there for the
-    short key next round, while the short key would strand the
-    extension's tail bytes for good.  Stage one must not do this; there
+    profitable key (see rank_keys).  Stage one must not do this; there
     the prefix relation pits a high-count instruction against every
     barely-profitable longer run it starts, and deferring to those
     fragments the stream and squanders the opcode space on long bodies.
     """
-    _check_limits(max_macros, max_len)
+    check_limits(max_macros, max_len)
     cur = stream
     adopted: list[StreamMacro] = []
     for granularity, defer_prefixes in (("aligned", False),
                                         ("instruction", True)):
         while len(adopted) < max_macros:
-            nets: dict[tuple, tuple[int, int]] = {}
-            for key, occs in extract_candidates(cur, max_len,
-                                                granularity=granularity).items():
-                b = occs[0].byte_len
-                net = _packed_count(occs) * (b - 1) - b
-                if net > 0:
-                    nets[key] = (net, b)
-            if not nets:
+            best = rank_keys(profitable_keys(cur, max_len, granularity), 1,
+                             defer_prefixes)
+            if not best:
                 break
-            # in sorted order every extension of a key follows it, and
-            # anything between them extends it too, so checking the next
-            # key suffices; the last key is never deferred
-            ordered = sorted(nets)
-            best = None
-            for idx, key in enumerate(ordered):
-                if (defer_prefixes and idx + 1 < len(ordered)
-                        and ordered[idx + 1][:len(key)] == key):
-                    continue
-                net, b = nets[key]
-                rank = (-net, -b, key)
-                if best is None or rank < best:
-                    best = rank
-            key = best[2]
+            key = best[0]
             code = isa.MACRO_OPCODE_BASE + len(adopted)
             cur, body, _ = substitute_stream(cur, key, code)
             adopted.append(StreamMacro(code=code, key=key, items=body,
@@ -239,22 +291,13 @@ def select_by_instruction_frequency(stream: Stream, max_macros: int,
                                     max_len: int) -> list[tuple]:
     """Rank single-instruction runs and their prefixes by saving.
 
-    Keys are scored (b-1)*(f-1) - 1 from the flat occurrence count; runs
-    confined to a single instruction cannot overlap, so that count is
-    exactly what a sweep would replace if the key ran alone.  Returns up
-    to max_macros keys with positive score, best first, longer bodies
-    breaking ties.
+    Runs confined to a single instruction cannot overlap, so each key's
+    count is exactly what a sweep would replace if the key ran alone.
+    Returns up to max_macros keys with positive saving, best first.
     """
-    _check_limits(max_macros, max_len)
-    scored = []
-    for key, occs in extract_candidates(stream, max_len,
-                                        granularity="instruction").items():
-        b = occs[0].byte_len
-        score = (b - 1) * (len(occs) - 1) - 1
-        if score > 0:
-            scored.append((-score, -b, key))
-    scored.sort()
-    return [key for _, _, key in scored[:max_macros]]
+    check_limits(max_macros, max_len)
+    return rank_keys(profitable_keys(stream, max_len, "instruction"),
+                     max_macros)
 
 
 def apply_macro_set(stream: Stream, bodies: list[tuple]
@@ -317,7 +360,7 @@ def select_exact(stream: Stream, max_macros: int, max_len: int,
     Unlike the sweeping selectors this picks an explicit occurrence
     subset, so an adopted key may leave some of its matches in place.
     """
-    _check_limits(max_macros, max_len)
+    check_limits(max_macros, max_len)
     est = estimate_cost(stream.byte_size(), max_len, max_macros, budget=budget)
     if not est.approved:
         raise BudgetError(est)
@@ -369,6 +412,8 @@ def compact_source(text: str, mode: str = "greedy",
     justified each adoption holds exactly in the emitted image.  With
     max_macros == 0 the image is the plain assembly.
     """
+    if max_macros:
+        check_limits(max_macros, max_len)
     t0 = time.perf_counter()
     stream, layout = asm.assemble_stream(text, origin=origin)
     input_bytes = layout.size

@@ -57,9 +57,6 @@ class ObjectImage:
     def table_bytes(self) -> int:
         return sum(len(m.body) for m in self.macros)
 
-    def total_payload(self) -> int:
-        return len(self.code) + self.table_bytes()
-
     def validate(self) -> None:
         if not 0 <= self.origin <= 0xFFFF:
             raise ObjectError(f"origin {self.origin:#x} out of range")
@@ -78,8 +75,9 @@ class ObjectImage:
             seen.add(m.code)
             if not m.body:
                 raise ObjectError(f"macro {m.code:#04x} has an empty body")
-            if len(m.body) > 0xFF:
-                raise ObjectError(f"macro {m.code:#04x} body over 255 bytes")
+            if len(m.body) > isa.MAX_BODY_BYTES:
+                raise ObjectError(f"macro {m.code:#04x} body over "
+                                  f"{isa.MAX_BODY_BYTES} bytes")
             if not self.is_raw:
                 # Executable images keep the table dense and well formed:
                 # codes count up from the base, a body opens with a real

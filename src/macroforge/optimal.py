@@ -16,8 +16,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import isa
-from .greedy import CompactionResult, Macro, pick_free_code
 
 DEFAULT_BUDGET = 10 ** 8
 BUDGET_ENV = "MACROFORGE_BUDGET"
@@ -191,49 +189,6 @@ def _solo_capacity(occs: list[Occurrence]) -> int:
             count += 1
             free = o.end
     return count
-
-
-def exact_select(data: Sequence[int], max_macros: int, max_len: int,
-                 budget: int | None = None) -> CompactionResult:
-    """Globally optimal macro set of size <= max_macros.
-
-    Guarded by estimate_cost; raises BudgetError when refused.  The
-    residual realizes the chosen schedule exactly, so the objective equals
-    len(residual) + table size by construction.
-    """
-    if not 1 <= max_macros <= isa.MAX_MACROS:
-        raise ValueError(f"macro count must be 1..{isa.MAX_MACROS}")
-    if max_len < 2:
-        raise ValueError("max_len must be at least 2")
-    data = bytes(data)
-    est = estimate_cost(len(data), max_len, max_macros, budget=budget)
-    if not est.approved:
-        raise BudgetError(est)
-    bodies, chosen, obj = exact_over_occurrences(
-        len(data), enumerate_occurrences(data, max_len), max_macros)
-    codes: dict[bytes, int] = {}
-    assigned: set[int] = set()
-    for body in bodies:
-        code = pick_free_code(data, assigned)
-        if code is None:
-            raise ValueError("no opcode in 0x50..0xFF is free of the input")
-        codes[body] = code
-        assigned.add(code)
-    starts = {o.start: o for o in chosen}
-    residual = bytearray()
-    i = 0
-    while i < len(data):
-        o = starts.get(i)
-        if o is not None:
-            residual.append(codes[o.content])
-            i = o.end + 1
-        else:
-            residual.append(data[i])
-            i += 1
-    macros = [Macro(body=b, code=codes[b]) for b in bodies]
-    result = CompactionResult(macros=macros, residual=bytes(residual), objective=obj)
-    assert result.objective == len(result.residual) + result.table_size()
-    return result
 
 
 def brute_force_select(data: Sequence[int], max_macros: int,

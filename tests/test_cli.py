@@ -124,12 +124,13 @@ def test_compact_exact_budget_refusal(tmp_path, capsys):
     assert "estimated" in err and "budget" in err
 
 
-def test_compact_allow_embed_warns_and_proceeds(tmp_path, capsys):
+def test_compact_rejects_body_limit_before_selecting(tmp_path, capsys):
     src = write(tmp_path, "p.mcrl", COUNTER)
     rc, _, err = run_cli(capsys, "compact", src, "--out", tmp_path / "o.mco",
-                         "--allow-embed")
-    assert rc == 0
-    assert "no effect" in err
+                         "--max-len", 256)
+    assert rc == 2
+    assert "max_len must be 2..255" in err
+    assert not (tmp_path / "o.mco").exists()
 
 
 # --- pack / unpack ------------------------------------------------------------
@@ -150,6 +151,19 @@ def test_pack_exact_worked_example(tmp_path, capsys):
                          "--max-len", 5, "--report", "-")
     assert rc == 0
     assert report_from(out)["objective"] == 24
+
+
+@pytest.mark.parametrize("mode", ["greedy", "exact"])
+def test_pack_rejects_body_limit_before_selecting(tmp_path, capsys, mode):
+    # the repeated 300-byte block would be adopted whole and only then
+    # fail to fit the one-byte length field of the container
+    block = bytes(random.Random(5).randrange(256) for _ in range(300))
+    raw = write(tmp_path, "b.bin", block * 3)
+    rc, _, err = run_cli(capsys, "pack", raw, "--out", tmp_path / "b.mcp",
+                         "--mode", mode, "--max-len", 600)
+    assert rc == 2
+    assert "max_len must be 2..255" in err
+    assert not (tmp_path / "b.mcp").exists()
 
 
 def test_pack_unpack_identity_small(tmp_path, capsys):

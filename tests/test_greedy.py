@@ -2,10 +2,10 @@ import random
 
 import pytest
 
+from macroforge.asm import LiteralByte, Stream
 from macroforge.greedy import (
     CompactionResult,
-    best_single_macro,
-    build_freq_table,
+    Macro,
     count_occurrences,
     expand_macros,
     greedy_select,
@@ -14,8 +14,9 @@ from macroforge.greedy import (
     single_macro_objective,
     substitute,
 )
+from macroforge.macros import profitable_keys
 
-from oracles import naive_count, naive_freq, naive_objective
+from oracles import naive_count, naive_freq, naive_greedy, naive_objective
 
 # Worked-example string used throughout: 28 bytes, engineered so that the
 # best single macro is not part of any optimal pair.
@@ -24,6 +25,19 @@ WORKED = b"jabcdefmrhabcdegkcdefnshabcp"
 
 def rand_bytes(rng, n, alphabet):
     return bytes(rng.choice(alphabet) for _ in range(n))
+
+
+def byte_nets(data, max_len):
+    """The shared counter over data as pack lowers it, keyed by bytes."""
+    stream = Stream([LiteralByte(b, op_start=True) for b in data])
+    nets, key_of = profitable_keys(stream, max_len, "free")
+    return {bytes(key_of[c][1] for c in s): net for s, net in nets.items()}
+
+
+def paying(freq):
+    """Entries of a naive frequency table whose net saving is positive."""
+    return {s: (f * (len(s) - 1) - len(s), len(s)) for s, f in freq.items()
+            if f * (len(s) - 1) - len(s) > 0}
 
 
 def test_count_basic():
@@ -51,7 +65,8 @@ def test_count_matches_naive_scan():
 
 
 def test_freq_table_small():
-    assert build_freq_table(b"ababab", 2) == {b"ab": 3, b"ba": 2}
+    # "ab" x3 saves 3*1 - 2 = 1; "ba" x2 saves nothing and is left out
+    assert byte_nets(b"ababab", 2) == {b"ab": (1, 2)}
 
 
 def test_freq_table_matches_naive():
@@ -59,12 +74,12 @@ def test_freq_table_matches_naive():
     for _ in range(60):
         data = rand_bytes(rng, rng.randrange(2, 30), b"abc")
         max_len = rng.randrange(2, 5)
-        assert build_freq_table(data, max_len) == naive_freq(data, max_len)
+        assert byte_nets(data, max_len) == paying(naive_freq(data, max_len))
 
 
 def test_freq_table_rejects_short_max_len():
     with pytest.raises(ValueError):
-        build_freq_table(b"abab", 1)
+        byte_nets(b"abab", 1)
 
 
 def test_single_macro_objective_worked_example():
@@ -84,21 +99,32 @@ def test_single_macro_objective_matches_substitution():
 
 def test_best_single_macro_worked_example():
     # "cde" ties at 25; the longer body wins.
-    assert best_single_macro(WORKED, 5) == (b"abcde", 25)
+    res = greedy_select(WORKED, 1, 5)
+    assert [m.body for m in res.macros] == [b"abcde"]
+    assert res.objective == 25
 
 
 def test_best_single_macro_tie_prefers_longest():
     # "aa" (3 occurrences) and "aaa" (2) both score 5.
-    assert best_single_macro(b"aaaaaa", 3) == (b"aaa", 5)
+    res = greedy_select(b"aaaaaa", 1, 3)
+    assert [m.body for m in res.macros] == [b"aaa"]
+    assert res.objective == 5
 
 
 def test_best_single_macro_none_when_nothing_repeats():
-    assert best_single_macro(b"abcdef", 3) is None
+    res = greedy_select(b"abcdef", 1, 3)
+    assert res.macros == []
+    assert res.residual == b"abcdef"
 
 
 def test_best_single_macro_honors_exclusions():
-    body, _ = best_single_macro(WORKED, 5, exclude={ord("a")})
-    assert ord("a") not in body
+    # the first opcode 0x50 is excluded from later bodies unless embedding
+    data = b"abcabcxabcabcyabcabcx"
+    plain = greedy_select(data, 2, 3)
+    assert [(m.body, m.code) for m in plain.macros] == [(b"abc", 0x50)]
+    nested = greedy_select(data, 2, 3, allow_embed=True)
+    assert [(m.body, m.code) for m in nested.macros] == [
+        (b"abc", 0x50), (b"\x50\x50x", 0x51)]
 
 
 def test_substitute_basic():
@@ -127,7 +153,6 @@ def test_substitute_length_identity():
 
 
 def test_substitute_then_expand_recovers_input():
-    from macroforge.greedy import Macro
     rng = random.Random(405)
     for _ in range(200):
         data = rand_bytes(rng, rng.randrange(2, 50), b"abcd")
@@ -226,6 +251,20 @@ def test_greedy_embedding_when_allowed():
         assert expand_macros(res.residual, res.macros) == data
 
 
+def test_greedy_matches_naive_oracle():
+    rng = random.Random(412)
+    for _ in range(200):
+        alphabet = (b"ab", b"abc", b"abcd", b"\x50\x51ab")[rng.randrange(4)]
+        data = rand_bytes(rng, rng.randrange(0, 41), alphabet)
+        v = rng.randrange(1, 6)
+        l = rng.randrange(2, 7)
+        for allow in (False, True):
+            res = greedy_select(data, v, l, allow_embed=allow)
+            table, residual = naive_greedy(data, v, l, allow_embed=allow)
+            assert [(m.body, m.code) for m in res.macros] == table, (data, v, l)
+            assert res.residual == residual
+
+
 def test_greedy_validates_arguments():
     with pytest.raises(ValueError):
         greedy_select(b"abab", 0, 4)
@@ -233,6 +272,8 @@ def test_greedy_validates_arguments():
         greedy_select(b"abab", 177, 4)
     with pytest.raises(ValueError):
         greedy_select(b"abab", 1, 1)
+    with pytest.raises(ValueError):
+        greedy_select(b"abab", 1, 256)
 
 
 def test_pick_free_code_skips_data_bytes():

@@ -1,6 +1,6 @@
 import pytest
 
-from macroforge import asm, corpus, macros, vm
+from macroforge import asm, corpus, vm
 from macroforge.asm import LabelDef, LiteralByte, MacroByte, assemble_stream
 from macroforge.macros import (
     StreamOccurrence,
@@ -192,6 +192,15 @@ def test_frequency_caps_at_opcode_space():
     assert picked[1] == (lit(0x32), lit(0x1B))
 
 
+def test_frequency_ties_fall_to_the_smaller_symbol():
+    # ZZ is referenced first, yet the keys rank by symbol name
+    text = ("ZZ     NOP\nGG     NOP\n"
+            + "       MOV =ZZ, -(XS)\n" * 2 + "       MOV =GG, -(XS)\n" * 2)
+    picked = select_by_instruction_frequency(stream_for(text), 176, 20)
+    assert picked[:2] == [(lit(0x32), lit(0x9B), ref("GG")),
+                          (lit(0x32), lit(0x9B), ref("ZZ"))]
+
+
 def test_frequency_ignores_multi_instruction_runs():
     stream = stream_for("       NOP\n" * 6)
     assert select_by_instruction_frequency(stream, 176, 20) == []
@@ -210,6 +219,17 @@ def test_greedy_adopts_aligned_nop_run():
     assert out.byte_size() == 2
 
 
+def packed_count(occs):
+    """Leftmost-greedy count of one key's occurrences, in stream order."""
+    count = 0
+    free = 0
+    for o in occs:
+        if o.item_start >= free:
+            count += 1
+            free = o.item_end
+    return count
+
+
 def test_greedy_exhausts_instruction_candidates():
     stream = stream_for(corpus.generate_program(seed=0))
     out, adopted = select_greedy(stream, 176, 20)
@@ -218,8 +238,7 @@ def test_greedy_exhausts_instruction_candidates():
         for key, occs in extract_candidates(out, 20,
                                             granularity=granularity).items():
             b = occs[0].byte_len
-            packed = macros._packed_count(occs)
-            assert packed * (b - 1) - b <= 0
+            assert packed_count(occs) * (b - 1) - b <= 0
 
 
 def test_selector_limits():

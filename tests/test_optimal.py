@@ -2,14 +2,18 @@ import random
 
 import pytest
 
-from macroforge.greedy import expand_macros, greedy_select, length_function
+from macroforge.greedy import (
+    exact_select,
+    expand_macros,
+    greedy_select,
+    length_function,
+)
 from macroforge.optimal import (
     BudgetError,
     Occurrence,
     brute_force_select,
     enumerate_occurrences,
     estimate_cost,
-    exact_select,
     mwis,
 )
 

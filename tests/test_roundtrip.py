@@ -72,6 +72,19 @@ def test_truncated_instruction_rejected():
         decode_image(ObjectImage(code=bytes([0x32])))
 
 
+@pytest.mark.parametrize("code, bodies, reason", [
+    ([0x01, 0x4F], [], "undefined opcode 0x4f at 0101"),
+    ([0x01, 0x32], [], "truncated image: instruction at 0101"),
+    ([0x01, 0x51], [], "unknown opcode 0x51 at 0101"),
+    ([0x01, 0x50], [[0x01, 0x50]], "inside a macro body at 0101"),
+])
+def test_decode_errors_name_the_address(code, bodies, reason):
+    image = ObjectImage(code=bytes(code), macros=[
+        MacroEntry(0x50 + i, bytes(b)) for i, b in enumerate(bodies)])
+    with pytest.raises(DisasmError, match=reason):
+        decode_image(image)
+
+
 def test_source_render_refuses_macro_image():
     image, _ = macros.compact_source(PUSH_TWICE, mode="freq")
     with pytest.raises(DisasmError):
