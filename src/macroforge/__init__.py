@@ -17,7 +17,6 @@ from .optimal import (
     CostEstimate,
     Occurrence,
     brute_force_select,
-    enumerate_occurrences,
     estimate_cost,
     mwis,
 )

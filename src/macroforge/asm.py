@@ -507,6 +507,9 @@ def resolve_entry(layout: Layout, entry: int | str | None) -> int:
         if name not in layout.symbols:
             raise LayoutError(f"entry label {entry!r} is not defined")
         return layout.symbols[name]
+    if not layout.origin <= entry < layout.origin + layout.size:
+        raise LayoutError(f"entry {entry:#06x} outside the {layout.size}-byte "
+                          f"code at {layout.origin:#06x}")
     return entry
 
 

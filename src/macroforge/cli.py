@@ -188,15 +188,6 @@ def cmd_verify(args) -> int:
     compacted, _ = macros.compact_source(
         text, mode=args.mode, max_macros=args.max_macros,
         max_len=args.max_len, origin=args.origin)
-    if args.corrupt_table and compacted.macros:
-        first = compacted.macros[0]
-        body = bytearray(first.body)
-        body[0] ^= 0x01
-        compacted = ObjectImage(code=compacted.code, origin=compacted.origin,
-                                entry=compacted.entry,
-                                macros=[MacroEntry(first.code, bytes(body))]
-                                + compacted.macros[1:],
-                                flags=compacted.flags)
     base = vm.run(vm.load(base_image), fuel=args.fuel)
     got = vm.run(vm.load(compacted), fuel=args.fuel)
     if base.trace == got.trace and base.status == got.status:
@@ -326,8 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("source")
     _add_selection(p, ("greedy", "exact", "freq"))
     p.add_argument("--fuel", type=int, default=100_000)
-    p.add_argument("--corrupt-table", action="store_true",
-                   help=argparse.SUPPRESS)  # negative control for tests
     _add_origin(p)
     p.set_defaults(func=cmd_verify)
 

@@ -60,35 +60,10 @@ def _stream_bytes(stream: Stream, code_of=lambda code: code) -> bytes:
 
 
 def count_occurrences(haystack: Sequence[int], needle: Sequence[int]) -> int:
-    """Count non-overlapping occurrences of needle, leftmost-greedy.
-
-    Knuth-Morris-Pratt scan; after a match the automaton restarts so the
-    next occurrence cannot reuse any matched byte.
-    """
-    k = len(needle)
-    if k == 0:
+    """Count non-overlapping occurrences of needle, leftmost-greedy."""
+    if len(needle) == 0:
         raise ValueError("empty pattern")
-    if k > len(haystack):
-        return 0
-    fail = [0] * k
-    j = 0
-    for i in range(1, k):
-        while j and needle[i] != needle[j]:
-            j = fail[j - 1]
-        if needle[i] == needle[j]:
-            j += 1
-        fail[i] = j
-    count = 0
-    j = 0
-    for b in haystack:
-        while j and b != needle[j]:
-            j = fail[j - 1]
-        if b == needle[j]:
-            j += 1
-            if j == k:
-                count += 1
-                j = 0
-    return count
+    return bytes(haystack).count(bytes(needle))
 
 
 def single_macro_objective(data: Sequence[int], body: Sequence[int]) -> int:
@@ -113,18 +88,7 @@ def substitute(data: Sequence[int], body: Sequence[int], code: int) -> bytes:
         raise ValueError("macro body must be at least 2 bytes")
     if not isa.MACRO_OPCODE_BASE <= code <= 0xFF:
         raise ValueError(f"macro opcode {code:#04x} outside 0x50..0xFF")
-    data = bytes(data)
-    body = bytes(body)
-    out = bytearray()
-    pos = 0
-    while True:
-        hit = data.find(body, pos)
-        if hit < 0:
-            out += data[pos:]
-            return bytes(out)
-        out += data[pos:hit]
-        out.append(code)
-        pos = hit + len(body)
+    return bytes(data).replace(bytes(body), bytes([code]))
 
 
 def length_function(data: Sequence[int], bodies: Iterable[Sequence[int]]) -> int:
@@ -196,8 +160,8 @@ def greedy_select(data: Sequence[int], max_macros: int, max_len: int,
     return CompactionResult(macros=macros, residual=residual, objective=objective)
 
 
-def exact_select(data: Sequence[int], max_macros: int, max_len: int,
-                 budget: int | None = None) -> CompactionResult:
+def exact_select(data: Sequence[int], max_macros: int, max_len: int
+                 ) -> CompactionResult:
     """Globally optimal macro set of size <= max_macros.
 
     macros.select_exact searches the lowered string and numbers its
@@ -205,8 +169,7 @@ def exact_select(data: Sequence[int], max_macros: int, max_len: int,
     then gets, in that order, the smallest opcode free of the input.
     Guarded by optimal.estimate_cost; raises BudgetError when refused.
     """
-    out, chosen = select_exact(_byte_stream(data), max_macros, max_len,
-                               budget=budget)
+    out, chosen = select_exact(_byte_stream(data), max_macros, max_len)
     code_of: dict[int, int] = {}
     for m in chosen:
         code = pick_free_code(data, code_of.values())

@@ -330,62 +330,53 @@ def apply_macro_set(stream: Stream, bodies: list[tuple]
     return cur, adopted
 
 
-def _apply_occurrences(stream: Stream,
-                       picks: list[tuple[StreamOccurrence, int]]
-                       ) -> tuple[Stream, dict[int, list]]:
-    """Splice macro bytes over an explicit non-overlapping occurrence set."""
-    items = stream.items
-    out: list = []
-    bodies: dict[int, list] = {}
-    pos = 0
-    for occ, code in sorted(picks, key=lambda p: p[0].item_start):
-        assert occ.item_start >= pos
-        out.extend(items[pos:occ.item_start])
-        out.append(MacroByte(code))
-        bodies.setdefault(code, list(items[occ.item_start:occ.item_end]))
-        pos = occ.item_end
-    out.extend(items[pos:])
-    return Stream(out), bodies
+def select_exact(stream: Stream, max_macros: int, max_len: int
+                 ) -> tuple[Stream, list[StreamMacro]]:
+    """Optimal macro set over the stream's paying keys.
 
-
-def select_exact(stream: Stream, max_macros: int, max_len: int,
-                 budget: int | None = None) -> tuple[Stream, list[StreamMacro]]:
-    """Optimal macro set over the stream's candidate universe.
-
-    The interval engine does the search: every stream occurrence becomes
-    a vertex (weight b-1) whose content is its match key, with table cost
-    taken from key_width.  Guarded by the same step estimate as byte-level
-    exact selection; raises BudgetError when refused.
+    The interval engine does the search.  Its universe is the keys that
+    profitable_keys finds paying on their own, since no optimum holds
+    any other (see optimal.exact_over_occurrences); every occurrence of
+    one becomes a vertex of weight b-1 spanning its items.  Guarded by
+    the same step estimate as byte-level exact selection; raises
+    BudgetError when refused.
 
     Unlike the sweeping selectors this picks an explicit occurrence
     subset, so an adopted key may leave some of its matches in place.
     """
     check_limits(max_macros, max_len)
-    est = estimate_cost(stream.byte_size(), max_len, max_macros, budget=budget)
+    est = estimate_cost(stream.byte_size(), max_len, max_macros)
     if not est.approved:
         raise BudgetError(est)
-    handle: dict[tuple[tuple, int], StreamOccurrence] = {}
-    verts = []
-    for key, occs in extract_candidates(stream, max_len).items():
-        for o in occs:
-            verts.append(Occurrence(content=key, start=o.byte_start,
-                                    end=o.byte_start + o.byte_len - 1,
-                                    weight=o.byte_len - 1))
-            handle[(key, o.byte_start)] = o
-    combo, chosen, obj = exact_over_occurrences(
-        stream.byte_size(), verts, max_macros, body_cost=key_width)
+    nets, key_of = profitable_keys(stream, max_len, "free")
+    paying = {tuple(key_of[c] for c in s) for s in nets}
+    by_key = {key: [Occurrence(content=key, start=o.item_start,
+                               end=o.item_end - 1, weight=o.byte_len - 1)
+                    for o in occs]
+              for key, occs in extract_candidates(stream, max_len).items()
+              if key in paying}
+    combo, chosen, obj = exact_over_occurrences(stream.byte_size(), by_key,
+                                                max_macros)
     code_of = {key: isa.MACRO_OPCODE_BASE + i for i, key in enumerate(combo)}
-    picks = [(handle[(o.content, o.start)], code_of[o.content]) for o in chosen]
-    out, bodies = _apply_occurrences(stream, picks)
-    macros = [StreamMacro(code=code_of[k], key=k, items=bodies[code_of[k]],
+    items = stream.items
+    out: list = []
+    bodies: dict[tuple, list] = {}
+    pos = 0
+    for o in chosen:  # non-overlapping, in stream order
+        out += items[pos:o.start]
+        out.append(MacroByte(code_of[o.content]))
+        bodies.setdefault(o.content, items[o.start:o.end + 1])
+        pos = o.end + 1
+    out += items[pos:]
+    macros = [StreamMacro(code=code_of[k], key=k, items=bodies[k],
                           byte_len=key_width(k))
               for k in combo]
+    out = Stream(out)
     assert out.byte_size() + sum(m.byte_len for m in macros) == obj
     return out, macros
 
 
-def compact_stream(stream: Stream, mode: str, max_macros: int, max_len: int,
-                   budget: int | None = None
+def compact_stream(stream: Stream, mode: str, max_macros: int, max_len: int
                    ) -> tuple[Stream, list[StreamMacro]]:
     if mode == "greedy":
         return select_greedy(stream, max_macros, max_len)
@@ -395,15 +386,14 @@ def compact_stream(stream: Stream, mode: str, max_macros: int, max_len: int,
         picked.sort(key=lambda k: (-key_width(k), k))
         return apply_macro_set(stream, picked)
     if mode == "exact":
-        return select_exact(stream, max_macros, max_len, budget=budget)
+        return select_exact(stream, max_macros, max_len)
     raise ValueError(f"unknown mode {mode!r}")
 
 
 def compact_source(text: str, mode: str = "greedy",
                    max_macros: int = isa.MAX_MACROS, max_len: int = 20,
                    origin: int = isa.DEFAULT_ORIGIN,
-                   entry: int | str | None = None,
-                   budget: int | None = None) -> tuple[ObjectImage, dict]:
+                   entry: int | str | None = None) -> tuple[ObjectImage, dict]:
     """Assemble source, select macros, emit an executable object.
 
     Returns (image, info); info carries the sizes and per-phase timings
@@ -421,8 +411,7 @@ def compact_source(text: str, mode: str = "greedy",
     if max_macros == 0:
         out, macros = stream, []
     else:
-        out, macros = compact_stream(stream, mode, max_macros, max_len,
-                                     budget=budget)
+        out, macros = compact_stream(stream, mode, max_macros, max_len)
     t2 = time.perf_counter()
     final = asm.layout_and_resolve(out, origin=origin, relax=False)
     code = asm.resolve_stream(out, final)

@@ -2,7 +2,7 @@
 
 Every occurrence of every candidate body is a vertex weighted by
 len(body)-1 (the bytes saved by replacing it); two vertices conflict when
-their byte intervals intersect.  For a fixed set of bodies the best
+their intervals intersect.  For a fixed set of bodies the best
 replacement schedule is a maximum-weight independent set, which on
 intervals is solvable exactly by dynamic programming.  The exact selector
 enumerates body combinations and takes the best schedule of each.
@@ -45,20 +45,6 @@ class CostEstimate:
     approved: bool
     steps: int
     budget: int
-
-
-def enumerate_occurrences(data: Sequence[int], max_len: int) -> list[Occurrence]:
-    """All occurrences (overlapping included) of every subsequence of
-    length 2..max_len, as weighted closed intervals."""
-    if max_len < 2:
-        raise ValueError("max_len must be at least 2")
-    data = bytes(data)
-    occs = []
-    n = len(data)
-    for k in range(2, max_len + 1):
-        for i in range(n - k + 1):
-            occs.append(Occurrence(data[i:i + k], i, i + k - 1, k - 1))
-    return occs
 
 
 def mwis(occurrences: Sequence[Occurrence]) -> tuple[list[Occurrence], int]:
@@ -122,17 +108,16 @@ def _combination_count(pool: int, pick_limit: int) -> int:
     return total
 
 
-def estimate_cost(eta: int, max_len: int, max_macros: int,
-                  budget: int | None = None) -> CostEstimate:
+def estimate_cost(eta: int, max_len: int, max_macros: int) -> CostEstimate:
     """Predict the exact selector's work and compare against the budget.
 
     Refusal is a value, not an exception: callers decide what to do.  The
     candidate-content pool is bounded by eta*(max_len-1) and each
     combination is charged one interval-DP pass at (max_macros*eta)^2
-    steps.  Arithmetic saturates instead of overflowing.
+    steps.  Arithmetic saturates instead of overflowing.  The budget is
+    BUDGET_ENV if set, else DEFAULT_BUDGET.
     """
-    if budget is None:
-        budget = int(os.environ.get(BUDGET_ENV, DEFAULT_BUDGET))
+    budget = int(os.environ.get(BUDGET_ENV, DEFAULT_BUDGET))
     pool = max(eta, 0) * max(max_len - 1, 0)
     combos = _combination_count(pool, max_macros)
     per_combo = _saturating_mul(max_macros * max(eta, 0), max_macros * max(eta, 0))
@@ -140,37 +125,33 @@ def estimate_cost(eta: int, max_len: int, max_macros: int,
     return CostEstimate(approved=steps <= budget, steps=steps, budget=budget)
 
 
-def exact_over_occurrences(total_len: int, occurrences: Sequence[Occurrence],
-                           max_macros: int,
-                           body_cost=len) -> tuple[list, list[Occurrence], int]:
-    """Optimal body combination over a prepared occurrence universe.
+def exact_over_occurrences(total_len: int,
+                           by_content: dict[object, list[Occurrence]],
+                           max_macros: int) -> tuple[list, list[Occurrence], int]:
+    """Optimal body combination over prepared occurrence lists.
 
-    Enumerates every combination of up to max_macros distinct contents,
-    scores each as total_len - (best schedule weight) + (table bytes), and
-    returns (sorted bodies, chosen occurrences, objective).  Ties prefer
-    fewer bodies, then the lexicographically smallest sorted body list.
+    by_content maps each candidate body to its occurrences.  Every
+    combination of up to max_macros bodies is scored as total_len - (best
+    schedule weight) + (table bytes), a body's table cost being the width
+    of its occurrences (weight + 1).  Returns (sorted bodies, chosen
+    occurrences, objective).  Ties prefer fewer bodies, then the
+    lexicographically smallest sorted body list.  Bodies are opaque as
+    long as they are hashable and sortable.
 
-    Contents are opaque as long as they are hashable and sortable;
-    body_cost maps one to its table size in bytes (len for plain byte
-    strings, a width function for item streams whose contents are match
-    keys rather than bytes).
-
-    Contents whose solo non-overlapping occurrence count is < 2 are skipped:
-    k chosen occurrences of a body save k*(len-1) bytes against len table
-    bytes, so anything that cannot place two occurrences can never pay for
-    itself and only inflates the enumeration.
+    Callers pass only bodies that pay on their own (f*(b-1) - b > 0 for f
+    non-overlapping occurrences of width b).  A schedule uses at most f
+    occurrences of any body, so dropping one that does not pay changes
+    the objective by at most f*(b-1) - b <= 0 and leaves one body fewer:
+    no optimum holds it, and leaving it out only shrinks the enumeration.
     """
-    by_content: dict = {}
-    for o in occurrences:
-        by_content.setdefault(o.content, []).append(o)
-    universe = [c for c, occ in sorted(by_content.items())
-                if _solo_capacity(occ) >= 2]
+    universe = sorted(by_content)
     best: tuple | None = None
     for r in range(0, max_macros + 1):
         for combo in itertools.combinations(universe, r):
             verts = [o for c in combo for o in by_content[c]]
             chosen, weight = mwis(verts)
-            obj = total_len - weight + sum(body_cost(c) for c in combo)
+            obj = (total_len - weight
+                   + sum(by_content[c][0].weight + 1 for c in combo))
             key = (obj, r, combo)
             if best is None or key < best[:3]:
                 best = (obj, r, combo, chosen)
@@ -178,17 +159,6 @@ def exact_over_occurrences(total_len: int, occurrences: Sequence[Occurrence],
     obj, _, combo, chosen = best
     chosen = [o for o in chosen if o.content in set(combo)]
     return list(combo), chosen, obj
-
-
-def _solo_capacity(occs: list[Occurrence]) -> int:
-    """Max non-overlapping occurrences of one content (greedy by end)."""
-    count = 0
-    free = -1
-    for o in sorted(occs, key=lambda o: o.end):
-        if o.start > free:
-            count += 1
-            free = o.end
-    return count
 
 
 def brute_force_select(data: Sequence[int], max_macros: int,

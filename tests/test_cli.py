@@ -124,6 +124,25 @@ def test_compact_exact_budget_refusal(tmp_path, capsys):
     assert "estimated" in err and "budget" in err
 
 
+@pytest.mark.parametrize("command", ["asm", "compact"])
+@pytest.mark.parametrize("entry", ["50", "10B", "300"])
+def test_entry_outside_code_is_rejected(tmp_path, capsys, command, entry):
+    src = write(tmp_path, "p.mcrl", COUNTER)  # 11 bytes at 0100
+    rc, _, err = run_cli(capsys, command, src, "--out", tmp_path / "o.mco",
+                         "--entry", entry)
+    assert rc == 2
+    assert "outside the" in err
+    assert not (tmp_path / "o.mco").exists()
+
+
+def test_entry_inside_code_is_accepted(tmp_path, capsys):
+    src = write(tmp_path, "p.mcrl", COUNTER)
+    obj = tmp_path / "o.mco"
+    assert run_cli(capsys, "asm", src, "--out", obj, "--entry", "10A")[0] == 0
+    assert run_cli(capsys, "disasm", obj)[1].startswith(
+        "origin 0100  entry 010A")
+
+
 def test_compact_rejects_body_limit_before_selecting(tmp_path, capsys):
     src = write(tmp_path, "p.mcrl", COUNTER)
     rc, _, err = run_cli(capsys, "compact", src, "--out", tmp_path / "o.mco",
@@ -272,11 +291,26 @@ def test_verify_zero_macros_trivially_passes(tmp_path, capsys):
     assert "0 macros" in out
 
 
-def test_verify_corrupted_table_fails(tmp_path, capsys):
-    src = write(tmp_path, "p.mcrl", corpus.generate_program(seed=6))
-    rc, out, _ = run_cli(capsys, "verify", src, "--corrupt-table")
-    assert rc == 1
-    assert "divergence" in out or "mismatch" in out
+# Outputs the address of its own code, which compaction moves.
+OUTPUTS_CODE_ADDRESS = """\
+       MOV =2A, -(XS)
+       ADD WC, @40
+       MOV =2A, -(XS)
+       ADD WC, @40
+       MOV =2A, -(XS)
+       ADD WC, @40
+END    OUT =END
+       HLT
+"""
+
+
+def test_verify_fails_when_output_depends_on_code_address(tmp_path, capsys):
+    src = write(tmp_path, "p.mcrl", OUTPUTS_CODE_ADDRESS)
+    for mode in ("greedy", "freq", "exact"):
+        rc, out, _ = run_cli(capsys, "verify", src, "--mode", mode,
+                             "--max-macros", 1, "--max-len", 4)
+        assert rc == 1, mode
+        assert "first divergence at trace index 0" in out, mode
 
 
 # --- stats --------------------------------------------------------------------

@@ -54,6 +54,13 @@ def test_count_rejects_empty_pattern():
         count_occurrences(b"abc", b"")
 
 
+def test_byte_api_rejects_values_above_255():
+    with pytest.raises(ValueError):
+        count_occurrences([1, 256, 1, 256], [1, 256])
+    with pytest.raises(ValueError):
+        substitute([1, 256, 1, 256], [1, 256], 0x50)
+
+
 def test_count_matches_naive_scan():
     rng = random.Random(401)
     for _ in range(300):

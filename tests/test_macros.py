@@ -298,6 +298,21 @@ def test_exact_matches_reference_search(text):
     assert got == brute_best_objective(stream, 2, 5)
 
 
+def test_exact_adopts_only_macros_that_pay(monkeypatch):
+    # the step estimate is far above the real work on these programs
+    monkeypatch.setenv("MACROFORGE_BUDGET", str(10 ** 18))
+    adopted = 0
+    for seed in range(12):
+        stream = stream_for(corpus.generate_program(seed, min_instructions=6))
+        out, macros = select_exact(stream, 2, 4)
+        for m in macros:
+            f = sum(isinstance(it, MacroByte) and it.code == m.code
+                    for it in out.items)
+            assert f * (m.byte_len - 1) - m.byte_len > 0, (seed, m.key)
+        adopted += len(macros)
+    assert adopted == 24
+
+
 def test_exact_refuses_large_search():
     stream = stream_for(corpus.generate_program(seed=1))
     with pytest.raises(BudgetError):

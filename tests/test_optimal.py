@@ -12,7 +12,6 @@ from macroforge.optimal import (
     BudgetError,
     Occurrence,
     brute_force_select,
-    enumerate_occurrences,
     estimate_cost,
     mwis,
 )
@@ -35,17 +34,6 @@ def rand_intervals(rng, n):
     return out
 
 
-def test_enumerate_occurrences_counts():
-    occs = enumerate_occurrences(b"ababa", 3)
-    assert len(occs) == 7
-    by = {}
-    for o in occs:
-        by[o.content] = by.get(o.content, 0) + 1
-        assert o.weight == len(o.content) - 1
-        assert o.end - o.start + 1 == len(o.content)
-    assert by == {b"ab": 2, b"ba": 2, b"aba": 2, b"bab": 1}
-
-
 def test_mwis_two_overlapping_vertices():
     a = Occurrence(b"xx", 0, 3, 4)
     b = Occurrence(b"yy", 2, 5, 3)
@@ -55,8 +43,9 @@ def test_mwis_two_overlapping_vertices():
 
 
 def test_mwis_worked_example_all_four_disjoint():
-    occs = [o for o in enumerate_occurrences(WORKED, 4)
-            if o.content in (b"cdef", b"habc")]
+    occs = [Occurrence(body, i, i + 3, 3)
+            for body in (b"cdef", b"habc")
+            for i in range(len(WORKED)) if WORKED.startswith(body, i)]
     assert len(occs) == 4
     chosen, total = mwis(occs)
     assert total == 12
@@ -207,6 +196,22 @@ def test_exact_select_refuses_over_budget():
     assert exc.value.estimate.steps > exc.value.estimate.budget
 
 
-def test_exact_select_explicit_budget_param():
+def test_exact_select_budget_from_environment(monkeypatch):
+    monkeypatch.setenv("MACROFORGE_BUDGET", "1")
     with pytest.raises(BudgetError):
-        exact_select(b"ababab", 2, 3, budget=1)
+        exact_select(b"ababab", 2, 3)
+
+
+def test_exact_adopts_only_macros_that_pay():
+    # each body's opcode count in the residual is what it really saves
+    rng = random.Random(436)
+    adopted = 0
+    for _ in range(1500):
+        data = rand_bytes(rng, rng.randrange(2, 24),
+                          (b"ab", b"abc", b"abcd")[rng.randrange(3)])
+        res = exact_select(data, rng.randrange(1, 3), rng.randrange(2, 6))
+        for m in res.macros:
+            b = len(m.body)
+            assert res.residual.count(m.code) * (b - 1) - b > 0, (data, m)
+        adopted += len(res.macros)
+    assert adopted > 500
