@@ -156,7 +156,8 @@ def cmd_unpack(args) -> int:
                        "raw containers written by pack")
     table = [greedy.Macro(body=m.body, code=m.code) for m in image.macros]
     _write_bytes(args.out or _default_out(args.input, ".bin"),
-                 greedy.expand_macros(image.code, table))
+                 greedy.expand_macros(image.code, table,
+                                      limit=args.max_output))
     return 0
 
 
@@ -300,6 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("unpack", help="restore a packed file exactly")
     p.add_argument("input")
     p.add_argument("--out", "-o")
+    p.add_argument("--max-output", type=int, default=greedy.MAX_OUTPUT,
+                   metavar="N", help="refuse an output over N bytes "
+                   f"(default {greedy.MAX_OUTPUT})")
     p.set_defaults(func=cmd_unpack)
 
     p = sub.add_parser("run", help="execute an object file")

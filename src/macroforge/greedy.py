@@ -183,23 +183,39 @@ def exact_select(data: Sequence[int], max_macros: int, max_len: int
     return CompactionResult(macros=macros, residual=residual, objective=objective)
 
 
-def expand_macros(residual: Sequence[int], macros: Sequence[Macro]) -> bytes:
+MAX_OUTPUT = 1 << 24   # bytes expand_macros builds at most by default
+
+
+def expand_macros(residual: Sequence[int], macros: Sequence[Macro],
+                  limit: int = MAX_OUTPUT) -> bytes:
     """Inverse of substitution.
 
-    Bodies are expanded in adoption order: a body byte equal to an EARLIER
-    macro's opcode is a nested reference (embedding), while one equal to a
-    later opcode is plain data, because opcodes are only ever chosen from
-    values absent from the residual they were introduced into.
+    A body byte equal to an EARLIER macro's opcode is a nested reference
+    (embedding), while one equal to a later opcode is plain data, because
+    opcodes are only ever chosen from values absent from the residual
+    they were introduced into.  So replacing each opcode by its body, the
+    last adopted macro first, expands every reference and nothing else;
+    no body is empty, so no intermediate string outgrows the output.
+
+    Nested bodies multiply lengths, so the output length is bounded
+    before any expansion: len(residual) times the longest expanded body,
+    or, when that exceeds limit, the exact length from one count per
+    opcode.  An output over limit bytes is refused with ValueError.
     """
-    full: dict[int, bytes] = {}
+    size: dict[int, int] = {}
     for m in macros:
         if m.code is None:
             raise ValueError("macro has no assigned opcode")
-        out = bytearray()
-        for b in m.body:
-            out += full.get(b, bytes([b]))
-        full[m.code] = bytes(out)
-    out = bytearray()
-    for b in residual:
-        out += full.get(b, bytes([b]))
-    return bytes(out)
+        if not m.body:
+            raise ValueError(f"macro {m.code:#04x} has an empty body")
+        size[m.code] = sum(size.get(b, 1) for b in m.body)
+    out = bytes(residual)
+    if len(out) * max(size.values(), default=1) > limit:
+        total = len(out) + sum(out.count(code) * (n - 1)
+                               for code, n in size.items())
+        if total > limit:
+            raise ValueError(f"expanded output of {total} bytes exceeds "
+                             f"the limit of {limit}")
+    for m in reversed(macros):
+        out = out.replace(bytes([m.code]), m.body)
+    return out

@@ -390,6 +390,23 @@ def compact_stream(stream: Stream, mode: str, max_macros: int, max_len: int
     raise ValueError(f"unknown mode {mode!r}")
 
 
+# Marks a hex entry in the stream; not a valid label, so it clashes with none.
+_ENTRY_PIN = asm.LabelDef("(entry)")
+
+
+def _pin_entry(stream: Stream, layout: asm.Layout, entry: int) -> None:
+    """Put the entry marker before the instruction that starts at the
+    plain-code address entry.  A label ends every macro run, so that
+    instruction stays a start through selection, wherever it moves."""
+    asm.resolve_entry(layout, entry)
+    for i, (item, addr) in enumerate(zip(stream.items, layout.addresses)):
+        if addr == entry and item.op_start:
+            stream.items.insert(i, _ENTRY_PIN)
+            return
+    raise asm.LayoutError(f"entry {entry:#06x} is not the start of an "
+                          "instruction")
+
+
 def compact_source(text: str, mode: str = "greedy",
                    max_macros: int = isa.MAX_MACROS, max_len: int = 20,
                    origin: int = isa.DEFAULT_ORIGIN,
@@ -400,20 +417,30 @@ def compact_source(text: str, mode: str = "greedy",
     the reporting layer wants.  Branch relaxation runs once, before
     selection, and widths are frozen from then on so the accounting that
     justified each adoption holds exactly in the emitted image.  With
-    max_macros == 0 the image is the plain assembly.
+    max_macros == 0 the image is the plain assembly.  A hex entry is an
+    instruction address of the plain assembly; the image enters at that
+    instruction wherever selection moves it.
     """
     if max_macros:
         check_limits(max_macros, max_len)
     t0 = time.perf_counter()
     stream, layout = asm.assemble_stream(text, origin=origin)
     input_bytes = layout.size
+    pinned = isinstance(entry, int)
+    if pinned:
+        _pin_entry(stream, layout, entry)
     t1 = time.perf_counter()
     if max_macros == 0:
         out, macros = stream, []
     else:
         out, macros = compact_stream(stream, mode, max_macros, max_len)
     t2 = time.perf_counter()
+    if pinned:  # no label may name the entry: it can lie past LABEL_LIMIT
+        at = out.items.index(_ENTRY_PIN)
+        del out.items[at]
     final = asm.layout_and_resolve(out, origin=origin, relax=False)
+    if pinned:
+        entry = final.addresses[at]
     code = asm.resolve_stream(out, final)
     entries = [MacroEntry(code=m.code, body=asm.bake_body(m.items, final))
                for m in macros]

@@ -8,10 +8,13 @@ from a body is a fault, never a recursion.
 
 A body can end mid-instruction (a macro may cover just an opcode/header
 prefix); the instruction's remaining bytes then come from the main
-stream, which is why decode.decode reads a body step from the rest of
-the body followed by main memory.
-Taken branches drop the cursor outright: the jump target is a main
-stream address, so whatever remained of the body is abandoned.
+stream.  Taken branches drop the cursor outright: the jump target is a
+main stream address, so whatever remained of the body is abandoned.
+
+Each fetch position (the main-stream pc, or the cursor inside a body)
+is decoded once, into an entry of a table on VmState.  A word write
+that touches a main-memory byte some entry was decoded from clears the
+table, so self-modifying code stays exact.
 """
 
 from __future__ import annotations
@@ -55,6 +58,10 @@ class VmState:
     halted: bool = False
     stack_top: int = isa.DEFAULT_STACK_TOP
     stack_bottom: int = isa.DEFAULT_STACK_BOTTOM
+    # Decoded entries by fetch position and the main-memory bytes [lo, hi]
+    # they came from; code that writes memory directly must clear entries.
+    entries: dict = field(default_factory=dict)
+    watched: tuple = (0x10000, -1)       # empty
 
 
 def load(image) -> VmState:
@@ -79,197 +86,187 @@ def load(image) -> VmState:
 
 
 # ---------------------------------------------------------------------------
-# Fetch
+# Predecoding
+#
+# An entry is (op, k1, a1, b1, k2, a2, b2, target, next position).  op
+# numbers the mnemonics so that ranges pick the shape: 0-2 take no value
+# operand, 3-8 two, 9-14 one.  A value operand is a kind and two ints:
+# register (index, 0), literal (value, 0), memory (address, 0), based
+# (register, offset; 0 for the indirect modes), stack (0, +2 pop or -2
+# push).
 
-def _fetch(state: VmState) -> tuple:
-    """Decode the next instruction and move pc and cursor past it.
+_OPS = ("HLT", "NOP", "BRN", "BEQ", "BNE", "BLT", "MOV", "ADD", "SUB",
+        "OUT", "BRI", "ICV", "DCV", "ZER", "LCW")
+_OPCODE = {name: i for i, name in enumerate(_OPS)}
+K_REG, K_LIT, K_MEM, K_BASED, K_STACK = range(5)
+# mode nibble (None when absent) -> (kind, a, b); a None is the extension
+_MODES = {None: (K_REG, 0, 0), isa.MODE_POP: (K_STACK, 0, 2),
+          isa.MODE_PUSH: (K_STACK, 0, -2), isa.MODE_LIT: (K_LIT, None, 0),
+          isa.MODE_MEM1: (K_MEM, None, 0), isa.MODE_MEM2: (K_MEM, None, 0),
+          **{r: (K_REG, r, 0) for r in range(isa.REG_XS + 1)},
+          **{m: (K_BASED, r, 0 if m < isa.MODE_MEM1 else None)
+             for m, r in isa.BASE_REG.items()}}
 
-    Main-stream instructions decode in place from memory.  A body step
-    decodes the rest of the body followed by main memory at the resume
-    pc, which covers a body that ends mid-instruction.
+
+def _decode_at(state: VmState, key) -> tuple:
+    """Decode the instruction at fetch position key, cache its entry and
+    widen the watched range over the main-memory bytes it read.
+
+    A main-stream instruction decodes in place.  A body step decodes the
+    rest of the body followed by main memory at the resume pc, which
+    covers a body that ends mid-instruction.
     """
-    memory = state.memory
+    memory, buf = state.memory, None
     try:
-        if state.cursor is None:
-            pc = state.pc
-            op = memory[pc]
-            if op < isa.MACRO_OPCODE_BASE:
-                instr = decode.decode(memory, pc, 0, 0)
-                state.pc = instr[-1]
-                return instr
-            idx = op - isa.MACRO_OPCODE_BASE
+        if type(key) is tuple:
+            idx, off, resume = key
+            body, first = state.macros[idx], resume
+        elif memory[key] < isa.MACRO_OPCODE_BASE:   # decode in place
+            buf, pos, left, resume, first = memory, key, 0, 0, key
+        else:
+            idx = memory[key] - isa.MACRO_OPCODE_BASE
+            off, resume, first = 0, key + 1, key
             if idx >= len(state.macros):
-                raise VmFault(f"undefined opcode {op:#04x}")
-            off, resume = 0, pc + 1
+                raise VmFault(f"undefined opcode {memory[key]:#04x}")
             body = state.macros[idx]
             if body[0] >= isa.MACRO_OPCODE_BASE:
-                raise VmFault(f"macro body begins with opcode {body[0]:#04x}")
-        else:
-            idx, off, resume = state.cursor
-            body = state.macros[idx]
-        left = len(body) - off
-        instr = decode.decode(body[off:] + memory[resume:resume + 8], 0,
-                              left, resume)
+                raise VmFault("macro body begins with opcode "
+                              f"{body[0]:#04x}")
+        if buf is None:
+            left = len(body) - off
+            buf, pos = body[off:] + memory[resume:resume + 8], 0
+        name, mode1, ext1, mode2, ext2, target, _, _, end = decode.decode(
+            buf, pos, left, resume)
     except IndexError:
         raise VmFault("fetch past the end of memory") from None
     except decode.DecodeError as err:
         raise VmFault(str(err)) from None
-    end = instr[-1]
     if end < left:
-        state.cursor = (idx, off + end, resume)
-        state.pc = resume
+        after, last = (idx, off + end, resume), resume - 1
     else:
-        state.cursor = None
-        state.pc = resume + end - left
-    return instr
-
-
-def _read_word(state: VmState, addr: int) -> int:
-    addr &= 0xFFFF
-    return (state.memory[addr] << 8) | state.memory[(addr + 1) & 0xFFFF]
-
-
-def _write_word(state: VmState, addr: int, value: int) -> None:
-    addr &= 0xFFFF
-    state.memory[addr] = (value >> 8) & 0xFF
-    state.memory[(addr + 1) & 0xFFFF] = value & 0xFF
+        after = resume + end - left
+        last = after - 1
+    k1, a1, b1 = _MODES[mode1]
+    k2, a2, b2 = _MODES[mode2]
+    entry = (_OPCODE[name], k1, ext1 if a1 is None else a1,
+             ext1 if b1 is None else b1, k2, ext2 if a2 is None else a2,
+             ext2 if b2 is None else b2, target, after)
+    lo, hi = state.watched
+    if first <= last and (first < lo or last > hi):
+        state.watched = (first if first < lo else lo,
+                         last if last > hi else hi)
+    state.entries[key] = entry
+    return entry
 
 
 # ---------------------------------------------------------------------------
-# Operands
+# Execution
 
-def _resolve(state: VmState, mode: int, ext: int | None) -> tuple:
-    """Location of one decoded operand as (kind, where): kind is reg, mem
-    or lit, where a register index, address or literal value.  Applies
-    any stack side effect immediately (operands resolve left to right)."""
-    if mode <= isa.REG_XS:
-        return "reg", mode
-    if mode == isa.MODE_POP:
-        addr = state.regs[isa.REG_XS]
-        moved = addr + 2
-        if moved > state.stack_top:
-            raise VmFault("stack underflow")
-        state.regs[isa.REG_XS] = moved
-        return "mem", addr
-    if mode == isa.MODE_PUSH:
-        moved = state.regs[isa.REG_XS] - 2
-        if moved < state.stack_bottom:
-            raise VmFault("stack overflow")
-        state.regs[isa.REG_XS] = moved
-        return "mem", moved
-    if mode == isa.MODE_LIT:
-        return "lit", ext
-    if mode in (isa.MODE_MEM1, isa.MODE_MEM2):
-        return "mem", ext
-    if mode in (isa.MODE_IND_XL, isa.MODE_IND_XR):
-        return "mem", state.regs[isa.BASE_REG[mode]]
-    return "mem", state.regs[isa.BASE_REG[mode]] + ext
+def _execute(state: VmState, fuel: int) -> tuple:
+    """Run up to fuel instructions; return (status, steps, fault reason).
 
-
-def _read(state: VmState, loc: tuple) -> int:
-    kind, where = loc
-    if kind == "reg":
-        return state.regs[where]
-    if kind == "mem":
-        return _read_word(state, where)
-    return where
-
-
-def _write(state: VmState, loc: tuple, value: int) -> None:
-    kind, where = loc
-    value &= 0xFFFF
-    if kind == "reg":
-        state.regs[where] = value
-    elif kind == "mem":
-        _write_word(state, where, value)
-    else:
-        raise VmFault("write to a literal operand")
-
-
-def _jump(state: VmState, target: int) -> None:
-    # A taken branch lands in the main stream, so any active body is done.
-    state.cursor = None
-    state.pc = target & 0xFFFF
-
-
-# ---------------------------------------------------------------------------
-# Stepping
-
-def step(state: VmState) -> StepEvent:
+    Operands resolve left to right and apply any stack side effect
+    immediately.  pc, cursor and halted are written back at the end.
+    """
     if state.halted:
         raise ValueError("cannot step a halted machine")
+    memory, regs, entries = state.memory, state.regs, state.entries
+    get, emit = entries.get, state.out_trace.append
+    top, bottom = state.stack_top, state.stack_bottom
+    lo, hi = state.watched
+    key = state.pc if state.cursor is None else state.cursor
+    status, steps, reason = "out-of-fuel", 0, None
     try:
-        return _step(state)
+        while steps < fuel:
+            steps += 1
+            entry = get(key)
+            if entry is None:
+                entry = _decode_at(state, key)
+                lo, hi = state.watched
+            op, k1, a1, b1, k2, a2, b2, target, key = entry
+            if op < 3:                                # HLT NOP BRN
+                if op == 2:
+                    key = target
+                elif op == 0:
+                    status = "halted"
+                    break
+                continue
+            if k1 == K_BASED:                         # to an address now
+                a1, k1 = (regs[a1] + b1) & 0xFFFF, K_MEM
+            elif k1 == K_STACK:                       # b1: +2 pop, -2 push
+                moved = regs[isa.REG_XS] + b1
+                if moved > top if b1 > 0 else moved < bottom:
+                    raise VmFault("stack underflow" if b1 > 0
+                                  else "stack overflow")
+                regs[isa.REG_XS] = moved
+                a1, k1 = min(moved, moved - b1), K_MEM      # lower XS
+            if op < 13:                               # all but ZER LCW read
+                v = (regs[a1] if k1 == K_REG else a1 if k1 == K_LIT
+                     else memory[a1] << 8 | memory[(a1 + 1) & 0xFFFF])
+            if op < 9:                                # second operand
+                if k2 == K_BASED:
+                    a2, k2 = (regs[a2] + b2) & 0xFFFF, K_MEM
+                elif k2 == K_STACK:
+                    moved = regs[isa.REG_XS] + b2
+                    if moved > top if b2 > 0 else moved < bottom:
+                        raise VmFault("stack underflow" if b2 > 0
+                                      else "stack overflow")
+                    regs[isa.REG_XS] = moved
+                    a2, k2 = min(moved, moved - b2), K_MEM
+                if op != 6:                           # all but MOV read it
+                    w = (regs[a2] if k2 == K_REG else a2 if k2 == K_LIT
+                         else memory[a2] << 8 | memory[(a2 + 1) & 0xFFFF])
+                    if op < 6:                        # BEQ BNE BLT
+                        if v == w if op == 3 else v != w if op == 4 else v < w:
+                            key = target
+                        continue
+                    v = w + v if op == 7 else w - v   # ADD SUB
+                k1, a1 = k2, a2
+            elif op == 9:                             # OUT
+                emit(v)
+                continue
+            elif op == 10:                            # BRI
+                key = v & 0xFFFF
+                continue
+            elif op < 13:                             # ICV DCV
+                v += 1 if op == 11 else -1
+            elif op == 13:                            # ZER
+                v = 0
+            else:                                     # LCW
+                x = regs[isa.REG_XL]
+                v = memory[x] << 8 | memory[(x + 1) & 0xFFFF]
+                regs[isa.REG_XL] = (x + 2) & 0xFFFF
+            if k1 == K_REG:                           # store v
+                regs[a1] = v & 0xFFFF
+            elif k1 == K_LIT:
+                raise VmFault("write to a literal operand")
+            else:
+                a2 = (a1 + 1) & 0xFFFF
+                memory[a1], memory[a2] = v >> 8 & 0xFF, v & 0xFF
+                if lo <= a1 <= hi or lo <= a2 <= hi:  # code changed
+                    entries.clear()
+                    lo, hi = state.watched = (0x10000, -1)
     except VmFault as fault:
-        state.halted = True
-        return StepEvent("fault", reason=str(fault))
+        status, reason = "fault", str(fault)
+    state.cursor = key if type(key) is tuple else None
+    state.pc = key if state.cursor is None else key[2]
+    state.halted = status != "out-of-fuel"
+    return status, steps, reason
 
 
-def _step(state: VmState) -> StepEvent:
-    name, mode1, ext1, mode2, ext2, target, _, _, _ = _fetch(state)
-
-    if name == "HLT":
-        state.halted = True
-        return StepEvent("halted")
-    if name == "NOP":
-        return StepEvent("executed")
-    if name == "BRN":
-        _jump(state, target)
-        return StepEvent("executed")
-
-    if name in ("BEQ", "BNE", "BLT"):
-        a = _read(state, _resolve(state, mode1, ext1))
-        b = _read(state, _resolve(state, mode2, ext2))
-        taken = (a == b if name == "BEQ"
-                 else a != b if name == "BNE"
-                 else a < b)
-        if taken:
-            _jump(state, target)
-        return StepEvent("executed")
-
-    if name == "MOV":
-        value = _read(state, _resolve(state, mode1, ext1))
-        _write(state, _resolve(state, mode2, ext2), value)
-        return StepEvent("executed")
-    if name in ("ADD", "SUB"):
-        value = _read(state, _resolve(state, mode1, ext1))
-        loc = _resolve(state, mode2, ext2)
-        old = _read(state, loc)
-        _write(state, loc, old + value if name == "ADD" else old - value)
-        return StepEvent("executed")
-    loc = _resolve(state, mode1, ext1)
-    if name in ("ICV", "DCV"):
-        old = _read(state, loc)
-        _write(state, loc, old + 1 if name == "ICV" else old - 1)
-        return StepEvent("executed")
-    if name == "ZER":
-        _write(state, loc, 0)
-        return StepEvent("executed")
-    if name == "LCW":
-        value = _read_word(state, state.regs[isa.REG_XL])
-        state.regs[isa.REG_XL] = (state.regs[isa.REG_XL] + 2) & 0xFFFF
-        _write(state, loc, value)
-        return StepEvent("executed")
-    if name == "BRI":
-        _jump(state, _read(state, loc))
-        return StepEvent("executed")
-    if name == "OUT":
-        value = _read(state, loc)
-        state.out_trace.append(value)
-        return StepEvent("output", value=value)
-    raise VmFault(f"unhandled mnemonic {name}")  # unreachable by table
+def step(state: VmState) -> StepEvent:
+    before = len(state.out_trace)
+    status, _, reason = _execute(state, 1)
+    if status != "out-of-fuel":                  # halted or fault
+        return StepEvent(status, reason=reason)
+    if len(state.out_trace) > before:
+        return StepEvent("output", value=state.out_trace[-1])
+    return StepEvent("executed")
 
 
 def run(state: VmState, fuel: int) -> RunOutcome:
     if fuel < 1:
         raise ValueError("fuel must be at least 1")
-    steps = 0
-    while steps < fuel:
-        event = step(state)
-        steps += 1
-        if event.kind == "halted":
-            return RunOutcome("halted", steps, list(state.out_trace))
-        if event.kind == "fault":
-            return RunOutcome("fault", steps, list(state.out_trace),
-                              fault_reason=event.reason)
-    return RunOutcome("out-of-fuel", steps, list(state.out_trace))
+    status, steps, reason = _execute(state, fuel)
+    return RunOutcome(status, steps, list(state.out_trace),
+                      fault_reason=reason)

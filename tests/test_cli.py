@@ -5,6 +5,7 @@ import pytest
 
 from macroforge import asm, corpus
 from macroforge.cli import build_report, main
+from macroforge.objfile import FLAG_RAW, MacroEntry, ObjectImage
 
 B_STAR = b"jabcdefmrhabcdegkcdefnshabcp"
 
@@ -143,6 +144,23 @@ def test_entry_inside_code_is_accepted(tmp_path, capsys):
         "origin 0100  entry 010A")
 
 
+def test_compact_hex_entry_is_a_plain_code_address(tmp_path, capsys):
+    # 0106 starts the second MOV in the plain code; selection moves it
+    # to 0104, where the compacted image must start.
+    src = write(tmp_path, "p.mcrl", OUTPUTS_CODE_ADDRESS)
+    obj = tmp_path / "o.mco"
+    rc, _, _ = run_cli(capsys, "compact", src, "--out", obj, "--entry", "106",
+                       "--max-macros", 1, "--max-len", 4)
+    assert rc == 0
+    assert run_cli(capsys, "disasm", obj)[1].startswith(
+        "origin 0100  entry 0104")
+    assert run_cli(capsys, "run", obj)[0] == 0
+    rc, _, err = run_cli(capsys, "compact", src, "--out", obj, "--entry",
+                         "107", "--max-macros", 1, "--max-len", 4)
+    assert rc == 2
+    assert "start of an instruction" in err
+
+
 def test_compact_rejects_body_limit_before_selecting(tmp_path, capsys):
     src = write(tmp_path, "p.mcrl", COUNTER)
     rc, _, err = run_cli(capsys, "compact", src, "--out", tmp_path / "o.mco",
@@ -226,6 +244,28 @@ def test_unpack_rejects_program_image(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "unpack", obj)
     assert rc == 2
     assert "program image" in err
+
+
+def test_unpack_refuses_output_over_the_limit(tmp_path, capsys):
+    # three nested 255-byte bodies: each residual byte expands to 255**3
+    bodies = [b"x" * 255, bytes([0x50]) * 255, bytes([0x51]) * 255]
+    bomb = ObjectImage(code=bytes([0x52]) * 4, flags=FLAG_RAW,
+                       macros=[MacroEntry(0x50 + i, body)
+                               for i, body in enumerate(bodies)])
+    packed = write(tmp_path, "bomb.mcp", bomb.serialize())
+    out = tmp_path / "bomb.out"
+    rc, _, err = run_cli(capsys, "unpack", packed, "--out", out)
+    assert rc == 2
+    assert "exceeds the limit" in err
+    assert not out.exists()
+    small = write(tmp_path, "s.mcp", ObjectImage(
+        code=b"ab\x50", flags=FLAG_RAW,
+        macros=[MacroEntry(0x50, b"cd")]).serialize())
+    for limit, want in ((3, 2), (4, 0)):
+        rc, _, _ = run_cli(capsys, "unpack", small, "--out", out,
+                           "--max-output", limit)
+        assert rc == want
+    assert out.read_bytes() == b"abcd"
 
 
 # --- run / disasm -------------------------------------------------------------

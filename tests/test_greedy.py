@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -293,3 +294,23 @@ def test_compaction_result_helpers():
     res = CompactionResult(macros=[], residual=b"abc", objective=3)
     assert res.table_size() == 0
     assert res.savings(3) == 0
+
+
+def test_expand_refuses_a_nested_bomb_before_allocating():
+    # 255**3 bytes per residual byte; refused from the lengths alone
+    table = [Macro(b"x" * 255, 0x50), Macro(bytes([0x50]) * 255, 0x51),
+             Macro(bytes([0x51]) * 255, 0x52)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            expand_macros(bytes([0x52]) * 4, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # an unused bomb costs nothing; the exact count decides at the edge
+    assert expand_macros(b"ab", table) == b"ab"
+    assert expand_macros(b"a\x51", table, limit=1 + 255 ** 2) == \
+        b"a" + b"x" * 255 ** 2
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        expand_macros(b"a\x51", table, limit=255 ** 2)

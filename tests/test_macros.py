@@ -348,6 +348,41 @@ def test_compact_source_entry_label():
     assert image.entry == 0x100
 
 
+def test_hex_entry_is_a_plain_address_kept_through_selection():
+    # Every third instruction start of the plain code, as an entry: the
+    # compacted image must start at the same instruction.
+    text = corpus.generate_program(seed=3)
+    stream, layout = assemble_stream(text)
+    starts = [a for it, a in zip(stream.items, layout.addresses)
+              if it.op_start]
+    for mode in ("greedy", "freq"):
+        for entry in starts[::3]:
+            plain = vm.run(vm.load(asm.assemble(text, entry=entry)), 100_000)
+            image, _ = compact_source(text, mode=mode, max_macros=64,
+                                      entry=entry)
+            got = vm.run(vm.load(image), 100_000)
+            assert (got.status, got.trace) == (plain.status, plain.trace)
+
+
+def test_hex_entry_inside_an_instruction_is_rejected():
+    # 0102 is the header byte of the MOV at 0101
+    with pytest.raises(asm.LayoutError, match="start of an instruction"):
+        compact_source(PUSH_TWICE, entry=0x102)
+
+
+def test_entry_marker_leaves_label_and_default_output_alone():
+    text = corpus.generate_program(seed=3)
+    label = next(line.split()[0] for line in text.splitlines()
+                 if line[:1].strip())
+    address = asm.assemble(text, entry=label).entry
+    default, _ = compact_source(text)
+    by_label, _ = compact_source(text, entry=label)
+    by_address, _ = compact_source(text, entry=address)
+    assert by_label.code == by_address.code == default.code
+    assert by_label.macros == by_address.macros == default.macros
+    assert by_label.entry == by_address.entry
+
+
 def test_macro_codes_are_dense():
     text = corpus.generate_program(seed=5)
     for mode in ("greedy", "freq"):

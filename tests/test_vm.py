@@ -3,6 +3,7 @@ import pytest
 from macroforge import asm, vm
 from macroforge.objfile import FLAG_RAW, MacroEntry, ObjectError, ObjectImage
 from macroforge.vm import LoadError, load, run, step
+from oracles import reference_run
 
 
 def exec_source(text, fuel=10_000):
@@ -278,3 +279,88 @@ def test_unassigned_macro_opcode_faults():
     out = run(load(img), 10)
     assert out.status == "fault"
     assert "undefined opcode" in out.fault_reason
+
+
+# --- self-modifying code ---------------------------------------------------
+# The interpreter caches each decoded instruction; a write to bytes it
+# has decoded must be seen by the next fetch, as in the reference
+# interpreter that decodes every step afresh.
+
+def run_both(image, fuel=1_000):
+    got = run(load(image), fuel)
+    assert (got.status, got.steps, got.trace, got.fault_reason) == \
+        reference_run(load(image), fuel)
+    return got
+
+
+def test_rewritten_operand_byte_is_seen_on_the_next_pass():
+    # XL points at the literal of OUT =5; the second pass outputs 6.
+    text = (
+        "      ZER WC\n"
+        "      MOV =LOOP, XL\n"
+        "      ICV XL\n"
+        "LOOP  OUT =5\n"
+        "      MOV =0B86, (XL)\n"
+        "      ICV WC\n"
+        "      BLT WC, =2, LOOP\n"
+        "      HLT\n"
+    )
+    out = run_both(asm.assemble(text))
+    assert out.status == "halted"
+    assert out.trace == [5, 6]
+
+
+def test_rewritten_tail_of_a_macro_body_is_seen_on_the_next_activation():
+    # Body NOP; BRN opcode + header.  The branch target is the main-stream
+    # tail at 0110, past every other code byte, rewritten from 0100 to
+    # 0112 (a zero byte, HLT) between two activations of the site at 010F.
+    code = bytes([0x40, 0x02,                       # 0100 OUT WC
+                  0x1C, 0x02,                       # 0102 ICV WC
+                  0x0A, 0xB2, 0x82, 0x01, 0x0F,     # 0104 BLT WC, =2, 010F
+                  0x32, 0xCB, 0x01, 0x12, 0x01, 0x10,  # 0109 MOV =112, @0110
+                  0x50, 0x01, 0x00])                # 010F <macro> tail
+    img = ObjectImage(code=code,
+                      macros=[MacroEntry(0x50, bytes([0x01, 0x03, 0x0C]))])
+    out = run_both(img)
+    assert out.status == "halted"
+    assert out.trace == [0, 1]
+
+
+def test_write_straddling_the_last_code_byte():
+    # The word at the header of BRI WA, the last code byte, turns it into
+    # BRI WB; its low byte lands past the code.
+    text = (
+        "      MOV =ONE, WA\n"
+        "      MOV =TWO, WB\n"
+        "      MOV =LAST, XL\n"
+        "      ICV XL\n"
+        "      BRN LAST\n"
+        "ONE   OUT =1\n"
+        "      MOV =0100, (XL)\n"
+        "      BRN LAST\n"
+        "TWO   OUT =2\n"
+        "      HLT\n"
+        "LAST  BRI WA\n"
+    )
+    out = run_both(asm.assemble(text))
+    assert out.status == "halted"
+    assert out.trace == [1, 2]
+
+
+def test_write_straddling_the_first_code_byte():
+    # The word at 00FF ends on the opcode at 0100: ICV WA becomes DCV WA.
+    text = (
+        "BUMP  ICV WA\n"
+        "      BRI WB\n"
+        "MAIN  MOV =AGAIN, WB\n"
+        "      BRN BUMP\n"
+        "AGAIN OUT WA\n"
+        "      MOV =1D, @FF\n"
+        "      MOV =DONE, WB\n"
+        "      BRN BUMP\n"
+        "DONE  OUT WA\n"
+        "      HLT\n"
+    )
+    out = run_both(asm.assemble(text, entry="MAIN"))
+    assert out.status == "halted"
+    assert out.trace == [1, 0]
