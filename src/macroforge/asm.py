@@ -112,6 +112,8 @@ _HEX_ITEM = re.compile(r"^[0-9A-F]{2}([0-9A-F]{2})?$")
 _HEXISH = re.compile(r"^[0-9A-F]{1,4}$")
 _LABEL = re.compile(r"^[A-Z][A-Z0-9$]{0,4}$")
 _NUMBER = re.compile(r"^(0X)?([0-9A-F]{1,4})$")
+_LONG_NAME = re.compile(r"^[A-Z][A-Z0-9$]{5,}$")
+_HEX_DIGITS = re.compile(r"^[0-9A-F]+$")
 
 
 def _is_label(tok: str) -> bool:
@@ -119,6 +121,17 @@ def _is_label(tok: str) -> bool:
     # label; otherwise "=F97" would silently become an address reference.
     return bool(_LABEL.match(tok)) and not _HEXISH.match(tok) \
         and tok not in isa.REGISTERS and tok not in isa.OPCODES
+
+
+def _bad_label(tok: str, line_no: int) -> AsmError:
+    return AsmError(f"line {line_no}: bad label {tok!r} "
+                    "(1-5 chars, must not read as a hex number)")
+
+
+def _check_name_length(tok: str, line_no: int) -> None:
+    # a name too long to be a label is a bad label, not a bad number
+    if _LONG_NAME.match(tok) and not _HEX_DIGITS.match(tok):
+        raise _bad_label(tok, line_no)
 
 
 def _number(tok: str, limit: int, what: str, line_no: int) -> int:
@@ -146,6 +159,7 @@ def _parse_operand(tok: str, line_no: int) -> Operand:
         body = tok[1:]
         if _is_label(body):
             return Operand("lit", symbol=body)
+        _check_name_length(body, line_no)
         return Operand("lit", value=_number(body, 0x7FFF, "literal", line_no))
     if tok.startswith("@"):
         return Operand("mem", value=_number(tok[1:], 0x7FFF, "address", line_no))
@@ -154,12 +168,15 @@ def _parse_operand(tok: str, line_no: int) -> Operand:
         off = _number(m.group(1), 0x7FFF, "offset", line_no)
         return Operand("idx", value=off,
                        index_reg=isa.REGISTERS.index(m.group(2)))
-    if tok.startswith(("+", "-")) and _is_label(tok[1:]):
-        return Operand("ref", symbol=tok[1:], relaxable=True)
+    if tok.startswith(("+", "-")):
+        if _is_label(tok[1:]):
+            return Operand("ref", symbol=tok[1:], relaxable=True)
+        _check_name_length(tok[1:], line_no)
     if _HEX_ITEM.match(tok):
         return Operand("raw", value=int(tok, 16), width=len(tok) // 2)
     if _is_label(tok):
         return Operand("ref", symbol=tok)
+    _check_name_length(tok, line_no)
     raise AsmError(f"line {line_no}: unrecognized operand {tok!r}")
 
 
@@ -177,8 +194,7 @@ def parse_source(text: str) -> list[Instruction]:
             label = head.upper()
             line = rest[0] if rest else ""
             if not _is_label(label):
-                raise AsmError(f"line {line_no}: bad label {label!r} "
-                               "(1-5 chars, must not read as a hex number)")
+                raise _bad_label(label, line_no)
             if label in seen_labels:
                 raise AsmError(f"line {line_no}: duplicate label {label!r} "
                                f"(first defined on line {seen_labels[label]})")

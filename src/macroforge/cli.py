@@ -154,9 +154,8 @@ def cmd_unpack(args) -> int:
     if not image.is_raw:
         raise CliError("object holds a program image; unpack takes the "
                        "raw containers written by pack")
-    table = [greedy.Macro(body=m.body, code=m.code) for m in image.macros]
     _write_bytes(args.out or _default_out(args.input, ".bin"),
-                 greedy.expand_macros(image.code, table,
+                 greedy.expand_macros(image.code, image.macros,
                                       limit=args.max_output))
     return 0
 

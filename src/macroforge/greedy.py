@@ -22,8 +22,8 @@ from typing import Iterable, Sequence
 
 from . import isa
 from .asm import LiteralByte, MacroByte, Stream
-from .macros import (check_limits, profitable_keys, rank_keys, select_exact,
-                     substitute_stream)
+from .macros import (check_limits, lower, profitable_keys, rank_keys,
+                     select_exact, substitute_stream)
 
 
 @dataclass
@@ -53,10 +53,10 @@ def _byte_stream(data: Sequence[int]) -> Stream:
     return Stream([_BYTE_ITEMS[b] for b in data])
 
 
-def _stream_bytes(stream: Stream, code_of=lambda code: code) -> bytes:
-    """Bytes of a lowered stream; code_of renumbers its macro bytes."""
+def _stream_bytes(items: list, code_of=lambda code: code) -> bytes:
+    """Bytes of a byte stream's items; code_of renumbers its macro bytes."""
     return bytes(code_of(it.code) if isinstance(it, MacroByte) else it.value
-                 for it in stream.items)
+                 for it in items)
 
 
 def count_occurrences(haystack: Sequence[int], needle: Sequence[int]) -> int:
@@ -95,18 +95,17 @@ def length_function(data: Sequence[int], bodies: Iterable[Sequence[int]]) -> int
     """Objective for a whole macro set: bodies are substituted in the given
     order (leftmost-greedy each), then residual length plus table size.
 
-    Bodies need no assigned opcodes: each replacement is a macro byte,
-    which no later body can match.
+    Bodies need no assigned opcodes: each replacement is a marker outside
+    the byte range, which no later body can match.
     """
-    cur = _byte_stream(data)
+    cur = bytes(data).decode("latin-1")
     table = 0
     for body in bodies:
         if len(body) < 2:
             raise ValueError("macro body must be at least 2 bytes")
-        cur, _, _ = substitute_stream(cur, tuple((0, b) for b in body),
-                                      isa.MACRO_OPCODE_BASE)
+        cur = cur.replace(bytes(body).decode("latin-1"), "\u0100")
         table += len(body)
-    return len(cur.items) + table
+    return len(cur) + table
 
 
 def pick_free_code(data: Sequence[int], assigned: Iterable[int]) -> int | None:
@@ -136,7 +135,7 @@ def greedy_select(data: Sequence[int], max_macros: int, max_len: int,
     allow_embed=True it goes in as a literal that later bodies may cover.
     """
     check_limits(max_macros, max_len)
-    cur = _byte_stream(data)
+    cur = lower(_byte_stream(data).items)
     left = Counter(data)  # how often each input byte is still in cur
     macros: list[Macro] = []
     assigned: set[int] = set()
@@ -147,15 +146,13 @@ def greedy_select(data: Sequence[int], max_macros: int, max_len: int,
         best = rank_keys(profitable_keys(cur, max_len, "free"), 1)
         if not best:
             break
-        cur, _, count = substitute_stream(cur, best[0], code)
-        if allow_embed:
-            cur = Stream([_BYTE_ITEMS[it.code] if isinstance(it, MacroByte)
-                          else it for it in cur.items])
-        body = bytes(v for _, v in best[0])
+        cur, _, count = substitute_stream(
+            cur, best[0], _BYTE_ITEMS[code] if allow_embed else MacroByte(code))
+        body = best[0].encode("latin-1")
         left.subtract(body * count)
         macros.append(Macro(body=body, code=code))
         assigned.add(code)
-    residual = _stream_bytes(cur)
+    residual = _stream_bytes(cur.items)
     objective = len(residual) + sum(len(m.body) for m in macros)
     return CompactionResult(macros=macros, residual=residual, objective=objective)
 
@@ -176,7 +173,7 @@ def exact_select(data: Sequence[int], max_macros: int, max_len: int
         if code is None:
             raise ValueError("no opcode in 0x50..0xFF is free of the input")
         code_of[m.code] = code
-    residual = _stream_bytes(out, code_of.__getitem__)
+    residual = _stream_bytes(out.items, code_of.__getitem__)
     macros = [Macro(body=bytes(v for _, v in m.key), code=code_of[m.code])
               for m in chosen]
     objective = len(residual) + sum(len(m.body) for m in macros)
@@ -196,6 +193,8 @@ def expand_macros(residual: Sequence[int], macros: Sequence[Macro],
     they were introduced into.  So replacing each opcode by its body, the
     last adopted macro first, expands every reference and nothing else;
     no body is empty, so no intermediate string outgrows the output.
+    Only each macro's code and body are read, so a raw container's
+    MacroEntry table expands as it is.
 
     Nested bodies multiply lengths, so the output length is bounded
     before any expansion: len(residual) times the longest expanded body,

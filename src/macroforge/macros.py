@@ -15,6 +15,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 
 from . import asm, isa
 from .asm import LabelRef, LiteralByte, MacroByte, Stream
@@ -22,10 +23,6 @@ from .objfile import MacroEntry, ObjectImage
 from .optimal import BudgetError, Occurrence, estimate_cost, exact_over_occurrences
 
 MODES = ("greedy", "exact", "freq")
-
-
-def _starts_instruction(item) -> bool:
-    return isinstance(item, LiteralByte) and item.op_start
 
 
 def key_width(key: tuple) -> int:
@@ -42,40 +39,78 @@ class StreamOccurrence:
 
 
 _STOP = "\u0100"  # signature character of every item that ends a run
-_LITERAL_KEYS = {chr(v): (0, v) for v in range(0x100)}
+_START, _BOUNDARY, _OTHER = "s", "b", "-"  # item marks, see Lowered
 
 
-def _signature(items: list) -> tuple[str, dict[str, tuple]]:
-    """One character per item, equal exactly where match keys are equal.
+def _lower_item(it, char_of: dict[str, str]) -> tuple[str, str]:
+    """The signature character and the mark of one item."""
+    if isinstance(it, LiteralByte):
+        return chr(it.value), _START if it.op_start else _OTHER
+    if isinstance(it, LabelRef):
+        return _STOP if it.relaxed else char_of[it.symbol], _OTHER
+    return _STOP, _BOUNDARY  # a macro byte or a label def
 
-    Literals match by value and unrelaxed refs by symbol: two occurrences
-    sit at different addresses, but the same symbol resolves to the same
-    two bytes in both.  Relaxed refs encode an address-relative offset,
-    label defs pin an address, and macro bytes must never nest, so all
-    three have no key and map to _STOP, which ends every run.
 
-    A literal's character is its byte value and the symbols' follow
-    _STOP in name order, so strings of characters sort, and prefix one
-    another, exactly as the key tuples they stand for.  Runs are
-    compared, hashed and ranked as string slices, far cheaper than
-    tuples of keys.  Also returns the key of each character.
+@dataclass
+class Lowered:
+    """A stream lowered once for selection, kept in step by splice.
+
+    sig has one character per item, equal exactly where match keys are
+    equal.  Literals match by value and unrelaxed refs by symbol: two
+    occurrences sit at different addresses, but the same symbol resolves
+    to the same two bytes in both.  Relaxed refs encode an
+    address-relative offset, label defs pin an address, and macro bytes
+    must never nest, so all three have no key and map to _STOP, which
+    ends every run.  A literal's character is its byte value and symbol
+    i of the sorted symbols has chr(0x101 + i), so strings of characters
+    sort, and prefix one another, exactly as the key tuples they stand
+    for.  Runs are compared, hashed and ranked as string slices.
+
+    marks has one mark per item: _START for a literal where an
+    instruction is fetched, _BOUNDARY for a macro byte or a label def,
+    _OTHER for the rest.  Runs start only at _START; whole-instruction
+    runs end before a _START or a _BOUNDARY.  Counting and matching read
+    only sig and marks, never the item types.
     """
+    items: list
+    sig: str
+    marks: str
+    symbols: list[str]
+
+    def key(self, s: str) -> tuple:
+        """The match key tuple a signature string stands for."""
+        return tuple((0, ord(c)) if c < _STOP
+                     else (1, self.symbols[ord(c) - 0x101]) for c in s)
+
+    def splice(self, cuts: list[tuple]) -> Lowered:
+        """Replace each span (start, end, item) of items by that item;
+        spans come in stream order and do not overlap."""
+        items, sig, marks = [], [], []
+        pos = 0
+        for start, end, item in cuts:
+            c, m = _lower_item(item, {})
+            items += self.items[pos:start]
+            items.append(item)
+            sig += (self.sig[pos:start], c)
+            marks += (self.marks[pos:start], m)
+            pos = end
+        items += self.items[pos:]
+        return Lowered(items, "".join(sig) + self.sig[pos:],
+                       "".join(marks) + self.marks[pos:], self.symbols)
+
+
+def lower(items: list) -> Lowered:
+    """Lower stream items for selection; symbols are numbered in name
+    order."""
     symbols = sorted({it.symbol for it in items
                       if isinstance(it, LabelRef) and not it.relaxed})
     char_of = {sym: chr(0x101 + i) for i, sym in enumerate(symbols)}
-    chars = []
-    for it in items:
-        if isinstance(it, LiteralByte):
-            chars.append(chr(it.value))
-        elif isinstance(it, LabelRef) and not it.relaxed:
-            chars.append(char_of[it.symbol])
-        else:
-            chars.append(_STOP)
-    return "".join(chars), {**_LITERAL_KEYS,
-                            **{c: (1, sym) for sym, c in char_of.items()}}
+    lowered = [_lower_item(it, char_of) for it in items]
+    return Lowered(items, "".join(c for c, _ in lowered),
+                   "".join(m for _, m in lowered), symbols)
 
 
-def _walk(items: list, sig: str, max_len: int, granularity: str):
+def _walk(low: Lowered, max_len: int, granularity: str):
     """The candidate runs of 2..max_len bytes, one item count at a time.
 
     A run starts where an opcode is fetched (the body is spliced into the
@@ -98,21 +133,17 @@ def _walk(items: list, sig: str, max_len: int, granularity: str):
         raise ValueError("max_len must be at least 2")
     if granularity not in ("free", "instruction", "aligned"):
         raise ValueError(f"unknown granularity {granularity!r}")
-    n = len(items)
+    sig, marks = low.sig, low.marks
     inside = granularity == "instruction"
     # joins[j]: a run begun before item j may take it in
-    joins = [c != _STOP and not (inside and _starts_instruction(it))
-             for c, it in zip(sig, items)] + [False]
+    joins = [c != _STOP and not (inside and m == _START)
+             for c, m in zip(sig, marks)] + [False]
     # run widths are differences of these offsets; _STOP items count 2
     # here, which is harmless because no run holds one
-    offset = [0]
-    for c in sig:
-        offset.append(offset[-1] + (1 if c < _STOP else 2))
-    ends = None
-    if granularity == "aligned":
-        ends = [j == n or items[j].op_start
-                or isinstance(items[j], asm.LabelDef) for j in range(n + 1)]
-    live = [i for i, it in enumerate(items) if _starts_instruction(it)]
+    offset = [0, *accumulate(1 if c < _STOP else 2 for c in sig)]
+    ends = ([m != _OTHER for m in marks] + [True]
+            if granularity == "aligned" else None)
+    live = [i for i, m in enumerate(marks) if m == _START]
     t = 1
     while live:
         live = [i for i in live if joins[i + t]
@@ -123,6 +154,17 @@ def _walk(items: list, sig: str, max_len: int, granularity: str):
             yield t, starts
 
 
+def _occurrences(low: Lowered, max_len: int, granularity: str
+                 ) -> dict[str, list[StreamOccurrence]]:
+    offsets = [0, *accumulate(map(asm.item_width, low.items))]
+    found: dict[str, list[StreamOccurrence]] = {}
+    for t, starts in _walk(low, max_len, granularity):
+        for i in starts:
+            found.setdefault(low.sig[i:i + t], []).append(StreamOccurrence(
+                i, i + t, offsets[i], offsets[i + t] - offsets[i]))
+    return found
+
+
 def extract_candidates(stream: Stream, max_len: int,
                        granularity: str = "free"
                        ) -> dict[tuple, list[StreamOccurrence]]:
@@ -131,24 +173,15 @@ def extract_candidates(stream: Stream, max_len: int,
     Runs are those of _walk at the given granularity.  Occurrence lists
     come back in stream order.
     """
-    items = stream.items
-    sig, key_of = _signature(items)
-    offsets = [0]
-    for it in items:
-        offsets.append(offsets[-1] + asm.item_width(it))
-    found: dict[str, list[StreamOccurrence]] = {}
-    for t, starts in _walk(items, sig, max_len, granularity):
-        for i in starts:
-            found.setdefault(sig[i:i + t], []).append(StreamOccurrence(
-                i, i + t, offsets[i], offsets[i + t] - offsets[i]))
-    return {tuple(key_of[c] for c in s): occs for s, occs in found.items()}
+    low = lower(stream.items)
+    return {low.key(s): occs
+            for s, occs in _occurrences(low, max_len, granularity).items()}
 
 
-def profitable_keys(stream: Stream, max_len: int, granularity: str
-                    ) -> tuple[dict[str, tuple[int, int]], dict[str, tuple]]:
+def profitable_keys(low: Lowered, max_len: int, granularity: str
+                    ) -> dict[str, tuple[int, int]]:
     """Every key whose net saving f*(b-1) - b is positive, b being its
-    width in bytes, as signature string -> (net, b), and the key of each
-    signature character (see _signature).
+    width in bytes, as signature string -> (net, b).
 
     f counts non-overlapping occurrences leftmost-greedy, as
     substitute_stream replaces them: the walk yields one item count's
@@ -156,10 +189,9 @@ def profitable_keys(stream: Stream, max_len: int, granularity: str
     end of the last counted run of the same key.  Each item count's
     tallies are dropped once that count is done.
     """
-    items = stream.items
-    sig, key_of = _signature(items)
+    sig = low.sig
     nets: dict[str, tuple[int, int]] = {}
-    for t, starts in _walk(items, sig, max_len, granularity):
+    for t, starts in _walk(low, max_len, granularity):
         free: dict[str, int] = {}
         count: dict[str, int] = {}
         for i in starts:
@@ -172,11 +204,11 @@ def profitable_keys(stream: Stream, max_len: int, granularity: str
                 b = t + sum(c > _STOP for c in s)  # refs are two bytes wide
                 if f * (b - 1) > b:
                     nets[s] = (f * (b - 1) - b, b)
-    return nets, key_of
+    return nets
 
 
-def rank_keys(counted: tuple[dict[str, tuple[int, int]], dict[str, tuple]],
-              limit: int, defer_prefixes: bool = False) -> list[tuple]:
+def rank_keys(nets: dict[str, tuple[int, int]], limit: int,
+              defer_prefixes: bool = False) -> list[str]:
     """Up to limit keys counted by profitable_keys, best first: the larger
     net saving, then the longer body, then the smaller key.
 
@@ -185,7 +217,6 @@ def rank_keys(counted: tuple[dict[str, tuple[int, int]], dict[str, tuple]],
     the short key next round, while the short key would strand the
     extension's tail bytes for good.
     """
-    nets, key_of = counted
     keys = list(nets)
     if defer_prefixes:
         # in sorted order every extension of a key follows it, and
@@ -194,39 +225,29 @@ def rank_keys(counted: tuple[dict[str, tuple[int, int]], dict[str, tuple]],
         ordered = sorted(nets)
         keys = [k for k, nxt in zip(ordered, ordered[1:] + [""])
                 if nxt[:len(k)] != k]
-    best = heapq.nsmallest(limit, keys,
+    return heapq.nsmallest(limit, keys,
                            key=lambda k: (-nets[k][0], -nets[k][1], k))
-    return [tuple(key_of[c] for c in s) for s in best]
 
 
-def substitute_stream(stream: Stream, key: tuple, code: int
-                      ) -> tuple[Stream, list | None, int]:
-    """Replace matches of key left to right, resuming after each one.
+def substitute_stream(low: Lowered, pattern: str, item
+                      ) -> tuple[Lowered, list | None, int]:
+    """Replace matches of a signature string by item, left to right,
+    resuming after each one.
 
     A match starts at an instruction fetch position.  Returns the new
-    stream, the items removed by the first match (None if nothing
+    state, the items removed by the first match (None if nothing
     matched), and the match count.
     """
-    items = stream.items
-    sig, key_of = _signature(items)
-    char_of = {k: c for c, k in key_of.items()}
-    out: list = []
-    hits: list[int] = []
+    cuts = []
     pos = 0
-    pattern = None
-    if all(k in char_of for k in key):
-        pattern = "".join(char_of[k] for k in key)
-    hit = sig.find(pattern) if pattern else -1
+    hit = low.sig.find(pattern)
     while hit >= 0:
-        if _starts_instruction(items[hit]):
-            out += items[pos:hit]
-            out.append(MacroByte(code))
-            hits.append(hit)
-            pos = hit + len(key)
-        hit = sig.find(pattern, max(pos, hit + 1))
-    out += items[pos:]
-    body = items[hits[0]:hits[0] + len(key)] if hits else None
-    return Stream(out), body, len(hits)
+        if low.marks[hit] == _START:
+            pos = hit + len(pattern)
+            cuts.append((hit, pos, item))
+        hit = low.sig.find(pattern, max(pos, hit + 1))
+    body = low.items[cuts[0][0]:cuts[0][1]] if cuts else None
+    return low.splice(cuts), body, len(cuts)
 
 
 @dataclass
@@ -270,21 +291,20 @@ def select_greedy(stream: Stream, max_macros: int, max_len: int
     fragments the stream and squanders the opcode space on long bodies.
     """
     check_limits(max_macros, max_len)
-    cur = stream
+    cur = lower(stream.items)
     adopted: list[StreamMacro] = []
     for granularity, defer_prefixes in (("aligned", False),
                                         ("instruction", True)):
         while len(adopted) < max_macros:
-            best = rank_keys(profitable_keys(cur, max_len, granularity), 1,
-                             defer_prefixes)
+            nets = profitable_keys(cur, max_len, granularity)
+            best = rank_keys(nets, 1, defer_prefixes)
             if not best:
                 break
-            key = best[0]
             code = isa.MACRO_OPCODE_BASE + len(adopted)
-            cur, body, _ = substitute_stream(cur, key, code)
-            adopted.append(StreamMacro(code=code, key=key, items=body,
-                                       byte_len=key_width(key)))
-    return cur, adopted
+            cur, body, _ = substitute_stream(cur, best[0], MacroByte(code))
+            adopted.append(StreamMacro(code=code, key=cur.key(best[0]),
+                                       items=body, byte_len=nets[best[0]][1]))
+    return Stream(cur.items), adopted
 
 
 def select_by_instruction_frequency(stream: Stream, max_macros: int,
@@ -296,8 +316,9 @@ def select_by_instruction_frequency(stream: Stream, max_macros: int,
     Returns up to max_macros keys with positive saving, best first.
     """
     check_limits(max_macros, max_len)
-    return rank_keys(profitable_keys(stream, max_len, "instruction"),
-                     max_macros)
+    low = lower(stream.items)
+    return [low.key(s) for s in rank_keys(
+        profitable_keys(low, max_len, "instruction"), max_macros)]
 
 
 def apply_macro_set(stream: Stream, bodies: list[tuple]
@@ -317,17 +338,23 @@ def apply_macro_set(stream: Stream, bodies: list[tuple]
     for key in bodies:
         if not key or any(k[0] not in (0, 1) for k in key):
             raise ValueError(f"malformed candidate key {key!r}")
-    cur = stream
+    cur = lower(stream.items)
+    char_of = {(0, v): chr(v) for v in range(0x100)}
+    char_of.update(((1, sym), chr(0x101 + i))
+                   for i, sym in enumerate(cur.symbols))
     adopted: list[StreamMacro] = []
     for key in bodies:
+        if not all(k in char_of for k in key):
+            continue  # nothing in this stream matches it
         code = isa.MACRO_OPCODE_BASE + len(adopted)
-        nxt, body, count = substitute_stream(cur, key, code)
+        nxt, body, count = substitute_stream(
+            cur, "".join(char_of[k] for k in key), MacroByte(code))
         b = key_width(key)
         if count * (b - 1) - b <= 0:
             continue  # adopting it now would grow the image
         cur = nxt
         adopted.append(StreamMacro(code=code, key=key, items=body, byte_len=b))
-    return cur, adopted
+    return Stream(cur.items), adopted
 
 
 def select_exact(stream: Stream, max_macros: int, max_len: int
@@ -348,30 +375,23 @@ def select_exact(stream: Stream, max_macros: int, max_len: int
     est = estimate_cost(stream.byte_size(), max_len, max_macros)
     if not est.approved:
         raise BudgetError(est)
-    nets, key_of = profitable_keys(stream, max_len, "free")
-    paying = {tuple(key_of[c] for c in s) for s in nets}
-    by_key = {key: [Occurrence(content=key, start=o.item_start,
-                               end=o.item_end - 1, weight=o.byte_len - 1)
-                    for o in occs]
-              for key, occs in extract_candidates(stream, max_len).items()
-              if key in paying}
+    low = lower(stream.items)
+    nets = profitable_keys(low, max_len, "free")
+    by_key = {s: [Occurrence(content=s, start=o.item_start,
+                             end=o.item_end - 1, weight=o.byte_len - 1)
+                  for o in occs]
+              for s, occs in _occurrences(low, max_len, "free").items()
+              if s in nets}
     combo, chosen, obj = exact_over_occurrences(stream.byte_size(), by_key,
                                                 max_macros)
-    code_of = {key: isa.MACRO_OPCODE_BASE + i for i, key in enumerate(combo)}
-    items = stream.items
-    out: list = []
-    bodies: dict[tuple, list] = {}
-    pos = 0
-    for o in chosen:  # non-overlapping, in stream order
-        out += items[pos:o.start]
-        out.append(MacroByte(code_of[o.content]))
-        bodies.setdefault(o.content, items[o.start:o.end + 1])
-        pos = o.end + 1
-    out += items[pos:]
-    macros = [StreamMacro(code=code_of[k], key=k, items=bodies[k],
-                          byte_len=key_width(k))
-              for k in combo]
-    out = Stream(out)
+    code_of = {s: isa.MACRO_OPCODE_BASE + i for i, s in enumerate(combo)}
+    # chosen occurrences are non-overlapping and in stream order
+    out = Stream(low.splice([(o.start, o.end + 1, MacroByte(code_of[o.content]))
+                             for o in chosen]).items)
+    macros = [StreamMacro(code=code_of[s], key=low.key(s), byte_len=nets[s][1],
+                          items=next(low.items[o.start:o.end + 1]
+                                     for o in chosen if o.content == s))
+              for s in combo]
     assert out.byte_size() + sum(m.byte_len for m in macros) == obj
     return out, macros
 

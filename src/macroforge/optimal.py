@@ -34,7 +34,7 @@ class BudgetError(Exception):
 
 @dataclass(frozen=True)
 class Occurrence:
-    content: bytes | tuple
+    content: str | bytes  # any hashable, sortable body
     start: int
     end: int  # inclusive
     weight: int

@@ -205,6 +205,26 @@ def test_label_rules():
     assert parse_source("L1$   HLT")[0].label == "L1$"
 
 
+def test_long_label_in_operand_is_a_label_error():
+    bad_label = "bad label 'SECOND' \\(1-5 chars, must not read as a hex"
+    for line in ("SECOND HLT", "      MOV =SECOND, WA", "      BRN SECOND",
+                 "      BRN +SECOND", "      BRN -SECOND"):
+        with pytest.raises(AsmError, match=bad_label):
+            parse_source(line)
+
+
+def test_number_errors_keep_their_texts():
+    cases = [("      MOV =FACADE, WA", "bad literal 'FACADE'"),
+             ("      MOV =12345, WA", "bad literal '12345'"),
+             ("      MOV =8000, WA", "literal '8000' exceeds"),
+             ("      MOV @SECOND, WA", "bad address 'SECOND'"),
+             ("      BRN 123456", "unrecognized operand '123456'"),
+             ("      BRN +FACADE", "unrecognized operand '\\+FACADE'")]
+    for line, message in cases:
+        with pytest.raises(AsmError, match=message):
+            parse_source(line)
+
+
 def test_duplicate_label_reports_both_lines():
     with pytest.raises(AsmError, match="line 2.*line 1"):
         parse_source("L1 NOP\nL1 HLT\n")

@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from macroforge.asm import LiteralByte, Stream
+from macroforge.asm import LiteralByte
 from macroforge.greedy import (
     CompactionResult,
     Macro,
@@ -15,7 +15,7 @@ from macroforge.greedy import (
     single_macro_objective,
     substitute,
 )
-from macroforge.macros import profitable_keys
+from macroforge.macros import lower, profitable_keys
 
 from oracles import naive_count, naive_freq, naive_greedy, naive_objective
 
@@ -30,9 +30,9 @@ def rand_bytes(rng, n, alphabet):
 
 def byte_nets(data, max_len):
     """The shared counter over data as pack lowers it, keyed by bytes."""
-    stream = Stream([LiteralByte(b, op_start=True) for b in data])
-    nets, key_of = profitable_keys(stream, max_len, "free")
-    return {bytes(key_of[c][1] for c in s): net for s, net in nets.items()}
+    low = lower([LiteralByte(b, op_start=True) for b in data])
+    nets = profitable_keys(low, max_len, "free")
+    return {s.encode("latin-1"): net for s, net in nets.items()}
 
 
 def paying(freq):

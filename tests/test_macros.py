@@ -1,7 +1,13 @@
 import pytest
 
 from macroforge import asm, corpus, vm
-from macroforge.asm import LabelDef, LiteralByte, MacroByte, assemble_stream
+from macroforge.asm import (
+    LabelDef,
+    LiteralByte,
+    MacroByte,
+    Stream,
+    assemble_stream,
+)
 from macroforge.macros import (
     StreamOccurrence,
     apply_macro_set,
@@ -9,6 +15,7 @@ from macroforge.macros import (
     compact_stream,
     extract_candidates,
     key_width,
+    lower,
     select_by_instruction_frequency,
     select_exact,
     select_greedy,
@@ -73,10 +80,10 @@ def test_relaxed_branch_byte_blocks_run():
 
 
 def test_macro_byte_blocks_run():
-    stream = stream_for("       NOP\n" * 6)
-    out, _, count = substitute_stream(stream, (lit(1), lit(1)), 0x50)
+    low = lower(stream_for("       NOP\n" * 6).items)
+    out, _, count = substitute_stream(low, "\x01\x01", MacroByte(0x50))
     assert count == 3
-    assert extract_candidates(out, 8) == {}
+    assert extract_candidates(Stream(out.items), 8) == {}
 
 
 def test_granularities_nest():
