@@ -4,19 +4,14 @@ for the MCRL interpretive bytecode."""
 from .greedy import (
     CompactionResult,
     Macro,
-    count_occurrences,
     exact_select,
     expand_macros,
     greedy_select,
-    length_function,
-    single_macro_objective,
-    substitute,
 )
 from .optimal import (
     BudgetError,
     CostEstimate,
     Occurrence,
-    brute_force_select,
     estimate_cost,
     mwis,
 )

@@ -59,55 +59,6 @@ def _stream_bytes(items: list, code_of=lambda code: code) -> bytes:
                  for it in items)
 
 
-def count_occurrences(haystack: Sequence[int], needle: Sequence[int]) -> int:
-    """Count non-overlapping occurrences of needle, leftmost-greedy."""
-    if len(needle) == 0:
-        raise ValueError("empty pattern")
-    return bytes(haystack).count(bytes(needle))
-
-
-def single_macro_objective(data: Sequence[int], body: Sequence[int]) -> int:
-    """Objective after adopting body as the sole macro.
-
-    f occurrences each shrink to one byte and the table grows by len(body),
-    so the result is len(data) - (len(body)-1)*(f-1) + 1; with no
-    occurrence the string is unchanged and no table entry is paid for.
-    """
-    if len(body) < 2:
-        raise ValueError("macro body must be at least 2 bytes")
-    f = count_occurrences(data, body)
-    if f == 0:
-        return len(data)
-    return len(data) - (len(body) - 1) * (f - 1) + 1
-
-
-def substitute(data: Sequence[int], body: Sequence[int], code: int) -> bytes:
-    """Replace every occurrence of body (leftmost-greedy) with the single
-    byte `code`."""
-    if len(body) < 2:
-        raise ValueError("macro body must be at least 2 bytes")
-    if not isa.MACRO_OPCODE_BASE <= code <= 0xFF:
-        raise ValueError(f"macro opcode {code:#04x} outside 0x50..0xFF")
-    return bytes(data).replace(bytes(body), bytes([code]))
-
-
-def length_function(data: Sequence[int], bodies: Iterable[Sequence[int]]) -> int:
-    """Objective for a whole macro set: bodies are substituted in the given
-    order (leftmost-greedy each), then residual length plus table size.
-
-    Bodies need no assigned opcodes: each replacement is a marker outside
-    the byte range, which no later body can match.
-    """
-    cur = bytes(data).decode("latin-1")
-    table = 0
-    for body in bodies:
-        if len(body) < 2:
-            raise ValueError("macro body must be at least 2 bytes")
-        cur = cur.replace(bytes(body).decode("latin-1"), "\u0100")
-        table += len(body)
-    return len(cur) + table
-
-
 def pick_free_code(data: Sequence[int], assigned: Iterable[int]) -> int | None:
     """Smallest opcode in 0x50..0xFF neither assigned nor occurring in data.
 

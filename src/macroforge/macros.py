@@ -165,19 +165,6 @@ def _occurrences(low: Lowered, max_len: int, granularity: str
     return found
 
 
-def extract_candidates(stream: Stream, max_len: int,
-                       granularity: str = "free"
-                       ) -> dict[tuple, list[StreamOccurrence]]:
-    """Every candidate run of 2..max_len bytes, grouped by match key.
-
-    Runs are those of _walk at the given granularity.  Occurrence lists
-    come back in stream order.
-    """
-    low = lower(stream.items)
-    return {low.key(s): occs
-            for s, occs in _occurrences(low, max_len, granularity).items()}
-
-
 def profitable_keys(low: Lowered, max_len: int, granularity: str
                     ) -> dict[str, tuple[int, int]]:
     """Every key whose net saving f*(b-1) - b is positive, b being its
@@ -325,12 +312,12 @@ def apply_macro_set(stream: Stream, bodies: list[tuple]
                     ) -> tuple[Stream, list[StreamMacro]]:
     """Adopt candidate keys in the order given, opcodes assigned densely.
 
-    Keys come from extract_candidates on this stream, so none can name a
-    macro byte.  An earlier key may consume a later one's matches; a key
-    whose remaining matches no longer pay for its table entry is passed
-    over entirely rather than kept as dead weight, so every entry in the
-    result saves bytes.  Skipping leaves the stream untouched, which is
-    what keeps a single pass exact.
+    Keys are match keys of runs on this stream, as the selectors return
+    them, so none can name a macro byte.  An earlier key may consume a
+    later one's matches; a key whose remaining matches no longer pay for
+    its table entry is passed over entirely rather than kept as dead
+    weight, so every entry in the result saves bytes.  Skipping leaves
+    the stream untouched, which is what keeps a single pass exact.
     """
     if len(bodies) > isa.MAX_MACROS:
         raise ValueError(f"macro set needs {len(bodies)} opcodes, "

@@ -159,56 +159,3 @@ def exact_over_occurrences(total_len: int,
     obj, _, combo, chosen = best
     chosen = [o for o in chosen if o.content in set(combo)]
     return list(combo), chosen, obj
-
-
-def brute_force_select(data: Sequence[int], max_macros: int,
-                       max_len: int) -> tuple[list[bytes], int]:
-    """Reference implementation by sheer enumeration.
-
-    Every macro set of size <= max_macros over the distinct substrings of
-    length 2..max_len, and for each set every non-overlapping occurrence
-    selection via take/skip recursion (no interval DP, nothing shared with
-    mwis).  Returns (sorted bodies, objective).  Hard-capped to tiny inputs
-    because the recursion really does visit every selection.
-    """
-    data = bytes(data)
-    n = len(data)
-    if n > 32:
-        raise ValueError("brute force capped at 32 bytes")
-    if max_len > 5:
-        raise ValueError("brute force capped at max_len 5")
-    if max_macros > 2:
-        raise ValueError("brute force capped at 2 macros")
-    if max_len < 2 or max_macros < 1:
-        raise ValueError("need max_len >= 2 and max_macros >= 1")
-    contents = sorted({data[i:i + k]
-                       for k in range(2, max_len + 1)
-                       for i in range(n - k + 1)})
-    best: tuple | None = (n, 0, ())
-    for r in range(1, max_macros + 1):
-        for combo in itertools.combinations(contents, r):
-            occs = []
-            for c in combo:
-                for i in range(n - len(c) + 1):
-                    if data[i:i + len(c)] == c:
-                        occs.append((i, i + len(c) - 1, len(c) - 1))
-            occs.sort()
-            weight = _best_selection(occs, 0, 0)
-            obj = n - weight + sum(len(c) for c in combo)
-            key = (obj, r, combo)
-            if key < best:
-                best = key
-    obj, _, combo = best
-    return list(combo), obj
-
-
-def _best_selection(occs: list[tuple[int, int, int]], i: int, free_from: int) -> int:
-    # occs sorted by start; free_from = 1 + end of the last taken interval,
-    # which dominates every earlier taken end.
-    if i == len(occs):
-        return 0
-    start, end, weight = occs[i]
-    value = _best_selection(occs, i + 1, free_from)
-    if start >= free_from:
-        value = max(value, weight + _best_selection(occs, i + 1, end + 1))
-    return value

@@ -15,6 +15,14 @@ Each fetch position (the main-stream pc, or the cursor inside a body)
 is decoded once, into an entry of a table on VmState.  A word write
 that touches a main-memory byte some entry was decoded from clears the
 table, so self-modifying code stays exact.
+
+Body entries are shared across sites: an instruction that lies wholly
+inside its body is decoded once, on first use, into a second table
+keyed by (table index, body offset), and each site's entry copies it
+with that site's next position.  The macro table is not in main memory,
+so that table is never cleared.  Only an instruction that runs past its
+body's end reads the site's main-stream bytes, and it alone is decoded
+per site.
 """
 
 from __future__ import annotations
@@ -62,6 +70,10 @@ class VmState:
     # they came from; code that writes memory directly must clear entries.
     entries: dict = field(default_factory=dict)
     watched: tuple = (0x10000, -1)       # empty
+    # (head, next body offset) of each instruction wholly inside a body,
+    # by (table index, body offset), for every site; never cleared,
+    # because the table is not in main memory.
+    bodies: dict = field(default_factory=dict)
 
 
 def load(image) -> VmState:
@@ -114,25 +126,31 @@ def _decode_at(state: VmState, key) -> tuple:
 
     A main-stream instruction decodes in place.  A body step decodes the
     rest of the body followed by main memory at the resume pc, which
-    covers a body that ends mid-instruction.
+    covers a body that ends mid-instruction.  An instruction that lies
+    wholly inside its body is decoded once into state.bodies and shared
+    by every site; one that runs past the body's end read the site's
+    main-stream bytes, so it stays per site.
     """
     memory, buf = state.memory, None
     try:
         if type(key) is tuple:
             idx, off, resume = key
-            body, first = state.macros[idx], resume
+            first = resume
         elif memory[key] < isa.MACRO_OPCODE_BASE:   # decode in place
             buf, pos, left, resume, first = memory, key, 0, 0, key
         else:
             idx = memory[key] - isa.MACRO_OPCODE_BASE
             off, resume, first = 0, key + 1, key
+        if buf is None:
+            shared = state.bodies.get((idx, off))
+            if shared is not None:
+                return _share(state, key, shared, idx, off, resume)
             if idx >= len(state.macros):
                 raise VmFault(f"undefined opcode {memory[key]:#04x}")
             body = state.macros[idx]
-            if body[0] >= isa.MACRO_OPCODE_BASE:
+            if not off and body[0] >= isa.MACRO_OPCODE_BASE:
                 raise VmFault("macro body begins with opcode "
                               f"{body[0]:#04x}")
-        if buf is None:
             left = len(body) - off
             buf, pos = body[off:] + memory[resume:resume + 8], 0
         name, mode1, ext1, mode2, ext2, target, _, _, end = decode.decode(
@@ -141,21 +159,37 @@ def _decode_at(state: VmState, key) -> tuple:
         raise VmFault("fetch past the end of memory") from None
     except decode.DecodeError as err:
         raise VmFault(str(err)) from None
-    if end < left:
-        after, last = (idx, off + end, resume), resume - 1
-    else:
-        after = resume + end - left
-        last = after - 1
+    after = resume + end - left
     k1, a1, b1 = _MODES[mode1]
     k2, a2, b2 = _MODES[mode2]
     entry = (_OPCODE[name], k1, ext1 if a1 is None else a1,
              ext1 if b1 is None else b1, k2, ext2 if a2 is None else a2,
              ext2 if b2 is None else b2, target, after)
+    if end <= left:                     # inside the body: share the head
+        state.bodies[idx, off] = shared = (
+            entry[:8], off + end if end < left else None)
+        return _share(state, key, shared, idx, off, resume)
+    last = after - 1
     lo, hi = state.watched
-    if first <= last and (first < lo or last > hi):
+    if first < lo or last > hi:
         state.watched = (first if first < lo else lo,
                          last if last > hi else hi)
     state.entries[key] = entry
+    return entry
+
+
+def _share(state: VmState, key, shared: tuple, idx: int, off: int,
+           resume: int) -> tuple:
+    """Cache the entry at key of the body instruction at (idx, off),
+    decoded as shared = (head, body offset after it or None at the end).
+    A site read its opcode byte from main memory, so it watches it."""
+    head, end = shared
+    after = resume if end is None else (idx, end, resume)
+    if not off:
+        lo, hi = state.watched
+        if key < lo or key > hi:
+            state.watched = (key if key < lo else lo, key if key > hi else hi)
+    entry = state.entries[key] = head + (after,)
     return entry
 
 

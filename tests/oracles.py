@@ -1,13 +1,22 @@
-"""Independent reference implementations used to pin expected values.
+"""Reference implementations used to pin expected values.
 
-Deliberately dumb and quadratic-or-worse; nothing here shares code with
-the package under test, apart from the instruction tables and the one
-decoder that the reference interpreter reads instructions with.
+The naive_* helpers, brute_force_select and the reference interpreter
+are deliberately dumb and quadratic-or-worse.  count_occurrences,
+single_macro_objective, substitute and length_function define the
+objective that byte-level selection minimizes; only tests call them.
+Nothing here shares code with the package under test, apart from the
+instruction tables, the one decoder that the reference interpreter
+reads instructions with, and the candidate walk that
+extract_candidates groups by match key.
 """
 
 from __future__ import annotations
 
-from macroforge import decode, isa
+import itertools
+from typing import Iterable, Sequence
+
+from macroforge import decode, isa, macros
+from macroforge.asm import Stream
 
 
 def naive_count(haystack: bytes, needle: bytes) -> int:
@@ -113,6 +122,124 @@ def naive_greedy(data: bytes, max_macros: int, max_len: int,
         residual = bytes(out)
         table.append((body, code))
     return table, residual
+
+
+# ---------------------------------------------------------------------------
+# Byte-string objective and candidate runs
+
+def count_occurrences(haystack: Sequence[int], needle: Sequence[int]) -> int:
+    """Count non-overlapping occurrences of needle, leftmost-greedy."""
+    if len(needle) == 0:
+        raise ValueError("empty pattern")
+    return bytes(haystack).count(bytes(needle))
+
+
+def single_macro_objective(data: Sequence[int], body: Sequence[int]) -> int:
+    """Objective after adopting body as the sole macro.
+
+    f occurrences each shrink to one byte and the table grows by len(body),
+    so the result is len(data) - (len(body)-1)*(f-1) + 1; with no
+    occurrence the string is unchanged and no table entry is paid for.
+    """
+    if len(body) < 2:
+        raise ValueError("macro body must be at least 2 bytes")
+    f = count_occurrences(data, body)
+    if f == 0:
+        return len(data)
+    return len(data) - (len(body) - 1) * (f - 1) + 1
+
+
+def substitute(data: Sequence[int], body: Sequence[int], code: int) -> bytes:
+    """Replace every occurrence of body (leftmost-greedy) with the single
+    byte `code`."""
+    if len(body) < 2:
+        raise ValueError("macro body must be at least 2 bytes")
+    if not isa.MACRO_OPCODE_BASE <= code <= 0xFF:
+        raise ValueError(f"macro opcode {code:#04x} outside 0x50..0xFF")
+    return bytes(data).replace(bytes(body), bytes([code]))
+
+
+def length_function(data: Sequence[int], bodies: Iterable[Sequence[int]]) -> int:
+    """Objective for a whole macro set: bodies are substituted in the given
+    order (leftmost-greedy each), then residual length plus table size.
+
+    Bodies need no assigned opcodes: each replacement is a marker outside
+    the byte range, which no later body can match.
+    """
+    cur = bytes(data).decode("latin-1")
+    table = 0
+    for body in bodies:
+        if len(body) < 2:
+            raise ValueError("macro body must be at least 2 bytes")
+        cur = cur.replace(bytes(body).decode("latin-1"), "\u0100")
+        table += len(body)
+    return len(cur) + table
+
+
+def brute_force_select(data: Sequence[int], max_macros: int,
+                       max_len: int) -> tuple[list[bytes], int]:
+    """Reference implementation by sheer enumeration.
+
+    Every macro set of size <= max_macros over the distinct substrings of
+    length 2..max_len, and for each set every non-overlapping occurrence
+    selection via take/skip recursion (no interval DP, nothing shared with
+    mwis).  Returns (sorted bodies, objective).  Hard-capped to tiny inputs
+    because the recursion really does visit every selection.
+    """
+    data = bytes(data)
+    n = len(data)
+    if n > 32:
+        raise ValueError("brute force capped at 32 bytes")
+    if max_len > 5:
+        raise ValueError("brute force capped at max_len 5")
+    if max_macros > 2:
+        raise ValueError("brute force capped at 2 macros")
+    if max_len < 2 or max_macros < 1:
+        raise ValueError("need max_len >= 2 and max_macros >= 1")
+    contents = sorted({data[i:i + k]
+                       for k in range(2, max_len + 1)
+                       for i in range(n - k + 1)})
+    best: tuple | None = (n, 0, ())
+    for r in range(1, max_macros + 1):
+        for combo in itertools.combinations(contents, r):
+            occs = []
+            for c in combo:
+                for i in range(n - len(c) + 1):
+                    if data[i:i + len(c)] == c:
+                        occs.append((i, i + len(c) - 1, len(c) - 1))
+            occs.sort()
+            weight = _best_selection(occs, 0, 0)
+            obj = n - weight + sum(len(c) for c in combo)
+            key = (obj, r, combo)
+            if key < best:
+                best = key
+    obj, _, combo = best
+    return list(combo), obj
+
+
+def _best_selection(occs: list[tuple[int, int, int]], i: int, free_from: int) -> int:
+    # occs sorted by start; free_from = 1 + end of the last taken interval,
+    # which dominates every earlier taken end.
+    if i == len(occs):
+        return 0
+    start, end, weight = occs[i]
+    value = _best_selection(occs, i + 1, free_from)
+    if start >= free_from:
+        value = max(value, weight + _best_selection(occs, i + 1, end + 1))
+    return value
+
+
+def extract_candidates(stream: Stream, max_len: int,
+                       granularity: str = "free"
+                       ) -> dict[tuple, list]:
+    """Every candidate run of 2..max_len bytes, grouped by match key.
+
+    Runs are those of macros._walk at the given granularity.  Occurrence lists
+    come back in stream order.
+    """
+    low = macros.lower(stream.items)
+    return {low.key(s): occs
+            for s, occs in macros._occurrences(low, max_len, granularity).items()}
 
 
 # ---------------------------------------------------------------------------

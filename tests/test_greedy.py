@@ -7,17 +7,22 @@ from macroforge.asm import LiteralByte
 from macroforge.greedy import (
     CompactionResult,
     Macro,
-    count_occurrences,
     expand_macros,
     greedy_select,
-    length_function,
     pick_free_code,
-    single_macro_objective,
-    substitute,
 )
 from macroforge.macros import lower, profitable_keys
 
-from oracles import naive_count, naive_freq, naive_greedy, naive_objective
+from oracles import (
+    count_occurrences,
+    length_function,
+    naive_count,
+    naive_freq,
+    naive_greedy,
+    naive_objective,
+    single_macro_objective,
+    substitute,
+)
 
 # Worked-example string used throughout: 28 bytes, engineered so that the
 # best single macro is not part of any optimal pair.

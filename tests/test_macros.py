@@ -13,7 +13,6 @@ from macroforge.macros import (
     apply_macro_set,
     compact_source,
     compact_stream,
-    extract_candidates,
     key_width,
     lower,
     select_by_instruction_frequency,
@@ -22,6 +21,8 @@ from macroforge.macros import (
     substitute_stream,
 )
 from macroforge.optimal import BudgetError
+
+from oracles import extract_candidates
 
 
 def stream_for(text, origin=0x100):

@@ -6,17 +6,15 @@ from macroforge.greedy import (
     exact_select,
     expand_macros,
     greedy_select,
-    length_function,
 )
 from macroforge.optimal import (
     BudgetError,
     Occurrence,
-    brute_force_select,
     estimate_cost,
     mwis,
 )
 
-from oracles import exhaustive_mwis_weight
+from oracles import brute_force_select, exhaustive_mwis_weight, length_function
 
 WORKED = b"jabcdefmrhabcdegkcdefnshabcp"
 

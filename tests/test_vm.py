@@ -1,6 +1,6 @@
 import pytest
 
-from macroforge import asm, vm
+from macroforge import asm, decode, vm
 from macroforge.objfile import FLAG_RAW, MacroEntry, ObjectError, ObjectImage
 from macroforge.vm import LoadError, load, run, step
 from oracles import reference_run
@@ -364,3 +364,91 @@ def test_write_straddling_the_first_code_byte():
     out = run_both(asm.assemble(text, entry="MAIN"))
     assert out.status == "halted"
     assert out.trace == [1, 0]
+
+
+# --- body entries shared across sites ----------------------------------------
+# An instruction wholly inside a body is decoded once for every site; one
+# that runs past the body's end reads its site's main-stream bytes.
+
+def test_sites_of_one_body_read_their_own_tails():
+    # Body ICV WA; MOV opcode + header.  The ICV is shared; the MOV's
+    # literal comes from each site's tail, 1234 at 0100 and 5 at 0105.
+    code = bytes([0x50, 0x12, 0x34,                 # 0100 <macro> =1234
+                  0x40, 0x04,                       # 0103 OUT XR
+                  0x50, 0x85,                       # 0105 <macro> =5
+                  0x40, 0x04,                       # 0107 OUT XR
+                  0x40, 0x00,                       # 0109 OUT WA
+                  0x00])                            # 010B HLT
+    img = ObjectImage(code=code, macros=[
+        MacroEntry(0x50, bytes([0x1C, 0x00, 0x32, 0x4B]))])
+    out = run_both(img)
+    assert out.status == "halted"
+    assert out.trace == [0x1234, 5, 2]
+
+
+def test_rewritten_tail_of_one_site_leaves_the_other_site_alone():
+    # As above, in a loop of two passes; ADD =1, @0101 bumps the first
+    # site's tail between its two activations.
+    code = bytes([0x50, 0x12, 0x34,                 # 0100 <macro> =1234
+                  0x40, 0x04,                       # 0103 OUT XR
+                  0x50, 0x85,                       # 0105 <macro> =5
+                  0x40, 0x04,                       # 0107 OUT XR
+                  0x10, 0xCB, 0x81, 0x01, 0x01,     # 0109 ADD =1, @0101
+                  0x0A, 0xB0, 0x84, 0x01, 0x00,     # 010E BLT WA, =4, 0100
+                  0x00])                            # 0113 HLT
+    img = ObjectImage(code=code, macros=[
+        MacroEntry(0x50, bytes([0x1C, 0x00, 0x32, 0x4B]))])
+    out = run_both(img)
+    assert out.status == "halted"
+    assert out.trace == [0x1234, 5, 0x1235, 5]
+
+
+@pytest.mark.parametrize("opcode, trace", [(0x51, [1, 2, 1]), (0x01, [1, 2])])
+def test_rewritten_site_opcode_after_its_body_is_shared(opcode, trace):
+    # Both NOPs become sites of macro 50 (ICV WA; OUT WA).  MAIN's site
+    # decodes the body; SITE, the lowest code byte, reuses it.  The word
+    # write at 00FF then turns SITE into macro 51 (DCV WA; OUT WA) or a
+    # plain NOP, which only the watch on SITE's opcode byte can see.
+    text = (
+        "SITE  NOP\n"
+        "      BRI WB\n"
+        "MAIN  NOP\n"
+        "      MOV =BACK, WB\n"
+        "      BRN SITE\n"
+        f"BACK  MOV ={opcode:X}, @FF\n"
+        "      MOV =DONE, WB\n"
+        "      BRN SITE\n"
+        "DONE  HLT\n"
+    )
+    plain = asm.assemble(text, entry="MAIN")
+    code = bytearray(plain.code)
+    assert code[0] == code[3] == 0x01
+    code[0] = code[3] = 0x50
+    img = ObjectImage(code=bytes(code), entry=plain.entry, macros=[
+        MacroEntry(0x50, bytes([0x1C, 0x00, 0x40, 0x00])),
+        MacroEntry(0x51, bytes([0x1D, 0x00, 0x40, 0x00]))])
+    out = run_both(img)
+    assert out.status == "halted"
+    assert out.trace == trace
+
+
+def test_body_decodes_once_for_every_site(monkeypatch):
+    # One whole-instruction macro, ICV WA, at eight sites.
+    img = ObjectImage(code=bytes([0x50] * 8 + [0x40, 0x00, 0x00]),
+                      macros=[MacroEntry(0x50, bytes([0x1C, 0x00]))])
+    real, body_decodes = decode.decode, []
+
+    def counting(buf, pos, main_from, main_addr):
+        if main_from:                    # read from a body, not in place
+            body_decodes.append(pos)
+        return real(buf, pos, main_from, main_addr)
+
+    monkeypatch.setattr(decode, "decode", counting)
+    state = load(img)
+    out = run(state, 100)
+    assert out.status == "halted"
+    assert out.trace == [8]
+    assert len(body_decodes) == 1
+    assert len(state.entries) == 10 and len(state.bodies) == 1
+    again = load(img)
+    assert again.entries == {} and again.bodies == {}
