@@ -22,8 +22,7 @@ from typing import Iterable, Sequence
 
 from . import isa
 from .asm import LiteralByte, MacroByte, Stream
-from .macros import (check_limits, lower, profitable_keys, rank_keys,
-                     select_exact, substitute_stream)
+from .macros import PayingKeys, check_limits, lower, select_exact
 
 
 @dataclass
@@ -84,26 +83,28 @@ def greedy_select(data: Sequence[int], max_macros: int, max_len: int,
     reached.  With allow_embed=False the opcode goes in as a macro byte,
     which ends every later run, so bodies never nest; with
     allow_embed=True it goes in as a literal that later bodies may cover.
+    Candidates are counted once; macros.PayingKeys keeps the counts exact
+    from round to round.
     """
     check_limits(max_macros, max_len)
-    cur = lower(_byte_stream(data).items)
-    left = Counter(data)  # how often each input byte is still in cur
+    keys = PayingKeys(lower(_byte_stream(data).items), max_len, "free")
+    left = Counter(data)  # how often each input byte is still in the stream
     macros: list[Macro] = []
     assigned: set[int] = set()
     while len(macros) < max_macros:
         code = pick_free_code(+left, assigned)
         if code is None:
             break
-        best = rank_keys(profitable_keys(cur, max_len, "free"), 1)
-        if not best:
+        best = keys.best()
+        if best is None:
             break
-        cur, _, count = substitute_stream(
-            cur, best[0], _BYTE_ITEMS[code] if allow_embed else MacroByte(code))
-        body = best[0].encode("latin-1")
+        _, count = keys.substitute(
+            best, _BYTE_ITEMS[code] if allow_embed else MacroByte(code))
+        body = best.encode("latin-1")
         left.subtract(body * count)
         macros.append(Macro(body=body, code=code))
         assigned.add(code)
-    residual = _stream_bytes(cur.items)
+    residual = _stream_bytes(keys.low.items)
     objective = len(residual) + sum(len(m.body) for m in macros)
     return CompactionResult(macros=macros, residual=residual, objective=objective)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import time
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -165,33 +166,53 @@ def _occurrences(low: Lowered, max_len: int, granularity: str
     return found
 
 
-def profitable_keys(low: Lowered, max_len: int, granularity: str
-                    ) -> dict[str, tuple[int, int]]:
-    """Every key whose net saving f*(b-1) - b is positive, b being its
-    width in bytes, as signature string -> (net, b).
+def _width(s: str) -> int:
+    """Byte width of the run a signature string stands for; refs are
+    two bytes wide."""
+    return len(s) if max(s) < _STOP else len(s) + sum(c > _STOP for c in s)
 
-    f counts non-overlapping occurrences leftmost-greedy, as
-    substitute_stream replaces them: the walk yields one item count's
-    runs in stream order, so a run counts when it starts at or after the
-    end of the last counted run of the same key.  Each item count's
-    tallies are dropped once that count is done.
+
+def _leftmost(starts: list[int], t: int) -> int:
+    """How many of the t-item runs at starts (in stream order) a
+    leftmost-greedy sweep takes: a run counts when it starts at or after
+    the end of the last counted one."""
+    f = free = 0
+    for i in starts:
+        if i >= free:
+            f += 1
+            free = i + t
+    return f
+
+
+def _paying_runs(low: Lowered, max_len: int, granularity: str):
+    """Yields (key, f, b, runs) for every key whose net saving
+    f*(b-1) - b is positive, b being its width in bytes and runs the
+    first item of each of its runs in stream order.
+
+    f counts runs leftmost-greedy, as substitute_stream replaces them.
+    Each item count's runs are dropped once that count is done.
     """
     sig = low.sig
-    nets: dict[str, tuple[int, int]] = {}
     for t, starts in _walk(low, max_len, granularity):
-        free: dict[str, int] = {}
-        count: dict[str, int] = {}
-        for i in starts:
-            s = sig[i:i + t]
-            if free.get(s, 0) <= i:
-                count[s] = count.get(s, 0) + 1
-                free[s] = i + t
-        for s, f in count.items():
-            if f > 1:
-                b = t + sum(c > _STOP for c in s)  # refs are two bytes wide
-                if f * (b - 1) > b:
-                    nets[s] = (f * (b - 1) - b, b)
-    return nets
+        keys = [sig[i:i + t] for i in starts]
+        seen = Counter(keys)
+        runs: dict[str, list[int]] = defaultdict(list)
+        for s, i in zip(keys, starts):
+            if seen[s] > 1:  # a key seen once cannot pay
+                runs[s].append(i)
+        del keys, seen  # not held across the yields
+        for s, found in runs.items():
+            f, b = _leftmost(found, t), _width(s)
+            if f * (b - 1) > b:
+                yield s, f, b, found
+
+
+def profitable_keys(low: Lowered, max_len: int, granularity: str
+                    ) -> dict[str, tuple[int, int]]:
+    """Every key whose net saving is positive, as signature string ->
+    (net, b); see _paying_runs."""
+    return {s: (f * (b - 1) - b, b)
+            for s, f, b, _ in _paying_runs(low, max_len, granularity)}
 
 
 def rank_keys(nets: dict[str, tuple[int, int]], limit: int,
@@ -216,25 +237,191 @@ def rank_keys(nets: dict[str, tuple[int, int]], limit: int,
                            key=lambda k: (-nets[k][0], -nets[k][1], k))
 
 
-def substitute_stream(low: Lowered, pattern: str, item
-                      ) -> tuple[Lowered, list | None, int]:
-    """Replace matches of a signature string by item, left to right,
-    resuming after each one.
-
-    A match starts at an instruction fetch position.  Returns the new
-    state, the items removed by the first match (None if nothing
-    matched), and the match count.
-    """
-    cuts = []
+def _match_spans(low: Lowered, pattern: str) -> list[tuple[int, int]]:
+    """Item spans (start, end) of the matches of a signature string,
+    left to right, resuming after each one; a match starts at an
+    instruction fetch position."""
+    spans = []
     pos = 0
     hit = low.sig.find(pattern)
     while hit >= 0:
         if low.marks[hit] == _START:
             pos = hit + len(pattern)
-            cuts.append((hit, pos, item))
+            spans.append((hit, pos))
         hit = low.sig.find(pattern, max(pos, hit + 1))
-    body = low.items[cuts[0][0]:cuts[0][1]] if cuts else None
-    return low.splice(cuts), body, len(cuts)
+    return spans
+
+
+def substitute_stream(low: Lowered, pattern: str, item
+                      ) -> tuple[Lowered, list | None, int]:
+    """Replace matches of a signature string by item (see _match_spans).
+
+    Returns the new state, the items removed by the first match (None if
+    nothing matched), and the match count.
+    """
+    spans = _match_spans(low, pattern)
+    body = low.items[spans[0][0]:spans[0][1]] if spans else None
+    return low.splice([(a, e, item) for a, e in spans]), body, len(spans)
+
+
+def _is_run(low: Lowered, i: int, t: int, granularity: str) -> bool:
+    """Whether the t items at i, none of them a _STOP, make a run that
+    _walk yields, width aside."""
+    marks = low.marks
+    if marks[i] != _START:
+        return False
+    if granularity == "instruction":
+        return _START not in marks[i + 1:i + t]
+    if granularity == "aligned":
+        return i + t == len(marks) or marks[i + t] != _OTHER
+    return True
+
+
+class PayingKeys:
+    """The keys that pay on a stream, kept exact while it is substituted.
+
+    One full count (_paying_runs) runs on the first call of best and
+    indexes the runs of every paying key by their first item.  After
+    that a substitution only updates the keys it touched.  Put in as a
+    macro byte, the replacement ends every run, so it only removes runs,
+    namely those that overlap a replaced span; every other run keeps its
+    items, its neighbours and so its standing.  A leftmost-greedy count
+    of equal-length runs never rises when runs go, so a key that does
+    not pay now never will, and only the paying keys are kept.  While no
+    two runs of a key overlap, the sweep takes them all, so the key loses
+    one count per run it lost; a key with overlapping runs (aa in aaaa)
+    is recounted on the new stream.  A replacement put in as a literal
+    (byte-level embedding) is a character the stream did not hold, so
+    the runs through it are new keys; they are counted in full once, at
+    insertion, and then kept like the others.
+    """
+
+    def __init__(self, low: Lowered, max_len: int, granularity: str):
+        self.low = low
+        self.max_len = max_len
+        self.granularity = granularity
+        self.nets: dict[str, tuple[int, int]] | None = None
+
+    def _count_all(self) -> None:
+        self.nets = {}
+        # bit t of at[i] is set when a paying key has a run of t items
+        # from item i; the key is sig[i:i + t], and a bit whose key has
+        # stopped paying is skipped when read
+        self.at = [0] * len(self.low.sig)
+        self.overlapping: set[str] = set()  # keys with overlapping runs
+        for s, f, b, runs in _paying_runs(self.low, self.max_len,
+                                          self.granularity):
+            self._track(s, f, b, runs)
+        # best-first candidates (-net, -b, key); an entry whose key no
+        # longer has that net is stale and dropped when it surfaces
+        self.heap = [(-net, -b, s) for s, (net, b) in self.nets.items()]
+        heapq.heapify(self.heap)
+        self.longest = max(map(len, self.nets), default=0)
+
+    def _track(self, s: str, f: int, b: int, runs: list[int]) -> None:
+        self.nets[s] = (f * (b - 1) - b, b)
+        if f < len(runs):
+            self.overlapping.add(s)
+        at, bit = self.at, 1 << len(s)
+        for i in runs:
+            at[i] |= bit
+
+    def _set(self, s: str, f: int) -> None:
+        """Record that key s now counts f runs."""
+        old, b = self.nets[s]
+        net = f * (b - 1) - b
+        if net <= 0:
+            del self.nets[s]
+        elif net != old:
+            self.nets[s] = (net, b)
+            heapq.heappush(self.heap, (-net, -b, s))
+
+    def best(self, defer_prefixes: bool = False) -> str | None:
+        """The key rank_keys(nets, 1, defer_prefixes) would pick, if any."""
+        if self.nets is None:
+            self._count_all()
+        if defer_prefixes:
+            return next(iter(rank_keys(self.nets, 1, True)), None)
+        heap, nets = self.heap, self.nets
+        while heap:
+            net, b, s = heap[0]
+            if nets.get(s) == (-net, -b):
+                return s
+            heapq.heappop(heap)
+        return None
+
+    def substitute(self, pattern: str, item) -> tuple[list | None, int]:
+        """Substitute as substitute_stream does and bring the counts up to
+        date.  Returns the items removed by the first match and the match
+        count."""
+        old = self.low
+        spans = _match_spans(old, pattern)
+        self.low = old.splice([(a, e, item) for a, e in spans])
+        sig, nets, at = old.sig, self.nets, self.at
+        lost: dict[str, int] = {}  # key -> its runs that overlapped a span
+        for start, end in spans:
+            for i in range(max(start - self.longest + 1, 0), end):
+                # runs of more than start - i items reach into the span;
+                # their bits are cleared, so a later span sees them no more
+                t = max(start - i + 1, 0)
+                gone = at[i] >> t
+                at[i] &= (1 << t) - 1
+                while gone:
+                    if gone & 1 and (s := sig[i:i + t]) in nets:
+                        lost[s] = lost.get(s, 0) + 1
+                    gone >>= 1
+                    t += 1
+        spliced, pos = [], 0
+        for start, end in spans:
+            spliced += at[pos:start]
+            spliced.append(0)
+            pos = end
+        self.at = spliced + at[pos:]
+        for s, k in lost.items():
+            net, b = nets[s]
+            self._set(s, self._recount(s) if s in self.overlapping
+                      else (net + b) // (b - 1) - k)
+        if isinstance(item, LiteralByte):
+            shrink = accumulate((e - a - 1 for a, e in spans), initial=0)
+            self._count_new([a - d for (a, _), d in zip(spans, shrink)])
+        return (old.items[spans[0][0]:spans[0][1]] if spans else None,
+                len(spans))
+
+    def _recount(self, s: str) -> int:
+        """Leftmost-greedy count of the runs of key s on the stream."""
+        low, t = self.low, len(s)
+        runs = []
+        i = low.sig.find(s)
+        while i >= 0:
+            if _is_run(low, i, t, self.granularity):
+                runs.append(i)
+            i = low.sig.find(s, i + 1)
+        return _leftmost(runs, t)
+
+    def _count_new(self, points: list[int]) -> None:
+        """Track the paying keys among the runs through the items just
+        put in at points, in stream order.  A run of t items through p
+        starts in p-t+1..p; one through several points is taken at the
+        first."""
+        low, sig = self.low, self.low.sig
+        for t in range(2, self.max_len + 1):
+            runs: dict[str, list[int]] = defaultdict(list)
+            last = -1
+            for p in points:
+                for i in range(max(last + 1, p - t + 1),
+                               min(p + 1, len(sig) - t + 1)):
+                    s = sig[i:i + t]
+                    if _STOP not in s and _is_run(low, i, t, self.granularity):
+                        runs[s].append(i)
+                last = p
+            for s, found in runs.items():
+                if len(found) < 2:
+                    continue
+                f, b = _leftmost(found, t), _width(s)
+                if b <= self.max_len and f * (b - 1) > b:
+                    self._track(s, f, b, found)
+                    heapq.heappush(self.heap, (-self.nets[s][0], -b, s))
+                    self.longest = max(self.longest, t)
 
 
 @dataclass
@@ -257,11 +444,12 @@ def select_greedy(stream: Stream, max_macros: int, max_len: int
                   ) -> tuple[Stream, list[StreamMacro]]:
     """Iterative best-first adoption over whole-instruction runs.
 
-    Each round recounts candidates on the current stream, scores every
-    key by its net saving f*(b-1) - b with f counted over
-    non-overlapping occurrences, adopts the best positive one, and
-    substitutes at once so the next round works on the shrunken stream.
-    Ties fall to the longer body, then the smaller key.
+    Each round scores every key on the current stream by its net saving
+    f*(b-1) - b with f counted over non-overlapping occurrences, adopts
+    the best positive one, and substitutes at once so the next round
+    works on the shrunken stream.  Ties fall to the longer body, then the
+    smaller key.  Each stage counts candidates once; PayingKeys keeps the
+    counts exact through the substitutions.
 
     Selection runs coarse to fine.  The first stage admits only
     instruction-aligned runs: a mid-instruction prefix pools the counts
@@ -282,15 +470,17 @@ def select_greedy(stream: Stream, max_macros: int, max_len: int
     adopted: list[StreamMacro] = []
     for granularity, defer_prefixes in (("aligned", False),
                                         ("instruction", True)):
+        keys = PayingKeys(cur, max_len, granularity)
         while len(adopted) < max_macros:
-            nets = profitable_keys(cur, max_len, granularity)
-            best = rank_keys(nets, 1, defer_prefixes)
-            if not best:
+            best = keys.best(defer_prefixes)
+            if best is None:
                 break
             code = isa.MACRO_OPCODE_BASE + len(adopted)
-            cur, body, _ = substitute_stream(cur, best[0], MacroByte(code))
-            adopted.append(StreamMacro(code=code, key=cur.key(best[0]),
-                                       items=body, byte_len=nets[best[0]][1]))
+            b = keys.nets[best][1]
+            body, _ = keys.substitute(best, MacroByte(code))
+            adopted.append(StreamMacro(code=code, key=cur.key(best),
+                                       items=body, byte_len=b))
+        cur = keys.low
     return Stream(cur.items), adopted
 
 
@@ -304,8 +494,11 @@ def select_by_instruction_frequency(stream: Stream, max_macros: int,
     """
     check_limits(max_macros, max_len)
     low = lower(stream.items)
-    return [low.key(s) for s in rank_keys(
-        profitable_keys(low, max_len, "instruction"), max_macros)]
+    return [low.key(s) for s in _frequent_keys(low, max_macros, max_len)]
+
+
+def _frequent_keys(low: Lowered, max_macros: int, max_len: int) -> list[str]:
+    return rank_keys(profitable_keys(low, max_len, "instruction"), max_macros)
 
 
 def apply_macro_set(stream: Stream, bodies: list[tuple]
@@ -325,22 +518,29 @@ def apply_macro_set(stream: Stream, bodies: list[tuple]
     for key in bodies:
         if not key or any(k[0] not in (0, 1) for k in key):
             raise ValueError(f"malformed candidate key {key!r}")
-    cur = lower(stream.items)
+    low = lower(stream.items)
     char_of = {(0, v): chr(v) for v in range(0x100)}
     char_of.update(((1, sym), chr(0x101 + i))
-                   for i, sym in enumerate(cur.symbols))
+                   for i, sym in enumerate(low.symbols))
+    # a key naming a symbol this stream lacks matches nothing
+    return _adopt_in_order(low, ["".join(char_of[k] for k in key)
+                                 for key in bodies
+                                 if all(k in char_of for k in key)])
+
+
+def _adopt_in_order(cur: Lowered, keys: list[str]
+                    ) -> tuple[Stream, list[StreamMacro]]:
+    """apply_macro_set on a lowered stream, keys as signature strings."""
     adopted: list[StreamMacro] = []
-    for key in bodies:
-        if not all(k in char_of for k in key):
-            continue  # nothing in this stream matches it
+    for s in keys:
         code = isa.MACRO_OPCODE_BASE + len(adopted)
-        nxt, body, count = substitute_stream(
-            cur, "".join(char_of[k] for k in key), MacroByte(code))
-        b = key_width(key)
+        nxt, body, count = substitute_stream(cur, s, MacroByte(code))
+        b = _width(s)
         if count * (b - 1) - b <= 0:
             continue  # adopting it now would grow the image
         cur = nxt
-        adopted.append(StreamMacro(code=code, key=key, items=body, byte_len=b))
+        adopted.append(StreamMacro(code=code, key=cur.key(s), items=body,
+                                   byte_len=b))
     return Stream(cur.items), adopted
 
 
@@ -388,10 +588,15 @@ def compact_stream(stream: Stream, mode: str, max_macros: int, max_len: int
     if mode == "greedy":
         return select_greedy(stream, max_macros, max_len)
     if mode == "freq":
-        picked = select_by_instruction_frequency(stream, max_macros, max_len)
-        # longest first, else a short key strands its extensions' tails
-        picked.sort(key=lambda k: (-key_width(k), k))
-        return apply_macro_set(stream, picked)
+        # select_by_instruction_frequency, then apply_macro_set, on one
+        # lowered stream
+        check_limits(max_macros, max_len)
+        low = lower(stream.items)
+        picked = _frequent_keys(low, max_macros, max_len)
+        # longest first, else a short key strands its extensions' tails;
+        # signature strings sort as the key tuples they stand for
+        picked.sort(key=lambda s: (-_width(s), s))
+        return _adopt_in_order(low, picked)
     if mode == "exact":
         return select_exact(stream, max_macros, max_len)
     raise ValueError(f"unknown mode {mode!r}")

@@ -36,7 +36,7 @@ class ObjectError(Exception):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class MacroEntry:
     code: int
     body: bytes

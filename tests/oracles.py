@@ -7,16 +7,25 @@ objective that byte-level selection minimizes; only tests call them.
 Nothing here shares code with the package under test, apart from the
 instruction tables, the one decoder that the reference interpreter
 reads instructions with, and the candidate walk that
-extract_candidates groups by match key.
+extract_candidates groups by match key.  select_greedy and greedy_select
+are the round-by-round greedy selectors that recount every candidate
+after each adoption; they share the lowering, the full count, the
+ranking and the substitution of the package, and differential tests
+hold the incrementally maintained selectors to their output.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import Iterable, Sequence
 
 from macroforge import decode, isa, macros
-from macroforge.asm import Stream
+from macroforge.asm import MacroByte, Stream
+from macroforge.greedy import (_BYTE_ITEMS, CompactionResult, Macro,
+                               _byte_stream, _stream_bytes, pick_free_code)
+from macroforge.macros import (StreamMacro, check_limits, lower,
+                               profitable_keys, rank_keys, substitute_stream)
 
 
 def naive_count(haystack: bytes, needle: bytes) -> int:
@@ -240,6 +249,84 @@ def extract_candidates(stream: Stream, max_len: int,
     low = macros.lower(stream.items)
     return {low.key(s): occs
             for s, occs in macros._occurrences(low, max_len, granularity).items()}
+
+
+# ---------------------------------------------------------------------------
+# Greedy selection that recounts every candidate each round
+
+def select_greedy(stream: Stream, max_macros: int, max_len: int
+                  ) -> tuple[Stream, list[StreamMacro]]:
+    """Iterative best-first adoption over whole-instruction runs.
+
+    Each round recounts candidates on the current stream, scores every
+    key by its net saving f*(b-1) - b with f counted over
+    non-overlapping occurrences, adopts the best positive one, and
+    substitutes at once so the next round works on the shrunken stream.
+    Ties fall to the longer body, then the smaller key.
+
+    Selection runs coarse to fine.  The first stage admits only
+    instruction-aligned runs: a mid-instruction prefix pools the counts
+    of every instruction sharing it, so it outscores each full
+    instruction, yet adopting it strands the extension bytes behind the
+    macro byte where no later candidate can reach them.  Once no aligned
+    run pays, a second stage admits prefixes to mop up instructions
+    whose full forms were too rare to adopt.
+
+    Stage two defers any profitable key that strictly prefixes another
+    profitable key (see rank_keys).  Stage one must not do this; there
+    the prefix relation pits a high-count instruction against every
+    barely-profitable longer run it starts, and deferring to those
+    fragments the stream and squanders the opcode space on long bodies.
+    """
+    check_limits(max_macros, max_len)
+    cur = lower(stream.items)
+    adopted: list[StreamMacro] = []
+    for granularity, defer_prefixes in (("aligned", False),
+                                        ("instruction", True)):
+        while len(adopted) < max_macros:
+            nets = profitable_keys(cur, max_len, granularity)
+            best = rank_keys(nets, 1, defer_prefixes)
+            if not best:
+                break
+            code = isa.MACRO_OPCODE_BASE + len(adopted)
+            cur, body, _ = substitute_stream(cur, best[0], MacroByte(code))
+            adopted.append(StreamMacro(code=code, key=cur.key(best[0]),
+                                       items=body, byte_len=nets[best[0]][1]))
+    return Stream(cur.items), adopted
+
+
+def greedy_select(data: Sequence[int], max_macros: int, max_len: int,
+                  allow_embed: bool = False) -> CompactionResult:
+    """Iterated best-single-macro adoption.
+
+    Each round adopts the key with the largest net saving on the current
+    residual, which minimizes the single-macro objective, and stops when
+    no opcode is free, when no key saves a byte, or when max_macros is
+    reached.  With allow_embed=False the opcode goes in as a macro byte,
+    which ends every later run, so bodies never nest; with
+    allow_embed=True it goes in as a literal that later bodies may cover.
+    """
+    check_limits(max_macros, max_len)
+    cur = lower(_byte_stream(data).items)
+    left = Counter(data)  # how often each input byte is still in cur
+    macros: list[Macro] = []
+    assigned: set[int] = set()
+    while len(macros) < max_macros:
+        code = pick_free_code(+left, assigned)
+        if code is None:
+            break
+        best = rank_keys(profitable_keys(cur, max_len, "free"), 1)
+        if not best:
+            break
+        cur, _, count = substitute_stream(
+            cur, best[0], _BYTE_ITEMS[code] if allow_embed else MacroByte(code))
+        body = best[0].encode("latin-1")
+        left.subtract(body * count)
+        macros.append(Macro(body=body, code=code))
+        assigned.add(code)
+    residual = _stream_bytes(cur.items)
+    objective = len(residual) + sum(len(m.body) for m in macros)
+    return CompactionResult(macros=macros, residual=residual, objective=objective)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import pytest
 
-from macroforge import asm, corpus, vm
+from macroforge import asm, corpus, macros, vm
 from macroforge.asm import (
     LabelDef,
     LiteralByte,
@@ -215,6 +215,21 @@ def test_frequency_ignores_multi_instruction_runs():
     out, adopted = compact_stream(stream, "freq", 176, 20)
     assert adopted == []
     assert out.byte_size() == 6
+
+
+def test_freq_compaction_lowers_once(monkeypatch):
+    stream = stream_for(corpus.generate_program(3))
+    real, calls = macros.lower, []
+    with monkeypatch.context() as m:
+        m.setattr(macros, "lower",
+                  lambda items: calls.append(len(items)) or real(items))
+        got = compact_stream(stream, "freq", 176, 20)
+    assert calls == [len(stream.items)]
+    # the same as ranking, then applying longest first
+    picked = select_by_instruction_frequency(stream, 176, 20)
+    picked.sort(key=lambda k: (-key_width(k), k))
+    assert got == apply_macro_set(stream, picked)
+    assert len(got[1]) > 5
 
 
 # --- greedy selection -------------------------------------------------------

@@ -19,6 +19,14 @@ CORPUS = {  # mode -> (objective, macro count, SHA-256 of the image)
              "5252abadf0513e215c46dc89449d40518845ac428350c00209755b03cb1616bd"),
 }
 
+# the same for generate_corpus(7, 27000), 27,423 bytes assembled
+LARGE_CORPUS = {
+    "greedy": (11631, 121,
+               "c808b5b3364fce91c6271cab1a97e6e2753b4eadaebbb6851083a02cd95c55f2"),
+    "freq": (11631, 121,
+             "740147b2e03453409ed5b23ef9290cbf353b51ca89a61e2550129489c4c68143"),
+}
+
 # seed -> (objective, macro count) for greedy at 8 and 176 macros, then
 # freq at 8 and 176
 PROGRAMS = {
@@ -59,12 +67,19 @@ def sha(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def test_corpus_compaction_is_pinned():
-    text = corpus.generate_corpus(2024)
-    for mode, pinned in CORPUS.items():
+def check_corpus(text, pins):
+    for mode, pinned in pins.items():
         image, info = compact_source(text, mode=mode)
         got = (info["objective"], info["macro_count"], sha(image.serialize()))
         assert got == pinned, mode
+
+
+def test_corpus_compaction_is_pinned():
+    check_corpus(corpus.generate_corpus(2024), CORPUS)
+
+
+def test_large_corpus_compaction_is_pinned():
+    check_corpus(corpus.generate_corpus(7, 27000), LARGE_CORPUS)
 
 
 def test_program_compaction_is_pinned():

@@ -1,0 +1,143 @@
+"""Incremental greedy selection against the round-by-round oracle.
+
+macros.select_greedy and greedy.greedy_select count candidates once per
+stage and then update only what each substitution touched.  The oracles
+in tests/oracles.py recount everything after every adoption; both must
+produce the same bytes.
+"""
+
+import random
+
+import pytest
+
+import oracles
+from macroforge import asm, corpus, greedy, macros
+from macroforge.macros import compact_source
+
+
+@pytest.fixture(scope="module")
+def criterion_corpus():
+    return corpus.generate_corpus(2024)
+
+
+def image_bytes(monkeypatch, text, selector, **kwargs):
+    with monkeypatch.context() as m:
+        m.setattr(macros, "select_greedy", selector)
+        image, _ = compact_source(text, mode="greedy", **kwargs)
+    return image.serialize()
+
+
+def test_compact_matches_oracle_on_programs(monkeypatch):
+    # the programs and budgets of test_05_semantic_preservation
+    for seed in range(50):
+        text = corpus.generate_program(seed)
+        for budget in (8, 64, 176):
+            got = image_bytes(monkeypatch, text, macros.select_greedy,
+                              max_macros=budget)
+            want = image_bytes(monkeypatch, text, oracles.select_greedy,
+                               max_macros=budget)
+            assert got == want, (seed, budget)
+
+
+def test_compact_matches_oracle_on_corpus(monkeypatch, criterion_corpus):
+    assert (image_bytes(monkeypatch, criterion_corpus, macros.select_greedy)
+            == image_bytes(monkeypatch, criterion_corpus,
+                           oracles.select_greedy))
+
+
+def test_stream_selection_matches_oracle_at_short_bodies():
+    # short max_len keeps many keys tied and self-overlapping
+    for seed in range(10):
+        stream, _ = asm.assemble_stream(corpus.generate_program(seed))
+        for max_len in (2, 3, 5):
+            got = macros.select_greedy(stream, 176, max_len)
+            want = oracles.select_greedy(stream, 176, max_len)
+            assert got == want, (seed, max_len)
+
+
+def pack_case(rng: random.Random) -> bytes:
+    n = rng.randint(0, 300)
+    kind = rng.randrange(6)
+    if kind == 0:                       # one repeated byte
+        return bytes([rng.randrange(256)]) * n
+    if kind == 1:                       # a short period, sometimes broken
+        unit = bytes(rng.randrange(256) for _ in range(rng.randint(1, 4)))
+        data = bytearray((unit * (n // len(unit) + 1))[:n])
+        for _ in range(rng.randint(0, 3)):
+            if data:
+                data[rng.randrange(len(data))] = rng.randrange(256)
+        return bytes(data)
+    if kind == 2:                       # a small alphabet
+        alphabet = rng.sample(range(256), rng.randint(2, 6))
+        return bytes(rng.choice(alphabet) for _ in range(n))
+    if kind == 3:                       # every macro opcode but a few in use
+        free = set(rng.sample(range(0x50, 0x100), rng.randint(0, 3)))
+        used = [v for v in range(0x50, 0x100) if v not in free]
+        rng.shuffle(used)
+        body = bytes(rng.choice(b"abcab") for _ in range(n))
+        return bytes(used) + body
+    if kind == 4:                       # repeated phrases with noise
+        phrases = [bytes(rng.randrange(256) for _ in range(rng.randint(2, 8)))
+                   for _ in range(rng.randint(1, 5))]
+        out = bytearray()
+        while len(out) < n:
+            if rng.random() < 0.2:
+                out.append(rng.randrange(256))
+            else:
+                out += rng.choice(phrases)
+        return bytes(out[:n])
+    return bytes(rng.randrange(256) for _ in range(n))
+
+
+def test_pack_matches_oracle():
+    rng = random.Random(8)
+    for case in range(600):
+        data = pack_case(rng)
+        max_macros = rng.choice([1, 2, 5, 40, 176])
+        max_len = rng.choice([2, 3, 4, 8, 20])
+        for embed in (False, True):
+            got = greedy.greedy_select(data, max_macros, max_len, embed)
+            want = oracles.greedy_select(data, max_macros, max_len, embed)
+            assert got == want, (case, data, max_macros, max_len, embed)
+
+
+def test_pack_matches_oracle_on_image_slices(criterion_corpus):
+    code = asm.assemble(criterion_corpus).code
+    for offset in (1000, 5000):  # the pins hold 0, 2048, 4096 and 6144
+        for embed in (False, True):
+            data = code[offset:offset + 700]
+            assert (greedy.greedy_select(data, 176, 20, embed)
+                    == oracles.greedy_select(data, 176, 20, embed))
+
+
+def count_walks(monkeypatch):
+    real, walks = macros._walk, []
+
+    def counting(*args):
+        walks.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(macros, "_walk", counting)
+    return walks
+
+
+def test_each_stage_walks_the_stream_once(monkeypatch, criterion_corpus):
+    walks = count_walks(monkeypatch)
+    _, info = compact_source(criterion_corpus, mode="greedy")
+    assert info["macro_count"] == 120  # one round each
+    assert walks == ["aligned", "instruction"]
+
+    walks.clear()
+    code = asm.assemble(criterion_corpus).code[:1024]
+    for embed in (False, True):
+        result = greedy.greedy_select(code, 176, 20, allow_embed=embed)
+        assert len(result.macros) > 10
+    assert walks == ["free", "free"]
+
+
+def test_no_free_opcode_needs_no_walk(monkeypatch):
+    walks = count_walks(monkeypatch)
+    data = bytes(range(0x50, 0x100)) * 2
+    result = greedy.greedy_select(data, 176, 20)
+    assert result.macros == [] and result.residual == data
+    assert walks == []
