@@ -17,12 +17,7 @@ from .optimal import (
 )
 from .asm import AsmError, LayoutError, assemble
 from .disasm import DisasmError, disassemble, render_listing, render_source
-from .macros import (
-    apply_macro_set,
-    compact_source,
-    compact_stream,
-    select_by_instruction_frequency,
-)
+from .macros import compact_source, compact_stream
 from .objfile import MacroEntry, ObjectError, ObjectImage
 from .vm import LoadError, RunOutcome, VmFault, load, run
 from .isa import MACRO_OPCODE_BASE as MACRO_CODE_LO, MAX_MACROS

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 from . import isa
 from .objfile import ObjectImage
-from .decode import decode_literal, decode_short_branch  # noqa: F401
 
 
 class AsmError(Exception):

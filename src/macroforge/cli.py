@@ -110,8 +110,6 @@ def cmd_asm(args) -> int:
 
 def cmd_compact(args) -> int:
     text = _read_source(args.source)
-    if args.max_macros < 0:
-        raise CliError("--max-macros must be 0 or more")
     image, info = macros.compact_source(
         text, mode=args.mode, max_macros=args.max_macros,
         max_len=args.max_len, origin=args.origin, entry=args.entry)
@@ -183,8 +181,6 @@ def cmd_disasm(args) -> int:
 def cmd_verify(args) -> int:
     text = _read_source(args.source)
     base_image = asm.assemble(text, origin=args.origin)
-    if args.max_macros < 0:
-        raise CliError("--max-macros must be 0 or more")
     compacted, _ = macros.compact_source(
         text, mode=args.mode, max_macros=args.max_macros,
         max_len=args.max_len, origin=args.origin)

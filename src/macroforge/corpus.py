@@ -219,13 +219,17 @@ def generate_corpus(seed: int, min_bytes: int = 8000) -> str:
                          f"code must stay under {MAX_CODE_BYTES} bytes")
     rng = random.Random(seed)
     gen = _Gen(rng)
+    # Every label and short-branch ref stays inside one template, so the
+    # sizes of separately assembled pieces add up: each chunk of 60 steps
+    # is assembled once, on its own.
+    size = len(asm.assemble("\n".join(gen.trailer()) + "\n").code)
     while True:
+        done = len(gen.lines)
         for _ in range(60):
             gen.step()
-        text = gen.text()
-        size = len(asm.assemble(text).code)
+        size += len(asm.assemble("\n".join(gen.lines[done:]) + "\n").code)
         if size >= MAX_CODE_BYTES:
             raise ValueError(f"seed {seed}: {size} bytes of code reach "
                              f"the data block at {DATA_BLOCK:#06x}")
         if size >= min_bytes:
-            return text
+            return gen.text()

@@ -126,8 +126,8 @@ def exact_select(data: Sequence[int], max_macros: int, max_len: int
             raise ValueError("no opcode in 0x50..0xFF is free of the input")
         code_of[m.code] = code
     residual = _stream_bytes(out.items, code_of.__getitem__)
-    macros = [Macro(body=bytes(v for _, v in m.key), code=code_of[m.code])
-              for m in chosen]
+    macros = [Macro(body=bytes(it.value for it in m.items),
+                    code=code_of[m.code]) for m in chosen]
     objective = len(residual) + sum(len(m.body) for m in macros)
     return CompactionResult(macros=macros, residual=residual, objective=objective)
 

@@ -26,19 +26,6 @@ from .optimal import BudgetError, Occurrence, estimate_cost, exact_over_occurren
 MODES = ("greedy", "exact", "freq")
 
 
-def key_width(key: tuple) -> int:
-    """Assembled byte length of a run with this match key."""
-    return sum(1 if k[0] == 0 else 2 for k in key)
-
-
-@dataclass(frozen=True)
-class StreamOccurrence:
-    item_start: int
-    item_end: int    # exclusive
-    byte_start: int  # offset from the stream's first byte, widths frozen
-    byte_len: int
-
-
 _STOP = "\u0100"  # signature character of every item that ends a run
 _START, _BOUNDARY, _OTHER = "s", "b", "-"  # item marks, see Lowered
 
@@ -56,16 +43,17 @@ def _lower_item(it, char_of: dict[str, str]) -> tuple[str, str]:
 class Lowered:
     """A stream lowered once for selection, kept in step by splice.
 
-    sig has one character per item, equal exactly where match keys are
-    equal.  Literals match by value and unrelaxed refs by symbol: two
+    sig has one character per item, and two runs match exactly where
+    their signature strings are equal; the string is a run's match key.
+    Literals match by value and unrelaxed refs by symbol: two
     occurrences sit at different addresses, but the same symbol resolves
     to the same two bytes in both.  Relaxed refs encode an
     address-relative offset, label defs pin an address, and macro bytes
     must never nest, so all three have no key and map to _STOP, which
     ends every run.  A literal's character is its byte value and symbol
-    i of the sorted symbols has chr(0x101 + i), so strings of characters
-    sort, and prefix one another, exactly as the key tuples they stand
-    for.  Runs are compared, hashed and ranked as string slices.
+    i of the sorted symbols has chr(0x101 + i), so keys sort literals
+    first, by value, then refs by symbol name.  Runs are compared,
+    hashed and ranked as string slices.
 
     marks has one mark per item: _START for a literal where an
     instruction is fetched, _BOUNDARY for a macro byte or a label def,
@@ -76,12 +64,6 @@ class Lowered:
     items: list
     sig: str
     marks: str
-    symbols: list[str]
-
-    def key(self, s: str) -> tuple:
-        """The match key tuple a signature string stands for."""
-        return tuple((0, ord(c)) if c < _STOP
-                     else (1, self.symbols[ord(c) - 0x101]) for c in s)
 
     def splice(self, cuts: list[tuple]) -> Lowered:
         """Replace each span (start, end, item) of items by that item;
@@ -97,7 +79,25 @@ class Lowered:
             pos = end
         items += self.items[pos:]
         return Lowered(items, "".join(sig) + self.sig[pos:],
-                       "".join(marks) + self.marks[pos:], self.symbols)
+                       "".join(marks) + self.marks[pos:])
+
+    def substitute(self, pattern: str, item
+                   ) -> tuple[Lowered, list[tuple[int, int]]]:
+        """Replace the matches of a signature string by item.
+
+        Matches are taken left to right, resuming after each one, and
+        start at an instruction fetch position.  Returns the new state
+        and the item spans (start, end) that were replaced.
+        """
+        spans = []
+        pos = 0
+        hit = self.sig.find(pattern)
+        while hit >= 0:
+            if self.marks[hit] == _START:
+                pos = hit + len(pattern)
+                spans.append((hit, pos))
+            hit = self.sig.find(pattern, max(pos, hit + 1))
+        return self.splice([(a, e, item) for a, e in spans]), spans
 
 
 def lower(items: list) -> Lowered:
@@ -108,7 +108,7 @@ def lower(items: list) -> Lowered:
     char_of = {sym: chr(0x101 + i) for i, sym in enumerate(symbols)}
     lowered = [_lower_item(it, char_of) for it in items]
     return Lowered(items, "".join(c for c, _ in lowered),
-                   "".join(m for _, m in lowered), symbols)
+                   "".join(m for _, m in lowered))
 
 
 def _walk(low: Lowered, max_len: int, granularity: str):
@@ -155,17 +155,6 @@ def _walk(low: Lowered, max_len: int, granularity: str):
             yield t, starts
 
 
-def _occurrences(low: Lowered, max_len: int, granularity: str
-                 ) -> dict[str, list[StreamOccurrence]]:
-    offsets = [0, *accumulate(map(asm.item_width, low.items))]
-    found: dict[str, list[StreamOccurrence]] = {}
-    for t, starts in _walk(low, max_len, granularity):
-        for i in starts:
-            found.setdefault(low.sig[i:i + t], []).append(StreamOccurrence(
-                i, i + t, offsets[i], offsets[i + t] - offsets[i]))
-    return found
-
-
 def _width(s: str) -> int:
     """Byte width of the run a signature string stands for; refs are
     two bytes wide."""
@@ -189,7 +178,7 @@ def _paying_runs(low: Lowered, max_len: int, granularity: str):
     f*(b-1) - b is positive, b being its width in bytes and runs the
     first item of each of its runs in stream order.
 
-    f counts runs leftmost-greedy, as substitute_stream replaces them.
+    f counts runs leftmost-greedy, as Lowered.substitute replaces them.
     Each item count's runs are dropped once that count is done.
     """
     sig = low.sig
@@ -235,33 +224,6 @@ def rank_keys(nets: dict[str, tuple[int, int]], limit: int,
                 if nxt[:len(k)] != k]
     return heapq.nsmallest(limit, keys,
                            key=lambda k: (-nets[k][0], -nets[k][1], k))
-
-
-def _match_spans(low: Lowered, pattern: str) -> list[tuple[int, int]]:
-    """Item spans (start, end) of the matches of a signature string,
-    left to right, resuming after each one; a match starts at an
-    instruction fetch position."""
-    spans = []
-    pos = 0
-    hit = low.sig.find(pattern)
-    while hit >= 0:
-        if low.marks[hit] == _START:
-            pos = hit + len(pattern)
-            spans.append((hit, pos))
-        hit = low.sig.find(pattern, max(pos, hit + 1))
-    return spans
-
-
-def substitute_stream(low: Lowered, pattern: str, item
-                      ) -> tuple[Lowered, list | None, int]:
-    """Replace matches of a signature string by item (see _match_spans).
-
-    Returns the new state, the items removed by the first match (None if
-    nothing matched), and the match count.
-    """
-    spans = _match_spans(low, pattern)
-    body = low.items[spans[0][0]:spans[0][1]] if spans else None
-    return low.splice([(a, e, item) for a, e in spans]), body, len(spans)
 
 
 def _is_run(low: Lowered, i: int, t: int, granularity: str) -> bool:
@@ -351,12 +313,11 @@ class PayingKeys:
         return None
 
     def substitute(self, pattern: str, item) -> tuple[list | None, int]:
-        """Substitute as substitute_stream does and bring the counts up to
-        date.  Returns the items removed by the first match and the match
-        count."""
+        """Substitute as Lowered.substitute does and bring the counts up
+        to date.  Returns the items removed by the first match (None if
+        nothing matched) and the match count."""
         old = self.low
-        spans = _match_spans(old, pattern)
-        self.low = old.splice([(a, e, item) for a, e in spans])
+        self.low, spans = old.substitute(pattern, item)
         sig, nets, at = old.sig, self.nets, self.at
         lost: dict[str, int] = {}  # key -> its runs that overlapped a span
         for start, end in spans:
@@ -427,7 +388,6 @@ class PayingKeys:
 @dataclass
 class StreamMacro:
     code: int
-    key: tuple
     items: list     # body items, exactly as removed from the stream
     byte_len: int
 
@@ -478,69 +438,31 @@ def select_greedy(stream: Stream, max_macros: int, max_len: int
             code = isa.MACRO_OPCODE_BASE + len(adopted)
             b = keys.nets[best][1]
             body, _ = keys.substitute(best, MacroByte(code))
-            adopted.append(StreamMacro(code=code, key=cur.key(best),
-                                       items=body, byte_len=b))
+            adopted.append(StreamMacro(code=code, items=body, byte_len=b))
         cur = keys.low
     return Stream(cur.items), adopted
 
 
-def select_by_instruction_frequency(stream: Stream, max_macros: int,
-                                    max_len: int) -> list[tuple]:
-    """Rank single-instruction runs and their prefixes by saving.
-
-    Runs confined to a single instruction cannot overlap, so each key's
-    count is exactly what a sweep would replace if the key ran alone.
-    Returns up to max_macros keys with positive saving, best first.
-    """
-    check_limits(max_macros, max_len)
-    low = lower(stream.items)
-    return [low.key(s) for s in _frequent_keys(low, max_macros, max_len)]
-
-
-def _frequent_keys(low: Lowered, max_macros: int, max_len: int) -> list[str]:
-    return rank_keys(profitable_keys(low, max_len, "instruction"), max_macros)
-
-
-def apply_macro_set(stream: Stream, bodies: list[tuple]
-                    ) -> tuple[Stream, list[StreamMacro]]:
-    """Adopt candidate keys in the order given, opcodes assigned densely.
-
-    Keys are match keys of runs on this stream, as the selectors return
-    them, so none can name a macro byte.  An earlier key may consume a
-    later one's matches; a key whose remaining matches no longer pay for
-    its table entry is passed over entirely rather than kept as dead
-    weight, so every entry in the result saves bytes.  Skipping leaves
-    the stream untouched, which is what keeps a single pass exact.
-    """
-    if len(bodies) > isa.MAX_MACROS:
-        raise ValueError(f"macro set needs {len(bodies)} opcodes, "
-                         f"only {isa.MAX_MACROS} exist")
-    for key in bodies:
-        if not key or any(k[0] not in (0, 1) for k in key):
-            raise ValueError(f"malformed candidate key {key!r}")
-    low = lower(stream.items)
-    char_of = {(0, v): chr(v) for v in range(0x100)}
-    char_of.update(((1, sym), chr(0x101 + i))
-                   for i, sym in enumerate(low.symbols))
-    # a key naming a symbol this stream lacks matches nothing
-    return _adopt_in_order(low, ["".join(char_of[k] for k in key)
-                                 for key in bodies
-                                 if all(k in char_of for k in key)])
-
-
 def _adopt_in_order(cur: Lowered, keys: list[str]
                     ) -> tuple[Stream, list[StreamMacro]]:
-    """apply_macro_set on a lowered stream, keys as signature strings."""
+    """Adopt keys in the order given, opcodes assigned densely.
+
+    An earlier key may consume a later one's matches; a key whose
+    remaining matches no longer pay for its table entry is passed over
+    entirely rather than kept as dead weight, so every entry in the
+    result saves bytes.  Skipping leaves the stream untouched, which is
+    what keeps a single pass exact.
+    """
     adopted: list[StreamMacro] = []
     for s in keys:
         code = isa.MACRO_OPCODE_BASE + len(adopted)
-        nxt, body, count = substitute_stream(cur, s, MacroByte(code))
+        nxt, spans = cur.substitute(s, MacroByte(code))
         b = _width(s)
-        if count * (b - 1) - b <= 0:
+        if len(spans) * (b - 1) - b <= 0:
             continue  # adopting it now would grow the image
+        adopted.append(StreamMacro(code=code, byte_len=b,
+                                   items=cur.items[spans[0][0]:spans[0][1]]))
         cur = nxt
-        adopted.append(StreamMacro(code=code, key=cur.key(s), items=body,
-                                   byte_len=b))
     return Stream(cur.items), adopted
 
 
@@ -549,11 +471,11 @@ def select_exact(stream: Stream, max_macros: int, max_len: int
     """Optimal macro set over the stream's paying keys.
 
     The interval engine does the search.  Its universe is the keys that
-    profitable_keys finds paying on their own, since no optimum holds
-    any other (see optimal.exact_over_occurrences); every occurrence of
-    one becomes a vertex of weight b-1 spanning its items.  Guarded by
-    the same step estimate as byte-level exact selection; raises
-    BudgetError when refused.
+    pay on their own, since no optimum holds any other (see
+    optimal.exact_over_occurrences); every run of one, taken from the
+    one walk that counts them, becomes a vertex of weight b-1 spanning
+    its items.  Guarded by the same step estimate as byte-level exact
+    selection; raises BudgetError when refused.
 
     Unlike the sweeping selectors this picks an explicit occurrence
     subset, so an adopted key may leave some of its matches in place.
@@ -563,19 +485,16 @@ def select_exact(stream: Stream, max_macros: int, max_len: int
     if not est.approved:
         raise BudgetError(est)
     low = lower(stream.items)
-    nets = profitable_keys(low, max_len, "free")
-    by_key = {s: [Occurrence(content=s, start=o.item_start,
-                             end=o.item_end - 1, weight=o.byte_len - 1)
-                  for o in occs]
-              for s, occs in _occurrences(low, max_len, "free").items()
-              if s in nets}
+    by_key = {s: [Occurrence(content=s, start=i, end=i + len(s) - 1,
+                             weight=b - 1) for i in runs]
+              for s, _, b, runs in _paying_runs(low, max_len, "free")}
     combo, chosen, obj = exact_over_occurrences(stream.byte_size(), by_key,
                                                 max_macros)
     code_of = {s: isa.MACRO_OPCODE_BASE + i for i, s in enumerate(combo)}
     # chosen occurrences are non-overlapping and in stream order
     out = Stream(low.splice([(o.start, o.end + 1, MacroByte(code_of[o.content]))
                              for o in chosen]).items)
-    macros = [StreamMacro(code=code_of[s], key=low.key(s), byte_len=nets[s][1],
+    macros = [StreamMacro(code=code_of[s], byte_len=_width(s),
                           items=next(low.items[o.start:o.end + 1]
                                      for o in chosen if o.content == s))
               for s in combo]
@@ -588,13 +507,14 @@ def compact_stream(stream: Stream, mode: str, max_macros: int, max_len: int
     if mode == "greedy":
         return select_greedy(stream, max_macros, max_len)
     if mode == "freq":
-        # select_by_instruction_frequency, then apply_macro_set, on one
-        # lowered stream
+        # Single-instruction runs and their prefixes cannot overlap, so
+        # each key's count is what a sweep would replace if it ran alone:
+        # rank them by saving, then adopt longest first, else a short key
+        # strands its extensions' tails.
         check_limits(max_macros, max_len)
         low = lower(stream.items)
-        picked = _frequent_keys(low, max_macros, max_len)
-        # longest first, else a short key strands its extensions' tails;
-        # signature strings sort as the key tuples they stand for
+        picked = rank_keys(profitable_keys(low, max_len, "instruction"),
+                           max_macros)
         picked.sort(key=lambda s: (-_width(s), s))
         return _adopt_in_order(low, picked)
     if mode == "exact":
@@ -633,6 +553,8 @@ def compact_source(text: str, mode: str = "greedy",
     instruction address of the plain assembly; the image enters at that
     instruction wherever selection moves it.
     """
+    if not 0 <= max_macros <= isa.MAX_MACROS:
+        raise ValueError(f"macro count must be 0..{isa.MAX_MACROS}")
     if max_macros:
         check_limits(max_macros, max_len)
     t0 = time.perf_counter()

@@ -7,25 +7,33 @@ objective that byte-level selection minimizes; only tests call them.
 Nothing here shares code with the package under test, apart from the
 instruction tables, the one decoder that the reference interpreter
 reads instructions with, and the candidate walk that
-extract_candidates groups by match key.  select_greedy and greedy_select
-are the round-by-round greedy selectors that recount every candidate
-after each adoption; they share the lowering, the full count, the
-ranking and the substitution of the package, and differential tests
-hold the incrementally maintained selectors to their output.
+extract_candidates groups by match key.  Match keys here are tuples
+built from the items, (0, byte) for a literal and (1, symbol) for a
+label reference.  select_greedy and greedy_select are the
+round-by-round greedy selectors that recount every candidate after
+each adoption; they share the lowering, the full count and the
+ranking of the package, substitute by a scan of their own, and
+differential tests hold the incrementally maintained selectors to
+their output.  generate_corpus drives the package's program generator
+but assembles the whole program after every chunk, where
+corpus.generate_corpus sums the sizes of the chunks.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from collections import Counter
+from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
-from macroforge import decode, isa, macros
-from macroforge.asm import MacroByte, Stream
+from macroforge import asm, corpus, decode, isa, macros
+from macroforge.asm import LiteralByte, MacroByte, Stream
 from macroforge.greedy import (_BYTE_ITEMS, CompactionResult, Macro,
                                _byte_stream, _stream_bytes, pick_free_code)
-from macroforge.macros import (StreamMacro, check_limits, lower,
-                               profitable_keys, rank_keys, substitute_stream)
+from macroforge.macros import (Lowered, StreamMacro, check_limits, lower,
+                               profitable_keys, rank_keys)
 
 
 def naive_count(haystack: bytes, needle: bytes) -> int:
@@ -238,17 +246,68 @@ def _best_selection(occs: list[tuple[int, int, int]], i: int, free_from: int) ->
     return value
 
 
+@dataclass(frozen=True)
+class StreamOccurrence:
+    item_start: int
+    item_end: int    # exclusive
+    byte_start: int  # offset from the stream's first byte, widths frozen
+    byte_len: int
+
+
+def match_key(items: list) -> tuple:
+    """The match key of a run of items: (0, byte) for each literal and
+    (1, symbol) for each label reference."""
+    return tuple((0, it.value) if isinstance(it, LiteralByte)
+                 else (1, it.symbol) for it in items)
+
+
 def extract_candidates(stream: Stream, max_len: int,
                        granularity: str = "free"
-                       ) -> dict[tuple, list]:
+                       ) -> dict[tuple, list[StreamOccurrence]]:
     """Every candidate run of 2..max_len bytes, grouped by match key.
 
     Runs are those of macros._walk at the given granularity.  Occurrence lists
     come back in stream order.
     """
-    low = macros.lower(stream.items)
-    return {low.key(s): occs
-            for s, occs in macros._occurrences(low, max_len, granularity).items()}
+    items = stream.items
+    offsets = [0, *accumulate(map(asm.item_width, items))]
+    found: dict[tuple, list[StreamOccurrence]] = {}
+    for t, starts in macros._walk(macros.lower(items), max_len, granularity):
+        for i in starts:
+            found.setdefault(match_key(items[i:i + t]), []).append(
+                StreamOccurrence(i, i + t, offsets[i],
+                                 offsets[i + t] - offsets[i]))
+    return found
+
+
+def substitute_stream(low: Lowered, pattern: str, item
+                      ) -> tuple[Lowered, list | None, int]:
+    """Replace the matches of a signature string by item, scanning left
+    to right and resuming after each match; a match starts where an
+    instruction is fetched.  Returns the new state, the items of the
+    first match (None if nothing matched) and the match count."""
+    cuts = []
+    i = 0
+    while i < len(low.sig):
+        if low.marks[i] == macros._START and low.sig.startswith(pattern, i):
+            cuts.append((i, i + len(pattern), item))
+            i += len(pattern)
+        else:
+            i += 1
+    body = low.items[cuts[0][0]:cuts[0][1]] if cuts else None
+    return low.splice(cuts), body, len(cuts)
+
+
+def generate_corpus(seed: int, min_bytes: int = 8000) -> str:
+    """corpus.generate_corpus as a whole-program loop: after every 60
+    generated steps the whole program is assembled again and measured."""
+    gen = corpus._Gen(random.Random(seed))
+    while True:
+        for _ in range(60):
+            gen.step()
+        text = gen.text()
+        if len(asm.assemble(text).code) >= min_bytes:
+            return text
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +349,8 @@ def select_greedy(stream: Stream, max_macros: int, max_len: int
                 break
             code = isa.MACRO_OPCODE_BASE + len(adopted)
             cur, body, _ = substitute_stream(cur, best[0], MacroByte(code))
-            adopted.append(StreamMacro(code=code, key=cur.key(best[0]),
-                                       items=body, byte_len=nets[best[0]][1]))
+            adopted.append(StreamMacro(code=code, items=body,
+                                       byte_len=nets[best[0]][1]))
     return Stream(cur.items), adopted
 
 

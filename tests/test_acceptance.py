@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from macroforge import asm, corpus, disasm, greedy, optimal
+from macroforge import asm, corpus, decode, disasm, greedy, optimal
 from macroforge.cli import main as cli_main
 from oracles import (
     brute_force_select,
@@ -145,12 +145,12 @@ def test_06_encoding_round_trips(verdict):
     assert again.code == image.code
     for value in range(0x8000):
         enc = asm.encode_literal(value)
-        assert asm.decode_literal(enc, 0) == (value, len(enc))
+        assert decode.decode_literal(enc, 0) == (value, len(enc))
     lhs = 0x1000
     for delta in range(-0x3F, 0x41):
         byte = asm.encode_short_branch(lhs + delta, lhs)
         assert byte is not None and 0x80 <= byte <= 0xFF
-        assert asm.decode_short_branch(byte, lhs) == lhs + delta
+        assert decode.decode_short_branch(byte, lhs) == lhs + delta
     assert asm.encode_short_branch(lhs + 0x41, lhs) is None
     assert asm.encode_short_branch(lhs - 0x40, lhs) is None
     with pytest.raises(asm.LayoutError):

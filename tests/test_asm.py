@@ -6,13 +6,12 @@ from macroforge.asm import (
     LayoutError,
     assemble,
     assemble_stream,
-    decode_literal,
-    decode_short_branch,
     encode_literal,
     encode_short_branch,
     parse_source,
     print_program,
 )
+from macroforge.decode import decode_literal, decode_short_branch
 from macroforge.objfile import FLAG_RAW, MacroEntry, ObjectError, ObjectImage
 
 

@@ -109,6 +109,16 @@ def test_compact_zero_macros_is_identity(tmp_path, capsys):
     assert report_from(out)["macroCount"] == 0
 
 
+@pytest.mark.parametrize("command", ["compact", "verify"])
+def test_negative_macro_count_is_a_usage_error(tmp_path, capsys, command):
+    src = write(tmp_path, "p.mcrl", COUNTER)
+    rc, out, err = run_cli(capsys, command, src, "--max-macros", -1)
+    assert rc == 2
+    assert err == "error: macro count must be 0..176\n"
+    assert out == ""
+    assert not (tmp_path / "p.mco").exists()
+
+
 def test_compact_rejects_object_input(tmp_path, capsys):
     src = write(tmp_path, "p.mcrl", COUNTER)
     obj = tmp_path / "p.mco"

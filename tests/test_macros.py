@@ -9,20 +9,15 @@ from macroforge.asm import (
     assemble_stream,
 )
 from macroforge.macros import (
-    StreamOccurrence,
-    apply_macro_set,
     compact_source,
     compact_stream,
-    key_width,
     lower,
-    select_by_instruction_frequency,
     select_exact,
     select_greedy,
-    substitute_stream,
 )
 from macroforge.optimal import BudgetError
 
-from oracles import extract_candidates
+from oracles import extract_candidates, match_key
 
 
 def stream_for(text, origin=0x100):
@@ -82,8 +77,8 @@ def test_relaxed_branch_byte_blocks_run():
 
 def test_macro_byte_blocks_run():
     low = lower(stream_for("       NOP\n" * 6).items)
-    out, _, count = substitute_stream(low, "\x01\x01", MacroByte(0x50))
-    assert count == 3
+    out, spans = low.substitute("\x01\x01", MacroByte(0x50))
+    assert spans == [(0, 2), (2, 4), (4, 6)]
     assert extract_candidates(Stream(out.items), 8) == {}
 
 
@@ -114,77 +109,66 @@ def test_extract_rejects_bad_arguments():
         extract_candidates(stream, 8, granularity="word")
 
 
-# --- applying a macro set ---------------------------------------------------
+# --- frequency selection ----------------------------------------------------
+
+def objective(out, adopted):
+    return out.byte_size() + sum(m.byte_len for m in adopted)
+
 
 def test_apply_replaces_both_push_sites():
     stream = stream_for(PUSH_TWICE)
-    out, adopted = apply_macro_set(stream, [PUSH_KEY])
+    out, adopted = compact_stream(stream, "freq", 176, 20)
     marks = [it for it in out.items if isinstance(it, MacroByte)]
     assert [m.code for m in marks] == [0x50, 0x50]
     assert len(adopted) == 1
     assert adopted[0].code == 0x50
+    assert match_key(adopted[0].items) == PUSH_KEY
     assert adopted[0].byte_len == 4
-    assert key_width(PUSH_KEY) == 4
 
 
 def test_apply_empty_set_is_identity():
+    # at max_len 3 the push no longer fits and its prefix saves nothing
     stream = stream_for(PUSH_TWICE)
-    out, adopted = apply_macro_set(stream, [])
+    out, adopted = compact_stream(stream, "freq", 176, 3)
     assert out.items == stream.items
     assert adopted == []
 
 
-def test_apply_rejects_oversized_set():
-    stream = stream_for(PUSH_TWICE)
-    fake = [(lit(i), lit(0)) for i in range(177)]
-    with pytest.raises(ValueError):
-        apply_macro_set(stream, fake)
-
-
-def test_apply_rejects_malformed_key():
-    stream = stream_for(PUSH_TWICE)
-    with pytest.raises(ValueError):
-        apply_macro_set(stream, [((2, "x"),)])
-    with pytest.raises(ValueError):
-        apply_macro_set(stream, [()])
-
-
 def test_apply_skips_key_that_stopped_paying():
-    # the two =63 sites left for the prefix no longer cover its entry
+    # the two best keys are the =4F instruction and the prefix it shares
+    # with =63; the two =63 sites left for the prefix no longer cover its
+    # entry
     text = ("       MOV =4F, WA\n"
             "       MOV =63, WA\n"
             "       MOV =4F, WA\n"
             "       MOV =63, WA\n")
     stream = stream_for(text)
     full = (lit(0x32), lit(0x0B), lit(0xCF))
-    prefix = (lit(0x32), lit(0x0B))
-    out, adopted = apply_macro_set(stream, [full, prefix])
-    assert [m.key for m in adopted] == [full]
-    assert out.byte_size() + sum(m.byte_len for m in adopted) == 11
+    out, adopted = compact_stream(stream, "freq", 2, 20)
+    assert [match_key(m.items) for m in adopted] == [full]
+    assert objective(out, adopted) == 11
 
 
 def test_apply_skips_single_occurrence():
     stream = stream_for("       MOV XR, -(XS)\n       HLT\n")
-    out, adopted = apply_macro_set(stream, [(lit(0x32), lit(0x94))])
+    out, adopted = compact_stream(stream, "freq", 176, 20)
     assert adopted == []
     assert out.items == stream.items
 
 
-# --- frequency selection ----------------------------------------------------
-
 def test_frequency_scores_repeated_instruction():
     text = "       MOV XR, -(XS)\n" * 10 + "       HLT\n"
-    stream = stream_for(text)
-    picked = select_by_instruction_frequency(stream, 176, 20)
-    assert picked == [(lit(0x32), lit(0x94))]
-    out, adopted = apply_macro_set(stream, picked)
+    out, adopted = compact_stream(stream_for(text), "freq", 176, 20)
+    assert [match_key(m.items) for m in adopted] == [(lit(0x32), lit(0x94))]
     # saving (2-1)*(10-1) - 1 = 8 off the 21-byte input
-    assert out.byte_size() + sum(m.byte_len for m in adopted) == 13
+    assert objective(out, adopted) == 13
 
 
 def test_frequency_excludes_single_occurrence():
     text = "       MOV XR, -(XS)\n       OUT WA\n       HLT\n"
-    assert select_by_instruction_frequency(stream_for(text), 176, 20) == []
+    out, adopted = compact_stream(stream_for(text), "freq", 176, 20)
+    assert adopted == []
+    assert out.byte_size() == 5
 
 
 def test_frequency_caps_at_opcode_space():
@@ -193,25 +177,37 @@ def test_frequency_caps_at_opcode_space():
         lines += [f"       MOV ={v:X}, WA"] * 3
         lines += [f"       MOV ={v:X}, WB"] * 3
     stream = stream_for("\n".join(lines) + "\n")
-    picked = select_by_instruction_frequency(stream, 176, 20)
-    assert len(picked) == 176
-    # the pooled two-byte prefixes outscore every full instruction
-    assert picked[0] == (lit(0x32), lit(0x0B))
-    assert picked[1] == (lit(0x32), lit(0x1B))
+    out, adopted = compact_stream(stream, "freq", 176, 20)
+    # 202 keys pay and 176 are ranked: the pooled two-byte prefixes
+    # outscore every full instruction, then ties fall to the smaller key,
+    # so all 100 WA instructions and 74 WB ones.  Longest first, the
+    # WA prefix is left with nothing; the WB prefix takes the 26 WB
+    # instructions that missed the cut.
+    keys = [match_key(m.items) for m in adopted]
+    assert len(keys) == 175
+    assert [m.code for m in adopted] == list(range(0x50, 0x50 + 175))
+    assert sum(m.byte_len == 3 for m in adopted) == 174
+    assert sum(k[:2] == (lit(0x32), lit(0x1B)) for k in keys) == 75
+    assert keys[-1] == (lit(0x32), lit(0x1B))
+    # 600 three-byte sites: 522 shrink by 2, the WB prefix's 78 by 1
+    assert objective(out, adopted) == 600 * 3 - 522 * 2 - 78 + 174 * 3 + 2
 
 
 def test_frequency_ties_fall_to_the_smaller_symbol():
     # ZZ is referenced first, yet the keys rank by symbol name
     text = ("ZZ     NOP\nGG     NOP\n"
             + "       MOV =ZZ, -(XS)\n" * 2 + "       MOV =GG, -(XS)\n" * 2)
-    picked = select_by_instruction_frequency(stream_for(text), 176, 20)
-    assert picked[:2] == [(lit(0x32), lit(0x9B), ref("GG")),
-                          (lit(0x32), lit(0x9B), ref("ZZ"))]
+    stream = stream_for(text)
+    gg = (lit(0x32), lit(0x9B), ref("GG"))
+    zz = (lit(0x32), lit(0x9B), ref("ZZ"))
+    _, adopted = compact_stream(stream, "freq", 1, 20)
+    assert [match_key(m.items) for m in adopted] == [gg]
+    _, adopted = compact_stream(stream, "freq", 176, 20)
+    assert [match_key(m.items) for m in adopted] == [gg, zz]
 
 
 def test_frequency_ignores_multi_instruction_runs():
     stream = stream_for("       NOP\n" * 6)
-    assert select_by_instruction_frequency(stream, 176, 20) == []
     out, adopted = compact_stream(stream, "freq", 176, 20)
     assert adopted == []
     assert out.byte_size() == 6
@@ -225,10 +221,9 @@ def test_freq_compaction_lowers_once(monkeypatch):
                   lambda items: calls.append(len(items)) or real(items))
         got = compact_stream(stream, "freq", 176, 20)
     assert calls == [len(stream.items)]
-    # the same as ranking, then applying longest first
-    picked = select_by_instruction_frequency(stream, 176, 20)
-    picked.sort(key=lambda k: (-key_width(k), k))
-    assert got == apply_macro_set(stream, picked)
+    # ranked keys are applied longest first, each to what is left
+    widths = [m.byte_len for m in got[1]]
+    assert widths == sorted(widths, reverse=True)
     assert len(got[1]) > 5
 
 
@@ -270,7 +265,7 @@ def test_selector_limits():
         with pytest.raises(ValueError):
             select_greedy(stream, bad, 20)
         with pytest.raises(ValueError):
-            select_by_instruction_frequency(stream, bad, 20)
+            compact_stream(stream, "freq", bad, 20)
     with pytest.raises(ValueError):
         compact_stream(stream, "middle-out", 8, 20)
 
@@ -287,11 +282,12 @@ def brute_best_objective(stream, max_macros, max_len):
             occs.append((o.byte_start, o.byte_start + o.byte_len - 1,
                          o.byte_len, key))
     occs.sort()
+    width = {key: blen for _, _, blen, key in occs}
     best = total
 
     def walk(idx, free_from, keys, saved):
         nonlocal best
-        table = sum(key_width(k) for k in keys)
+        table = sum(width[k] for k in keys)
         if total - saved + table < best:
             best = total - saved + table
         if idx == len(occs):
@@ -331,7 +327,7 @@ def test_exact_adopts_only_macros_that_pay(monkeypatch):
         for m in macros:
             f = sum(isinstance(it, MacroByte) and it.code == m.code
                     for it in out.items)
-            assert f * (m.byte_len - 1) - m.byte_len > 0, (seed, m.key)
+            assert f * (m.byte_len - 1) - m.byte_len > 0, (seed, m.items)
         adopted += len(macros)
     assert adopted == 24
 

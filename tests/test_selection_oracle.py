@@ -135,6 +135,20 @@ def test_each_stage_walks_the_stream_once(monkeypatch, criterion_corpus):
     assert walks == ["free", "free"]
 
 
+def test_exact_and_freq_walk_the_stream_once(monkeypatch):
+    walks = count_walks(monkeypatch)
+    text = corpus.generate_program(0, min_instructions=6)
+    monkeypatch.setenv("MACROFORGE_BUDGET", str(10 ** 18))
+    _, info = compact_source(text, mode="exact", max_macros=2, max_len=4)
+    assert info["macro_count"] == 2
+    assert walks == ["free"]
+
+    walks.clear()
+    _, info = compact_source(text, mode="freq")
+    assert info["macro_count"] > 2
+    assert walks == ["instruction"]
+
+
 def test_no_free_opcode_needs_no_walk(monkeypatch):
     walks = count_walks(monkeypatch)
     data = bytes(range(0x50, 0x100)) * 2
