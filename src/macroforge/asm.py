@@ -19,12 +19,23 @@ one line:
 +LABEL and -LABEL mark a branch target eligible for the one-byte
 PC-relative short form; the assembler relaxes it when the distance fits
 and quietly keeps the absolute form when it does not.
+
+Interpretive code repeats the same instruction text many times, so the
+per-program passes work once per distinct text: parse_source parses
+each distinct text once and translate_program encodes it once, sharing
+the literal bytes and giving each site fresh LabelRefs.  Relaxation
+runs over an array of item widths (Szymanski, "Assembling code for
+machines with span-dependent instructions", CACM 1978): addresses are
+its running sums, each pass visits only the refs still pending, and a
+ref that relaxes drops to width 1 and leaves the pending set for good.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from . import isa
 from .objfile import ObjectImage
@@ -104,7 +115,9 @@ class Instruction:
     label: str | None
     mnemonic: str
     operands: list
-    line_no: int = field(default=0, compare=False)
+    line_no: int = field(compare=False)
+    # the source text after the label; translate_program keys its memo by it
+    text: str = field(compare=False, repr=False)
 
 
 _HEX_ITEM = re.compile(r"^[0-9A-F]{2}([0-9A-F]{2})?$")
@@ -180,15 +193,21 @@ def _parse_operand(tok: str, line_no: int) -> Operand:
 
 
 def parse_source(text: str) -> list[Instruction]:
-    """Parse assembly text into instructions (symbols unresolved)."""
+    """Parse assembly text into instructions (symbols unresolved).
+
+    Each distinct instruction text (the line after its label) is parsed
+    once per call; every line that repeats it shares the parsed mnemonic
+    and operands.  Labels and line numbers stay per line.
+    """
     out: list[Instruction] = []
     seen_labels: dict[str, int] = {}
+    parsed: dict[str, tuple[str, list]] = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.rstrip()
-        if not line.strip() or line.lstrip().startswith(("*", ";")):
+        line = raw_line.strip()
+        if not line or line[0] in "*;":
             continue
         label = None
-        if not line[0].isspace():
+        if not raw_line[0].isspace():
             head, *rest = line.split(None, 1)
             label = head.upper()
             line = rest[0] if rest else ""
@@ -198,31 +217,39 @@ def parse_source(text: str) -> list[Instruction]:
                 raise AsmError(f"line {line_no}: duplicate label {label!r} "
                                f"(first defined on line {seen_labels[label]})")
             seen_labels[label] = line_no
-        words = line.split()
-        if not words:
-            raise AsmError(f"line {line_no}: label without instruction")
-        mnemonic = words[0].upper()
-        if mnemonic not in isa.OPCODES:
-            raise AsmError(f"line {line_no}: unknown mnemonic {mnemonic!r}")
-        # Operand words continue while each ends with a comma; whatever
-        # follows the last one is a comment.  Mnemonics that take nothing
-        # have no operand field at all, only comment.
-        tokens: list[str] = []
-        i = 1 if isa.SIGNATURES[mnemonic] else len(words)
-        while i < len(words):
-            w = words[i].upper()
-            i += 1
-            more = w.endswith(",")
-            tokens.append(w.rstrip(","))
-            if not more:
-                break
-        operands = []
-        for tok in ",".join(tokens).split(","):
-            if tok:
-                operands.append(_parse_operand(tok, line_no))
-        _check_style_mix(operands, line_no)
-        out.append(Instruction(label, mnemonic, operands, line_no))
+        hit = parsed.get(line)
+        if hit is None:
+            hit = parsed[line] = _parse_instruction(line, line_no)
+        out.append(Instruction(label, hit[0], hit[1], line_no, line))
     return out
+
+
+def _parse_instruction(line: str, line_no: int) -> tuple[str, list]:
+    """(mnemonic, operands) of one instruction text, label removed."""
+    words = line.split()
+    if not words:
+        raise AsmError(f"line {line_no}: label without instruction")
+    mnemonic = words[0].upper()
+    if mnemonic not in isa.OPCODES:
+        raise AsmError(f"line {line_no}: unknown mnemonic {mnemonic!r}")
+    # Operand words continue while each ends with a comma; whatever
+    # follows the last one is a comment.  Mnemonics that take nothing
+    # have no operand field at all, only comment.
+    tokens: list[str] = []
+    i = 1 if isa.SIGNATURES[mnemonic] else len(words)
+    while i < len(words):
+        w = words[i].upper()
+        i += 1
+        more = w.endswith(",")
+        tokens.append(w.rstrip(","))
+        if not more:
+            break
+    operands = []
+    for tok in ",".join(tokens).split(","):
+        if tok:
+            operands.append(_parse_operand(tok, line_no))
+    _check_style_mix(operands, line_no)
+    return mnemonic, operands
 
 
 def _check_style_mix(operands: list, line_no: int) -> None:
@@ -385,11 +412,30 @@ def _raw_items(o: Operand) -> list:
 
 
 def translate_program(instructions: list) -> Stream:
+    """Stream items for parsed instructions, labels as LabelDefs.
+
+    Each distinct instruction text is encoded once per call.  Its
+    literal bytes are shared by every site, since nothing mutates them,
+    but each site gets LabelRefs of its own: layout relaxes refs per
+    site.
+    """
     items: list = []
+    extend = items.extend
+    encoded: dict[str, tuple[list, list[int]]] = {}
     for inst in instructions:
         if inst.label:
             items.append(LabelDef(inst.label))
-        items.extend(translate_mnemonic(inst))
+        hit = encoded.get(inst.text)
+        if hit is None:
+            template = translate_mnemonic(inst)
+            hit = encoded[inst.text] = (template, [
+                i for i, it in enumerate(template) if type(it) is LabelRef])
+        template, refs = hit
+        base = len(items)
+        extend(template)
+        for i in refs:
+            ref = template[i]
+            items[base + i] = LabelRef(ref.symbol, ref.relaxable)
     return Stream(items)
 
 
@@ -408,79 +454,85 @@ def layout_and_resolve(stream: Stream, origin: int = isa.DEFAULT_ORIGIN,
                        relax: bool = True) -> Layout:
     """Assign addresses, resolve symbols, relax eligible branch refs.
 
-    Relaxation iterates to a fixpoint: each pass measures every relaxable
-    ref against the current addresses and shrinks the in-range ones, which
-    only moves code down, so passes strictly shrink and terminate.  Items
-    already relaxed are never widened back.
+    Item widths are taken once into an array.  Each relaxation pass
+    takes addresses as running sums of the widths, measures every
+    pending relaxable ref against them, and gives the in-range ones
+    width 1.  Shrinking only moves code down, so a ref that fits stays
+    in range; pending refs only leave the set, and the passes stop at
+    the first that relaxes none.  Refs already relaxed are never widened
+    back.
     """
     items = stream.items
-    guard = len(items) + 2
-    for _ in range(guard):
-        addresses, symbols = _measure(items, origin)
-        if not relax:
-            break
-        changed = False
-        for i, it in enumerate(items):
-            if isinstance(it, LabelRef):
-                if it.symbol not in symbols:
-                    raise LayoutError(f"undefined label {it.symbol!r}")
-                if it.relaxable and not it.relaxed:
-                    short = encode_short_branch(symbols[it.symbol], addresses[i])
-                    if short is not None:
-                        it.relaxed = True
-                        changed = True
-        if not changed:
-            break
-    else:
-        raise LayoutError("branch relaxation failed to converge")
-    for it, addr in zip(items, addresses):
-        if isinstance(it, LabelRef) and it.symbol not in symbols:
-            raise LayoutError(f"undefined label {it.symbol!r}")
-        if isinstance(it, LabelDef) and symbols[it.symbol] >= isa.LABEL_LIMIT:
-            raise LayoutError(f"label {it.symbol!r} resolves to "
-                              f"{symbols[it.symbol]:#06x}, beyond "
-                              f"{isa.LABEL_LIMIT:#06x}")
-    size = (addresses[-1] + item_width(items[-1]) - origin) if items else 0
-    if origin + size > 0x10000:
-        raise LayoutError("program runs past the end of memory")
-    return Layout(origin=origin, addresses=addresses, symbols=symbols, size=size)
-
-
-def _measure(items: list, origin: int) -> tuple[list[int], dict[str, int]]:
-    addresses = []
-    symbols: dict[str, int] = {}
-    addr = origin
-    for it in items:
-        addresses.append(addr)
-        if isinstance(it, LabelDef):
-            if it.symbol in symbols:
+    widths: list[int] = []
+    defs: dict[str, int] = {}  # symbol -> index of its LabelDef
+    refs: list[int] = []
+    for i, it in enumerate(items):
+        kind = type(it)
+        if kind is LabelRef:
+            widths.append(1 if it.relaxed else 2)
+            refs.append(i)
+        elif kind is LabelDef:
+            widths.append(0)
+            if it.symbol in defs:
                 raise LayoutError(f"duplicate label {it.symbol!r}")
-            symbols[it.symbol] = addr
-        addr += item_width(it)
-    return addresses, symbols
+            defs[it.symbol] = i
+        else:
+            widths.append(1)
+    for i in refs:
+        if items[i].symbol not in defs:
+            raise LayoutError(f"undefined label {items[i].symbol!r}")
+    pending = [i for i in refs
+               if items[i].relaxable and not items[i].relaxed] if relax else []
+    while True:
+        addresses = list(accumulate(widths, initial=origin))
+        still = []
+        for i in pending:
+            it = items[i]
+            if encode_short_branch(addresses[defs[it.symbol]],
+                                   addresses[i]) is None:
+                still.append(i)
+            else:
+                it.relaxed = True
+                widths[i] = 1
+        if len(still) == len(pending):
+            break
+        pending = still
+    end = addresses.pop()
+    symbols = {sym: addresses[i] for sym, i in defs.items()}
+    for sym, addr in symbols.items():
+        if addr >= isa.LABEL_LIMIT:
+            raise LayoutError(f"label {sym!r} resolves to {addr:#06x}, "
+                              f"beyond {isa.LABEL_LIMIT:#06x}")
+    if end > 0x10000:
+        raise LayoutError("program runs past the end of memory")
+    return Layout(origin=origin, addresses=addresses, symbols=symbols,
+                  size=end - origin)
 
 
 def resolve_stream(stream: Stream, layout: Layout) -> bytes:
     """Final byte image of the main stream."""
     out = bytearray()
+    append = out.append
+    symbols = layout.symbols
     for it, addr in zip(stream.items, layout.addresses):
-        if isinstance(it, LabelDef):
+        kind = type(it)
+        if kind is LiteralByte:
+            append(it.value)
+        elif kind is LabelDef:
             continue
-        if isinstance(it, LiteralByte):
-            out.append(it.value)
-        elif isinstance(it, MacroByte):
-            out.append(it.code)
+        elif kind is MacroByte:
+            append(it.code)
         else:
-            target = layout.symbols[it.symbol]
+            target = symbols[it.symbol]
             if it.relaxed:
                 short = encode_short_branch(target, addr)
                 if short is None:
                     raise LayoutError(f"relaxed branch to {it.symbol!r} fell "
                                       "out of short range")
-                out.append(short)
+                append(short)
             else:
-                out.append(target >> 8)
-                out.append(target & 0xFF)
+                append(target >> 8)
+                append(target & 0xFF)
     return bytes(out)
 
 
@@ -514,7 +566,25 @@ def assemble_stream(text: str, origin: int = isa.DEFAULT_ORIGIN
     return stream, layout
 
 
-def resolve_entry(layout: Layout, entry: int | str | None) -> int:
+def instruction_at(stream: Stream, layout: Layout, address: int) -> int:
+    """Index of the stream item that starts the instruction at address."""
+    if not layout.origin <= address < layout.origin + layout.size:
+        raise LayoutError(f"entry {address:#06x} outside the {layout.size}-"
+                          f"byte code at {layout.origin:#06x}")
+    addresses = layout.addresses
+    for i in range(bisect_left(addresses, address), len(addresses)):
+        if addresses[i] != address:
+            break
+        if stream.items[i].op_start:
+            return i
+    raise LayoutError(f"entry {address:#06x} is not the start of an "
+                      "instruction")
+
+
+def resolve_entry(stream: Stream, layout: Layout,
+                  entry: int | str | None) -> int:
+    """Entry address: the origin by default, else a label's address or a
+    hex address, which must start an instruction."""
     if entry is None:
         return layout.origin
     if isinstance(entry, str):
@@ -522,9 +592,7 @@ def resolve_entry(layout: Layout, entry: int | str | None) -> int:
         if name not in layout.symbols:
             raise LayoutError(f"entry label {entry!r} is not defined")
         return layout.symbols[name]
-    if not layout.origin <= entry < layout.origin + layout.size:
-        raise LayoutError(f"entry {entry:#06x} outside the {layout.size}-byte "
-                          f"code at {layout.origin:#06x}")
+    instruction_at(stream, layout, entry)
     return entry
 
 
@@ -533,6 +601,6 @@ def assemble(text: str, origin: int = isa.DEFAULT_ORIGIN,
     """Assemble source text into an object image (no macros)."""
     stream, layout = assemble_stream(text, origin)
     img = ObjectImage(code=resolve_stream(stream, layout), origin=origin,
-                      entry=resolve_entry(layout, entry))
+                      entry=resolve_entry(stream, layout, entry))
     img.validate()
     return img

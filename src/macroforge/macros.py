@@ -526,19 +526,6 @@ def compact_stream(stream: Stream, mode: str, max_macros: int, max_len: int
 _ENTRY_PIN = asm.LabelDef("(entry)")
 
 
-def _pin_entry(stream: Stream, layout: asm.Layout, entry: int) -> None:
-    """Put the entry marker before the instruction that starts at the
-    plain-code address entry.  A label ends every macro run, so that
-    instruction stays a start through selection, wherever it moves."""
-    asm.resolve_entry(layout, entry)
-    for i, (item, addr) in enumerate(zip(stream.items, layout.addresses)):
-        if addr == entry and item.op_start:
-            stream.items.insert(i, _ENTRY_PIN)
-            return
-    raise asm.LayoutError(f"entry {entry:#06x} is not the start of an "
-                          "instruction")
-
-
 def compact_source(text: str, mode: str = "greedy",
                    max_macros: int = isa.MAX_MACROS, max_len: int = 20,
                    origin: int = isa.DEFAULT_ORIGIN,
@@ -562,7 +549,10 @@ def compact_source(text: str, mode: str = "greedy",
     input_bytes = layout.size
     pinned = isinstance(entry, int)
     if pinned:
-        _pin_entry(stream, layout, entry)
+        # A label ends every macro run, so the instruction after the
+        # marker stays a start through selection, wherever it moves.
+        stream.items.insert(asm.instruction_at(stream, layout, entry),
+                            _ENTRY_PIN)
     t1 = time.perf_counter()
     if max_macros == 0:
         out, macros = stream, []
@@ -579,7 +569,8 @@ def compact_source(text: str, mode: str = "greedy",
     entries = [MacroEntry(code=m.code, body=asm.bake_body(m.items, final))
                for m in macros]
     image = ObjectImage(code=code, origin=origin,
-                        entry=asm.resolve_entry(final, entry), macros=entries)
+                        entry=asm.resolve_entry(out, final, entry),
+                        macros=entries)
     image.validate()
     t3 = time.perf_counter()
     table_bytes = sum(len(e.body) for e in entries)

@@ -17,6 +17,11 @@ differential tests hold the incrementally maintained selectors to
 their output.  generate_corpus drives the package's program generator
 but assembles the whole program after every chunk, where
 corpus.generate_corpus sums the sizes of the chunks.
+reference_assemble_stream parses, encodes and lays out every line on
+its own, where the package works once per distinct instruction text
+and relaxes over a width array; it shares the operand parser and the
+per-instruction encoder with the package.  reference_resolve_stream
+emits the bytes by isinstance tests.
 """
 
 from __future__ import annotations
@@ -29,7 +34,11 @@ from itertools import accumulate
 from typing import Iterable, Sequence
 
 from macroforge import asm, corpus, decode, isa, macros
-from macroforge.asm import LiteralByte, MacroByte, Stream
+from macroforge.asm import (AsmError, Instruction, LabelDef, LabelRef, Layout,
+                            LayoutError, LiteralByte, MacroByte, Stream,
+                            _bad_label, _check_style_mix, _is_label,
+                            _parse_operand, encode_short_branch, item_width,
+                            translate_mnemonic)
 from macroforge.greedy import (_BYTE_ITEMS, CompactionResult, Macro,
                                _byte_stream, _stream_bytes, pick_free_code)
 from macroforge.macros import (Lowered, StreamMacro, check_limits, lower,
@@ -386,6 +395,155 @@ def greedy_select(data: Sequence[int], max_macros: int, max_len: int,
     residual = _stream_bytes(cur.items)
     objective = len(residual) + sum(len(m.body) for m in macros)
     return CompactionResult(macros=macros, residual=residual, objective=objective)
+
+
+# ---------------------------------------------------------------------------
+# Assembler passes that redo every line and re-measure every item
+
+def reference_parse_source(text: str) -> list[Instruction]:
+    """Parse assembly text into instructions (symbols unresolved)."""
+    out: list[Instruction] = []
+    seen_labels: dict[str, int] = {}
+    for line_no, raw_line in enumerate(text.splitlines(), start=1):
+        line = raw_line.rstrip()
+        if not line.strip() or line.lstrip().startswith(("*", ";")):
+            continue
+        label = None
+        if not line[0].isspace():
+            head, *rest = line.split(None, 1)
+            label = head.upper()
+            line = rest[0] if rest else ""
+            if not _is_label(label):
+                raise _bad_label(label, line_no)
+            if label in seen_labels:
+                raise AsmError(f"line {line_no}: duplicate label {label!r} "
+                               f"(first defined on line {seen_labels[label]})")
+            seen_labels[label] = line_no
+        words = line.split()
+        if not words:
+            raise AsmError(f"line {line_no}: label without instruction")
+        mnemonic = words[0].upper()
+        if mnemonic not in isa.OPCODES:
+            raise AsmError(f"line {line_no}: unknown mnemonic {mnemonic!r}")
+        # Operand words continue while each ends with a comma; whatever
+        # follows the last one is a comment.  Mnemonics that take nothing
+        # have no operand field at all, only comment.
+        tokens: list[str] = []
+        i = 1 if isa.SIGNATURES[mnemonic] else len(words)
+        while i < len(words):
+            w = words[i].upper()
+            i += 1
+            more = w.endswith(",")
+            tokens.append(w.rstrip(","))
+            if not more:
+                break
+        operands = []
+        for tok in ",".join(tokens).split(","):
+            if tok:
+                operands.append(_parse_operand(tok, line_no))
+        _check_style_mix(operands, line_no)
+        out.append(Instruction(label, mnemonic, operands, line_no, line))
+    return out
+
+
+def reference_translate_program(instructions: list) -> Stream:
+    items: list = []
+    for inst in instructions:
+        if inst.label:
+            items.append(LabelDef(inst.label))
+        items.extend(translate_mnemonic(inst))
+    return Stream(items)
+
+
+def reference_layout_and_resolve(stream: Stream,
+                                 origin: int = isa.DEFAULT_ORIGIN,
+                                 relax: bool = True) -> Layout:
+    """Assign addresses, resolve symbols, relax eligible branch refs.
+
+    Relaxation iterates to a fixpoint: each pass measures every relaxable
+    ref against the current addresses and shrinks the in-range ones, which
+    only moves code down, so passes strictly shrink and terminate.  Items
+    already relaxed are never widened back.
+    """
+    items = stream.items
+    guard = len(items) + 2
+    for _ in range(guard):
+        addresses, symbols = _reference_measure(items, origin)
+        if not relax:
+            break
+        changed = False
+        for i, it in enumerate(items):
+            if isinstance(it, LabelRef):
+                if it.symbol not in symbols:
+                    raise LayoutError(f"undefined label {it.symbol!r}")
+                if it.relaxable and not it.relaxed:
+                    short = encode_short_branch(symbols[it.symbol], addresses[i])
+                    if short is not None:
+                        it.relaxed = True
+                        changed = True
+        if not changed:
+            break
+    else:
+        raise LayoutError("branch relaxation failed to converge")
+    for it, addr in zip(items, addresses):
+        if isinstance(it, LabelRef) and it.symbol not in symbols:
+            raise LayoutError(f"undefined label {it.symbol!r}")
+        if isinstance(it, LabelDef) and symbols[it.symbol] >= isa.LABEL_LIMIT:
+            raise LayoutError(f"label {it.symbol!r} resolves to "
+                              f"{symbols[it.symbol]:#06x}, beyond "
+                              f"{isa.LABEL_LIMIT:#06x}")
+    size = (addresses[-1] + item_width(items[-1]) - origin) if items else 0
+    if origin + size > 0x10000:
+        raise LayoutError("program runs past the end of memory")
+    return Layout(origin=origin, addresses=addresses, symbols=symbols, size=size)
+
+
+def _reference_measure(items: list, origin: int
+                       ) -> tuple[list[int], dict[str, int]]:
+    addresses = []
+    symbols: dict[str, int] = {}
+    addr = origin
+    for it in items:
+        addresses.append(addr)
+        if isinstance(it, LabelDef):
+            if it.symbol in symbols:
+                raise LayoutError(f"duplicate label {it.symbol!r}")
+            symbols[it.symbol] = addr
+        addr += item_width(it)
+    return addresses, symbols
+
+
+def reference_resolve_stream(stream: Stream, layout: Layout) -> bytes:
+    """Final byte image of the main stream, by isinstance tests."""
+    out = bytearray()
+    for it, addr in zip(stream.items, layout.addresses):
+        if isinstance(it, LabelDef):
+            continue
+        if isinstance(it, LiteralByte):
+            out.append(it.value)
+        elif isinstance(it, MacroByte):
+            out.append(it.code)
+        else:
+            target = layout.symbols[it.symbol]
+            if it.relaxed:
+                short = encode_short_branch(target, addr)
+                if short is None:
+                    raise LayoutError(f"relaxed branch to {it.symbol!r} fell "
+                                      "out of short range")
+                out.append(short)
+            else:
+                out.append(target >> 8)
+                out.append(target & 0xFF)
+    return bytes(out)
+
+
+def reference_assemble_stream(text: str, origin: int = isa.DEFAULT_ORIGIN
+                              ) -> tuple[Stream, Layout]:
+    """asm.assemble_stream with nothing shared between lines: every
+    line is parsed and encoded on its own, and every relaxation pass
+    measures every item again."""
+    stream = reference_translate_program(reference_parse_source(text))
+    return stream, reference_layout_and_resolve(stream, origin)
 
 
 # ---------------------------------------------------------------------------

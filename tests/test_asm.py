@@ -168,6 +168,19 @@ def test_plain_label_ref_is_never_relaxed():
     assert code_for(text) == bytes([0x1C, 0x02, 0x0A, 0xB2, 0x85, 0x01, 0x00])
 
 
+def test_repeated_branch_text_relaxes_per_site():
+    # one text, parsed and encoded once, at a near and a far site
+    lines = ["      BRN +L1", "L1    NOP"] + ["      NOP"] * 0x40
+    lines += ["      BRN +L1", "      HLT"]
+    stream, layout = assemble_stream("\n".join(lines))
+    refs = [it for it in stream.items if isinstance(it, asm.LabelRef)]
+    assert [r.relaxed for r in refs] == [True, False]
+    assert refs[0] is not refs[1]
+    code = asm.resolve_stream(stream, layout)
+    assert code[:4] == bytes([0x03, 0x0C, 0xBF, 0x01])
+    assert code[-5:] == bytes([0x03, 0x0C, 0x01, 0x03, 0x00])
+
+
 # --- parsing ---------------------------------------------------------------
 
 def test_parse_print_round_trip():
@@ -227,6 +240,23 @@ def test_number_errors_keep_their_texts():
 def test_duplicate_label_reports_both_lines():
     with pytest.raises(AsmError, match="line 2.*line 1"):
         parse_source("L1 NOP\nL1 HLT\n")
+
+
+def test_repeated_bad_line_reports_its_first_line():
+    for bad in ("MOV =8000, WA", "MOV WA, =5"):  # parse, then encode error
+        text = f"      HLT\n      {bad}\nL1    {bad}\n"
+        with pytest.raises(AsmError, match="^line 2: "):
+            assemble(text)
+
+
+def test_repeated_text_under_different_labels():
+    text = "ONE   OUT =5\nTWO   OUT =5\nTHREE OUT =5\n      BRN TWO\n"
+    assert [i.label for i in parse_source(text)] == ["ONE", "TWO", "THREE",
+                                                     None]
+    stream, layout = assemble_stream(text)
+    assert layout.symbols == {"ONE": 0x100, "TWO": 0x103, "THREE": 0x106}
+    assert asm.resolve_stream(stream, layout) == bytes(
+        [0x40, 0x0B, 0x85] * 3 + [0x03, 0x0C, 0x01, 0x03])
 
 
 def test_unknown_mnemonic():

@@ -146,6 +146,18 @@ def test_entry_outside_code_is_rejected(tmp_path, capsys, command, entry):
     assert not (tmp_path / "o.mco").exists()
 
 
+@pytest.mark.parametrize("command", ["asm", "compact"])
+def test_hex_entry_inside_an_instruction_is_rejected(tmp_path, capsys,
+                                                     command):
+    src = write(tmp_path, "e.s", "       MOV =22, XR\n       OUT =26\n"
+                "       HLT\n")
+    rc, _, err = run_cli(capsys, command, src, "--out", tmp_path / "o.mco",
+                         "--entry", "101")
+    assert rc == 2
+    assert "entry 0x0101 is not the start of an instruction" in err
+    assert not (tmp_path / "o.mco").exists()
+
+
 def test_entry_inside_code_is_accepted(tmp_path, capsys):
     src = write(tmp_path, "p.mcrl", COUNTER)
     obj = tmp_path / "o.mco"
