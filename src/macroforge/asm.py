@@ -260,16 +260,6 @@ def _check_style_mix(operands: list, line_no: int) -> None:
                        "cannot be mixed on one line")
 
 
-def print_program(instructions: list) -> str:
-    """Canonical text for parsed instructions; parse(print(p)) == p."""
-    lines = []
-    for inst in instructions:
-        ops = ", ".join(_print_operand(o) for o in inst.operands)
-        head = f"{inst.label:<7}" if inst.label else "       "
-        lines.append(f"{head}{inst.mnemonic} {ops}".rstrip())
-    return "\n".join(lines) + "\n"
-
-
 def _print_operand(o: Operand) -> str:
     if o.kind == "reg":
         return isa.REGISTERS[o.value]

