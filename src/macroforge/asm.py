@@ -20,6 +20,12 @@ one line:
 PC-relative short form; the assembler relaxes it when the distance fits
 and quietly keeps the absolute form when it does not.
 
+A symbolic operand is parsed straight into the decoder's vocabulary:
+its isa mode nibble, settled where the token is read (@v is MODE_MEM1
+or MODE_MEM2 by value, 2(XR) is MODE_OFF_XR), and its extension value.
+The encoder writes the nibble into the header as it stands, and disasm
+prints a decoded (mode, extension) pair with this module's printer.
+
 Interpretive code repeats the same instruction text many times, so the
 per-program passes work once per distinct text: parse_source parses
 each distinct text once and translate_program encodes it once, sharing
@@ -102,12 +108,14 @@ class Stream:
 
 @dataclass
 class Operand:
-    kind: str                      # reg ind pop push mem lit idx ref raw
-    value: int | None = None       # reg index / address / literal / raw value
-    symbol: str | None = None      # lit-with-label, ref
-    relaxable: bool = False        # ref only
-    width: int = 0                 # raw only: 1 or 2
-    index_reg: int | None = None   # idx only: XL/XR/XS register index
+    """A value operand is its isa mode nibble and extension value, the
+    pair decode.decode returns; a branch ref or raw item has no mode."""
+
+    mode: int | None            # isa.MODE_* or register; None: ref or raw
+    value: int | None = None    # extension (address, literal, offset) or raw
+    symbol: str | None = None   # =LABEL literal, or ref
+    relaxable: bool = False     # ref only: +LABEL / -LABEL
+    width: int = 0              # raw only: 1 or 2
 
 
 @dataclass
@@ -156,38 +164,40 @@ def _number(tok: str, limit: int, what: str, line_no: int) -> int:
     return value
 
 
+# The modes without an extension (0x0..0x9), by operand text and back.
+_MODE_OF_TOKEN = {**{reg: mode for mode, reg in enumerate(isa.REGISTERS)},
+                  "(XL)": isa.MODE_IND_XL, "(XR)": isa.MODE_IND_XR,
+                  "(XS)+": isa.MODE_POP, "-(XS)": isa.MODE_PUSH}
+_TOKEN_OF_MODE = {mode: tok for tok, mode in _MODE_OF_TOKEN.items()}
+_OFFSET_MODES = {"XL": isa.MODE_OFF_XL, "XR": isa.MODE_OFF_XR,
+                 "XS": isa.MODE_OFF_XS}
+
+
 def _parse_operand(tok: str, line_no: int) -> Operand:
-    if tok in isa.REGISTERS:
-        return Operand("reg", value=isa.REGISTERS.index(tok))
-    if tok == "(XL)":
-        return Operand("ind", value=isa.MODE_IND_XL)
-    if tok == "(XR)":
-        return Operand("ind", value=isa.MODE_IND_XR)
-    if tok == "(XS)+":
-        return Operand("pop")
-    if tok == "-(XS)":
-        return Operand("push")
+    mode = _MODE_OF_TOKEN.get(tok)
+    if mode is not None:
+        return Operand(mode)
     if tok.startswith("="):
         body = tok[1:]
         if _is_label(body):
-            return Operand("lit", symbol=body)
+            return Operand(isa.MODE_LIT, symbol=body)
         _check_name_length(body, line_no)
-        return Operand("lit", value=_number(body, 0x7FFF, "literal", line_no))
+        return Operand(isa.MODE_LIT, _number(body, 0x7FFF, "literal", line_no))
     if tok.startswith("@"):
-        return Operand("mem", value=_number(tok[1:], 0x7FFF, "address", line_no))
+        addr = _number(tok[1:], 0x7FFF, "address", line_no)
+        return Operand(isa.MODE_MEM1 if addr <= 0xFF else isa.MODE_MEM2, addr)
     m = re.match(r"^(.+)\((XL|XR|XS)\)$", tok)
     if m:
-        off = _number(m.group(1), 0x7FFF, "offset", line_no)
-        return Operand("idx", value=off,
-                       index_reg=isa.REGISTERS.index(m.group(2)))
+        return Operand(_OFFSET_MODES[m.group(2)],
+                       _number(m.group(1), 0x7FFF, "offset", line_no))
     if tok.startswith(("+", "-")):
         if _is_label(tok[1:]):
-            return Operand("ref", symbol=tok[1:], relaxable=True)
+            return Operand(None, symbol=tok[1:], relaxable=True)
         _check_name_length(tok[1:], line_no)
     if _HEX_ITEM.match(tok):
-        return Operand("raw", value=int(tok, 16), width=len(tok) // 2)
+        return Operand(None, int(tok, 16), width=len(tok) // 2)
     if _is_label(tok):
-        return Operand("ref", symbol=tok)
+        return Operand(None, symbol=tok)
     _check_name_length(tok, line_no)
     raise AsmError(f"line {line_no}: unrecognized operand {tok!r}")
 
@@ -253,33 +263,26 @@ def _parse_instruction(line: str, line_no: int) -> tuple[str, list]:
 
 
 def _check_style_mix(operands: list, line_no: int) -> None:
-    has_raw = any(o.kind == "raw" for o in operands)
-    has_sym = any(o.kind not in ("raw", "ref") for o in operands)
+    has_raw = any(o.width for o in operands)
+    has_sym = any(o.mode is not None for o in operands)
     if has_raw and has_sym:
         raise AsmError(f"line {line_no}: raw hex items and symbolic operands "
                        "cannot be mixed on one line")
 
 
 def _print_operand(o: Operand) -> str:
-    if o.kind == "reg":
-        return isa.REGISTERS[o.value]
-    if o.kind == "ind":
-        return "(XL)" if o.value == isa.MODE_IND_XL else "(XR)"
-    if o.kind == "pop":
-        return "(XS)+"
-    if o.kind == "push":
-        return "-(XS)"
-    if o.kind == "lit":
-        return f"={o.symbol}" if o.symbol else f"={o.value:X}"
-    if o.kind == "mem":
-        return f"@{o.value:02X}"
-    if o.kind == "idx":
-        return f"{o.value:X}({isa.REGISTERS[o.index_reg]})"
-    if o.kind == "ref":
+    mode = o.mode
+    if mode in _TOKEN_OF_MODE:
+        return _TOKEN_OF_MODE[mode]
+    if mode is None:
+        if o.width:
+            return f"{o.value:0{o.width * 2}X}"
         return ("+" if o.relaxable else "") + o.symbol
-    if o.kind == "raw":
-        return f"{o.value:0{o.width * 2}X}"
-    raise ValueError(f"unprintable operand kind {o.kind!r}")
+    if mode == isa.MODE_LIT:
+        return f"={o.symbol}" if o.symbol else f"={o.value:X}"
+    if mode in (isa.MODE_MEM1, isa.MODE_MEM2):
+        return f"@{o.value:02X}"
+    return f"{o.value:X}({isa.REGISTERS[isa.BASE_REG[mode]]})"
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +310,10 @@ def encode_short_branch(target: int, offset_addr: int) -> int | None:
     return None
 
 
-_SRC_KINDS = {"reg", "ind", "pop", "mem", "lit", "idx"}
-_DST_KINDS = {"reg", "ind", "push", "mem", "idx"}
-_MOD_KINDS = {"reg", "ind", "mem", "idx"}
+# The modes each value role refuses.  None, a branch ref, is no value.
+_REJECTED = {"src": {None, isa.MODE_PUSH},
+             "dst": {None, isa.MODE_POP, isa.MODE_LIT},
+             "mod": {None, isa.MODE_POP, isa.MODE_PUSH, isa.MODE_LIT}}
 
 
 def translate_mnemonic(inst: Instruction) -> list:
@@ -321,7 +325,7 @@ def translate_mnemonic(inst: Instruction) -> list:
     the header computation: their items are emitted verbatim.
     """
     items: list = [LiteralByte(isa.OPCODES[inst.mnemonic], op_start=True)]
-    if any(o.kind == "raw" for o in inst.operands):
+    if any(o.width for o in inst.operands):
         for o in inst.operands:
             items.extend(_raw_items(o))
         return items
@@ -335,11 +339,10 @@ def translate_mnemonic(inst: Instruction) -> list:
                  if role != "target"]
     targets = [o for o, role in zip(inst.operands, sig) if role == "target"]
     for o, role in value_ops:
-        allowed = {"src": _SRC_KINDS, "dst": _DST_KINDS, "mod": _MOD_KINDS}[role]
-        if o.kind not in allowed:
+        if o.mode in _REJECTED[role]:
             raise AsmError(f"line {inst.line_no}: operand {_print_operand(o)!r} "
                            f"cannot be used as {role} of {inst.mnemonic}")
-    if targets and any(t.kind != "ref" for t in targets):
+    if any(t.mode is not None for t in targets):
         raise AsmError(f"line {inst.line_no}: branch target must be a label")
     if inst.mnemonic == "BRN":
         header = isa.MODE_MEM2  # low nibble C: code address follows
@@ -348,7 +351,7 @@ def translate_mnemonic(inst: Instruction) -> list:
         for pos, (o, _) in enumerate(value_ops):
             if pos > 1:
                 raise AsmError(f"line {inst.line_no}: too many value operands")
-            header |= _mode_nibble(o) << (4 * pos)
+            header |= o.mode << (4 * pos)
     items.append(LiteralByte(header))
     for o, _ in value_ops:
         items.extend(_extension_items(o))
@@ -357,48 +360,22 @@ def translate_mnemonic(inst: Instruction) -> list:
     return items
 
 
-def _mode_nibble(o: Operand) -> int:
-    if o.kind == "reg":
-        return o.value
-    if o.kind == "ind":
-        return o.value
-    if o.kind == "pop":
-        return isa.MODE_POP
-    if o.kind == "push":
-        return isa.MODE_PUSH
-    if o.kind == "mem":
-        return isa.MODE_MEM1 if o.value <= 0xFF else isa.MODE_MEM2
-    if o.kind == "lit":
-        return isa.MODE_LIT
-    if o.kind == "idx":
-        return {isa.REG_XL: isa.MODE_OFF_XL,
-                isa.REG_XR: isa.MODE_OFF_XR,
-                isa.REG_XS: isa.MODE_OFF_XS}[o.index_reg]
-    raise AsmError(f"operand kind {o.kind!r} has no addressing mode")
-
-
 def _extension_items(o: Operand) -> list:
-    if o.kind == "mem":
-        if o.value <= 0xFF:
-            return [LiteralByte(o.value)]
+    if o.mode < isa.MODE_MEM1:
+        return []
+    if o.mode == isa.MODE_MEM1:
+        return [LiteralByte(o.value)]
+    if o.mode == isa.MODE_MEM2:
         return [LiteralByte(o.value >> 8), LiteralByte(o.value & 0xFF)]
-    if o.kind == "lit":
-        if o.symbol is not None:
-            return [LabelRef(o.symbol)]  # address literal, absolute 2 bytes
-        return [LiteralByte(b) for b in encode_literal(o.value)]
-    if o.kind == "idx":
-        return [LiteralByte(b) for b in encode_literal(o.value)]
-    return []
+    if o.symbol is not None:
+        return [LabelRef(o.symbol)]  # address literal, absolute 2 bytes
+    return [LiteralByte(b) for b in encode_literal(o.value)]  # literal, offset
 
 
 def _raw_items(o: Operand) -> list:
-    if o.kind == "raw":
-        if o.width == 1:
-            return [LiteralByte(o.value)]
-        return [LiteralByte(o.value >> 8), LiteralByte(o.value & 0xFF)]
-    if o.kind == "ref":
+    if not o.width:
         return [LabelRef(o.symbol, relaxable=o.relaxable)]
-    raise AsmError(f"operand kind {o.kind!r} not allowed in a raw hex line")
+    return [LiteralByte(b) for b in o.value.to_bytes(o.width, "big")]
 
 
 def translate_program(instructions: list) -> Stream:

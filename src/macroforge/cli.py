@@ -186,7 +186,8 @@ def cmd_verify(args) -> int:
         max_len=args.max_len, origin=args.origin)
     base = vm.run(vm.load(base_image), fuel=args.fuel)
     got = vm.run(vm.load(compacted), fuel=args.fuel)
-    if base.trace == got.trace and base.status == got.status:
+    if (base.trace == got.trace and base.status == got.status
+            and base.steps == got.steps):
         print(f"verify: pass ({len(base.trace)} trace values, "
               f"status {base.status}, {len(compacted.macros)} macros)")
         return 0
@@ -200,8 +201,12 @@ def cmd_verify(args) -> int:
         print(f"verify: FAIL first divergence at trace index {i}: "
               f"trace lengths {len(base.trace)} vs {len(got.trace)}")
         return 1
-    print(f"verify: FAIL status mismatch: plain {base.status} vs "
-          f"compacted {got.status}")
+    if base.status != got.status:
+        print(f"verify: FAIL status mismatch: plain {base.status} vs "
+              f"compacted {got.status}")
+        return 1
+    print(f"verify: FAIL step count mismatch: plain {base.steps} vs "
+          f"compacted {got.steps}")
     return 1
 
 
@@ -277,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="assemble source and shrink it with macros")
     p.add_argument("source")
     p.add_argument("--out", "-o")
-    _add_selection(p, ("greedy", "exact", "freq"))
+    _add_selection(p, macros.MODES)
     p.add_argument("--report", metavar="PATH",
                    help="write the JSON report here instead of stdout")
     p.add_argument("--entry", type=_entry_arg)
@@ -314,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify",
                        help="check that compaction preserves behavior")
     p.add_argument("source")
-    _add_selection(p, ("greedy", "exact", "freq"))
+    _add_selection(p, macros.MODES)
     p.add_argument("--fuel", type=int, default=100_000)
     _add_origin(p)
     p.set_defaults(func=cmd_verify)

@@ -64,30 +64,15 @@ class DecodedUnit:
         return self.macro_code is not None
 
 
-_OPERAND_KINDS = {isa.MODE_IND_XL: "ind", isa.MODE_IND_XR: "ind",
-                  isa.MODE_POP: "pop", isa.MODE_PUSH: "push",
-                  isa.MODE_MEM1: "mem", isa.MODE_MEM2: "mem",
-                  isa.MODE_LIT: "lit", isa.MODE_OFF_XL: "idx",
-                  isa.MODE_OFF_XR: "idx", isa.MODE_OFF_XS: "idx"}
-
-
-def _operand_text(mode: int, ext: int | None) -> str:
-    if mode <= isa.REG_XS:
-        return isa.REGISTERS[mode]
-    kind = _OPERAND_KINDS[mode]
-    return asm._print_operand(asm.Operand(
-        kind, value=mode if kind == "ind" else ext,
-        index_reg=isa.BASE_REG[mode] if kind == "idx" else None))
-
-
 def _instr(key: tuple) -> DecodedInstr:
     name, mode1, ext1, mode2, ext2, target, short, noncanonical = key
     if mode1 is None:
         texts = ()
     elif mode2 is None:
-        texts = (_operand_text(mode1, ext1),)
+        texts = (asm._print_operand(asm.Operand(mode1, ext1)),)
     else:
-        texts = (_operand_text(mode1, ext1), _operand_text(mode2, ext2))
+        texts = (asm._print_operand(asm.Operand(mode1, ext1)),
+                 asm._print_operand(asm.Operand(mode2, ext2)))
     return DecodedInstr(name, texts, target, short, noncanonical)
 
 
@@ -133,8 +118,9 @@ def decode_image(image) -> list[DecodedUnit]:
                 raise DisasmError(f"unknown opcode {byte:#04x} at "
                                   f"{origin + pos:04X}")
             body = bodies[idx]
-            instrs, end = _decode_run(body + code[pos + 1:pos + 9], 0,
-                                      len(body), origin + pos + 1, shared)
+            tail = code[pos + 1:pos + 1 + isa.MAX_INSTRUCTION_BYTES]
+            instrs, end = _decode_run(body + tail, 0, len(body),
+                                      origin + pos + 1, shared)
             end += pos + 1 - len(body)
             units.append(DecodedUnit(origin + pos, code[pos:end], instrs,
                                      macro_code=byte))

@@ -71,6 +71,11 @@ MACRO_OPCODE_BASE = 0x50
 MAX_MACROS = 0x100 - MACRO_OPCODE_BASE
 MAX_BODY_BYTES = 0xFF   # an object file stores a body's length in one byte
 
+# The longest instruction: opcode, header, two 2-byte extensions and a
+# 2-byte branch target.  An instruction begun in a macro body reads
+# fewer main-stream bytes than this after the macro opcode.
+MAX_INSTRUCTION_BYTES = 8
+
 WORK_AREA_END = 0x100        # memory below this is reserved scratch space
 LABEL_LIMIT = 0x8000         # every label must resolve below this
 DEFAULT_ORIGIN = 0x0100

@@ -152,7 +152,8 @@ def _decode_at(state: VmState, key) -> tuple:
                 raise VmFault("macro body begins with opcode "
                               f"{body[0]:#04x}")
             left = len(body) - off
-            buf, pos = body[off:] + memory[resume:resume + 8], 0
+            tail = memory[resume:resume + isa.MAX_INSTRUCTION_BYTES]
+            buf, pos = body[off:] + tail, 0
         name, mode1, ext1, mode2, ext2, target, _, _, end = decode.decode(
             buf, pos, left, resume)
     except IndexError:

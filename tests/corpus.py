@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 
-from . import asm, isa
+from macroforge import asm, isa
 
 DATA_REGS = ("WA", "WB")
 ADDR_REGS = ("XL", "XR")

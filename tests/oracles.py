@@ -37,7 +37,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-from macroforge import asm, corpus, decode, disasm, isa, macros
+import corpus
+from macroforge import asm, decode, disasm, isa, macros
 from macroforge.asm import (AsmError, Instruction, LabelDef, LabelRef, Layout,
                             LayoutError, LiteralByte, MacroByte, Stream,
                             _bad_label, _check_style_mix, _is_label,

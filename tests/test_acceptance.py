@@ -10,7 +10,8 @@ import time
 
 import pytest
 
-from macroforge import asm, corpus, decode, disasm, greedy, optimal
+import corpus
+from macroforge import asm, decode, disasm, greedy, optimal
 from macroforge.cli import main as cli_main
 from oracles import (
     brute_force_select,

@@ -1,6 +1,6 @@
 import pytest
 
-from macroforge import asm, objfile
+from macroforge import asm, decode, isa, objfile
 from macroforge.asm import (
     AsmError,
     LayoutError,
@@ -84,6 +84,13 @@ def test_single_operand_headers():
 def test_stack_and_indirect_modes():
     assert code_for("      MOV (XS)+, WA") == bytes([0x32, 0x08])
     assert code_for("      MOV (XL), (XR)") == bytes([0x32, 0x76])
+
+
+def test_longest_instruction_is_max_instruction_bytes():
+    # opcode, header, 2-byte address, long literal, absolute target
+    code = code_for("L      BEQ @1234, =7FFF, L")
+    assert code == bytes([0x08, 0xBC, 0x12, 0x34, 0x7F, 0xFF, 0x01, 0x00])
+    assert len(code) == isa.MAX_INSTRUCTION_BYTES
 
 
 # --- literal encoding ------------------------------------------------------
@@ -206,6 +213,39 @@ def test_parse_print_round_trip():
     )
     prog = parse_source(text)
     assert parse_source(print_program(prog)) == prog
+
+
+# Boundary extension values the assembler accepts, for each mode nibble.
+BOUNDARY_EXTENSIONS = {
+    **{mode: (None,) for mode in range(isa.MODE_MEM1)},
+    isa.MODE_MEM1: (0, 0xFF),
+    isa.MODE_MEM2: (0x100, 0x7FFF),
+    **{mode: (0, 0x7F, 0x80, 0x7FFF)
+       for mode in (isa.MODE_LIT, isa.MODE_OFF_XL, isa.MODE_OFF_XR,
+                    isa.MODE_OFF_XS)},
+}
+
+# An instruction per value role, and the decoded fields its operand fills.
+ROLE_SITES = {"src": ("OUT {}", slice(1, 3)),
+              "dst": ("MOV WA, {}", slice(3, 5)),
+              "mod": ("ADD WA, {}", slice(3, 5))}
+
+
+def test_operand_modes_agree_with_the_decoder():
+    assert sorted(BOUNDARY_EXTENSIONS) == list(range(16))
+    for mode, exts in BOUNDARY_EXTENSIONS.items():
+        roles = [r for r in ROLE_SITES if mode not in asm._REJECTED[r]]
+        assert roles, hex(mode)
+        for ext in exts:
+            operand = asm.Operand(mode, ext)
+            text = asm._print_operand(operand)
+            assert asm._parse_operand(text, 1) == operand, text
+            for role in roles:
+                line, fields = ROLE_SITES[role]
+                decoded = decode.decode(code_for("       " + line.format(text)),
+                                        0, 0, 0x100)
+                assert decoded[fields] == (mode, ext), (role, text)
+                assert decoded[7] is None, (role, text)
 
 
 def test_comments_and_blank_lines():

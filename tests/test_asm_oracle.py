@@ -11,8 +11,9 @@ import random
 
 import pytest
 
+import corpus
 import oracles
-from macroforge import asm, corpus, isa, macros
+from macroforge import asm, isa, macros
 from macroforge.objfile import ObjectImage
 from test_source_fuzz import mutate
 

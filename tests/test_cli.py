@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from macroforge import asm, corpus
+import corpus
+from macroforge import asm, macros
 from macroforge.cli import build_report, main
 from macroforge.objfile import FLAG_RAW, MacroEntry, ObjectImage
 
@@ -373,6 +374,18 @@ def test_verify_fails_when_output_depends_on_code_address(tmp_path, capsys):
                              "--max-macros", 1, "--max-len", 4)
         assert rc == 1, mode
         assert "first divergence at trace index 0" in out, mode
+
+
+def test_verify_fails_on_a_step_count_mismatch(tmp_path, capsys,
+                                               monkeypatch):
+    # same trace and status, one step more: a compaction that adds work
+    src = write(tmp_path, "p.mcrl", "       OUT =1\n       HLT\n")
+    padded = asm.assemble("       NOP\n       OUT =1\n       HLT\n")
+    monkeypatch.setattr(macros, "compact_source",
+                        lambda text, **kwargs: (padded, {}))
+    rc, out, _ = run_cli(capsys, "verify", src)
+    assert rc == 1
+    assert out == "verify: FAIL step count mismatch: plain 2 vs compacted 3\n"
 
 
 # --- stats --------------------------------------------------------------------

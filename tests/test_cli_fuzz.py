@@ -9,7 +9,8 @@ codes (0 success, 1 verification failure, 2 usage or input error,
 
 import random
 
-from macroforge import asm, corpus, greedy, macros
+import corpus
+from macroforge import asm, greedy, macros
 from macroforge.cli import main
 from macroforge.objfile import FLAG_RAW, MacroEntry, ObjectImage
 from test_source_fuzz import mutate

@@ -1,7 +1,8 @@
 import pytest
 
+import corpus
 import oracles
-from macroforge import asm, corpus
+from macroforge import asm
 
 
 def test_corpus_refuses_sizes_that_reach_the_data_block():

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from macroforge import corpus, decode, disasm, macros, objfile, vm
+import corpus
+from macroforge import decode, disasm, macros, objfile, vm
 from macroforge.disasm import DisasmError, decode_image, render_listing
 from macroforge.objfile import MacroEntry, ObjectError, ObjectImage
 from macroforge.vm import LoadError

@@ -12,8 +12,9 @@ import random
 
 import pytest
 
+import corpus
 import oracles
-from macroforge import asm, corpus, disasm, macros, objfile
+from macroforge import asm, disasm, macros, objfile
 from macroforge.disasm import DisasmError
 from macroforge.objfile import ObjectError
 

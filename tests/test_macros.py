@@ -1,6 +1,7 @@
 import pytest
 
-from macroforge import asm, corpus, macros, vm
+import corpus
+from macroforge import asm, macros, vm
 from macroforge.asm import (
     LabelDef,
     LiteralByte,

@@ -11,7 +11,8 @@ repeated instructions.
 
 import hashlib
 
-from macroforge import asm, corpus, disasm, greedy
+import corpus
+from macroforge import asm, disasm, greedy
 from macroforge.macros import compact_source
 from macroforge.objfile import FLAG_RAW, MacroEntry, ObjectImage
 

@@ -2,7 +2,8 @@ import dataclasses
 
 import pytest
 
-from macroforge import asm, corpus, disasm, macros
+import corpus
+from macroforge import asm, disasm, macros
 from macroforge.disasm import DisasmError, decode_image, render_listing, render_source
 from macroforge.objfile import FLAG_RAW, MacroEntry, ObjectImage
 

@@ -10,8 +10,9 @@ import random
 
 import pytest
 
+import corpus
 import oracles
-from macroforge import asm, corpus, greedy, macros
+from macroforge import asm, greedy, macros
 from macroforge.macros import compact_source
 
 

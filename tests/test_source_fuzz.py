@@ -8,7 +8,8 @@ come back unchanged from its serialized container.
 
 import random
 
-from macroforge import corpus, objfile
+import corpus
+from macroforge import objfile
 from macroforge.asm import AsmError
 from macroforge.macros import compact_source
 

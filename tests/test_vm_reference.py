@@ -4,7 +4,8 @@ oracles.py, and vm.step against vm.run."""
 import dataclasses
 import random
 
-from macroforge import asm, corpus, macros, vm
+import corpus
+from macroforge import asm, macros, vm
 from macroforge.objfile import MacroEntry, ObjectError
 from oracles import reference_run
 
