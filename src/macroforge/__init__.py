@@ -16,11 +16,10 @@ from .optimal import (
     mwis,
 )
 from .asm import AsmError, LayoutError, assemble
-from .disasm import DisasmError, disassemble, render_listing, render_source
+from .disasm import DisasmError, render_listing, render_source
 from .macros import compact_source, compact_stream
 from .objfile import MacroEntry, ObjectError, ObjectImage
 from .vm import LoadError, RunOutcome, VmFault, load, run
-from .isa import MACRO_OPCODE_BASE as MACRO_CODE_LO, MAX_MACROS
+from .isa import MAX_MACROS
 
-MACRO_CODE_HI = 0xFF  # macro opcodes are MACRO_CODE_LO..MACRO_CODE_HI
 __version__ = "0.1.0"

@@ -349,8 +349,6 @@ def translate_mnemonic(inst: Instruction) -> list:
     else:
         header = 0
         for pos, (o, _) in enumerate(value_ops):
-            if pos > 1:
-                raise AsmError(f"line {inst.line_no}: too many value operands")
             header |= o.mode << (4 * pos)
     items.append(LiteralByte(header))
     for o, _ in value_ops:

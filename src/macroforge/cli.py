@@ -58,12 +58,12 @@ def _default_out(path: str, suffix: str) -> str:
 # ---------------------------------------------------------------------------
 # Reports
 
-def build_report(input_bytes: int, residual_bytes: int, table_bytes: int,
-                 macro_count: int, mode: str | None,
+def build_report(input_bytes: int, image: ObjectImage, mode: str | None,
                  elapsed: dict) -> dict:
+    residual_bytes, table_bytes = len(image.code), image.table_bytes()
     report = {
         "inputBytes": input_bytes,
-        "macroCount": macro_count,
+        "macroCount": len(image.macros),
         "tableBytes": table_bytes,
         "residualBytes": residual_bytes,
         "objective": residual_bytes + table_bytes,
@@ -115,9 +115,8 @@ def cmd_compact(args) -> int:
         max_len=args.max_len, origin=args.origin, entry=args.entry)
     out = args.out or _default_out(args.source, ".mco")
     _write_bytes(out, image.serialize())
-    emit_report(build_report(info["input_bytes"], info["residual_bytes"],
-                             info["table_bytes"], info["macro_count"],
-                             args.mode, info["elapsed"]),
+    emit_report(build_report(info["input_bytes"], image, args.mode,
+                             info["elapsed"]),
                 args.report)
     return 0
 
@@ -140,9 +139,7 @@ def cmd_pack(args) -> int:
                         flags=FLAG_RAW)
     out = args.out or _default_out(args.input, ".mcp")
     _write_bytes(out, image.serialize())
-    emit_report(build_report(len(data), len(result.residual),
-                             result.table_size(), len(result.macros),
-                             args.mode, {"select": dt}),
+    emit_report(build_report(len(data), image, args.mode, {"select": dt}),
                 args.report)
     return 0
 
@@ -212,8 +209,6 @@ def cmd_verify(args) -> int:
 
 def cmd_stats(args) -> int:
     image = parse(_read_bytes(args.object))
-    residual = len(image.code)
-    table = image.table_bytes()
     if args.original:
         blob = _read_bytes(args.original)
         if blob[:4] == MAGIC:
@@ -224,10 +219,8 @@ def cmd_stats(args) -> int:
             input_bytes = len(asm.assemble(blob.decode("utf-8")).code)
     else:
         # without a reference there is nothing to compare against
-        input_bytes = residual + table
-    emit_report(build_report(input_bytes, residual, table, len(image.macros),
-                             None, {}),
-                args.report)
+        input_bytes = len(image.code) + image.table_bytes()
+    emit_report(build_report(input_bytes, image, None, {}), args.report)
     return 0
 
 
@@ -292,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pack", help="compact an arbitrary binary file")
     p.add_argument("input")
     p.add_argument("--out", "-o")
-    _add_selection(p, ("greedy", "exact"))
+    _add_selection(p, greedy.MODES)
     p.add_argument("--allow-embed", action="store_true",
                    help="let later macro bodies cover earlier macro bytes")
     p.add_argument("--report", metavar="PATH")
@@ -348,7 +341,3 @@ def main(argv=None) -> int:
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -189,10 +189,6 @@ def _body_text(body: bytes, shared: dict) -> str:
     return " / ".join(i.text() for i in instrs)
 
 
-def disassemble(image) -> str:
-    return render_listing(image)
-
-
 # ---------------------------------------------------------------------------
 # Source reconstruction
 

@@ -24,6 +24,8 @@ from . import isa
 from .asm import LiteralByte, MacroByte, Stream
 from .macros import PayingKeys, check_limits, lower, select_exact
 
+MODES = ("greedy", "exact")  # greedy_select and exact_select
+
 
 @dataclass
 class Macro:
@@ -39,9 +41,6 @@ class CompactionResult:
 
     def table_size(self) -> int:
         return sum(len(m.body) for m in self.macros)
-
-    def savings(self, original_len: int) -> int:
-        return original_len - self.objective
 
 
 # one shared literal per byte value; nothing mutates stream items

@@ -11,6 +11,7 @@ enumerates body combinations and takes the best schedule of each.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -56,8 +57,6 @@ def mwis(occurrences: Sequence[Occurrence]) -> tuple[list[Occurrence], int]:
     occurrences sorted by start and the total weight; deterministic for a
     fixed input (ties resolved toward not taking the later interval).
     """
-    if not occurrences:
-        return [], 0
     order = sorted(range(len(occurrences)),
                    key=lambda i: (occurrences[i].end, occurrences[i].start,
                                   occurrences[i].content, i))
@@ -88,40 +87,19 @@ def mwis(occurrences: Sequence[Occurrence]) -> tuple[list[Occurrence], int]:
     return chosen, best[n]
 
 
-def _saturating_mul(a: int, b: int) -> int:
-    if a and b and a > _SATURATED // b:
-        return _SATURATED
-    return min(a * b, _SATURATED)
-
-
-def _combination_count(pool: int, pick_limit: int) -> int:
-    """Sum of C(pool, k) for k = 0..pick_limit, saturating."""
-    total = 1
-    term = 1
-    for k in range(1, pick_limit + 1):
-        if k > pool:
-            break
-        term = _saturating_mul(term, pool - k + 1) // k
-        total = min(total + term, _SATURATED)
-        if total >= _SATURATED:
-            return _SATURATED
-    return total
-
-
 def estimate_cost(eta: int, max_len: int, max_macros: int) -> CostEstimate:
     """Predict the exact selector's work and compare against the budget.
 
     Refusal is a value, not an exception: callers decide what to do.  The
     candidate-content pool is bounded by eta*(max_len-1) and each
     combination is charged one interval-DP pass at (max_macros*eta)^2
-    steps.  Arithmetic saturates instead of overflowing.  The budget is
-    BUDGET_ENV if set, else DEFAULT_BUDGET.
+    steps.  steps is capped at 10**18.  The budget is BUDGET_ENV if set,
+    else DEFAULT_BUDGET.
     """
     budget = int(os.environ.get(BUDGET_ENV, DEFAULT_BUDGET))
     pool = max(eta, 0) * max(max_len - 1, 0)
-    combos = _combination_count(pool, max_macros)
-    per_combo = _saturating_mul(max_macros * max(eta, 0), max_macros * max(eta, 0))
-    steps = _saturating_mul(combos, per_combo)
+    combos = sum(math.comb(pool, k) for k in range(min(pool, max_macros) + 1))
+    steps = min(combos * (max_macros * max(eta, 0)) ** 2, _SATURATED)
     return CostEstimate(approved=steps <= budget, steps=steps, budget=budget)
 
 
@@ -157,5 +135,4 @@ def exact_over_occurrences(total_len: int,
                 best = (obj, r, combo, chosen)
     assert best is not None  # r = 0 always present
     obj, _, combo, chosen = best
-    chosen = [o for o in chosen if o.content in set(combo)]
     return list(combo), chosen, obj

@@ -83,8 +83,6 @@ def load(image) -> VmState:
     if image.origin < isa.WORK_AREA_END:
         raise LoadError(f"origin {image.origin:#06x} overlaps the reserved "
                         f"work area below {isa.WORK_AREA_END:#06x}")
-    if image.origin + len(image.code) > 0x10000:
-        raise LoadError("image runs past the end of memory")
     if not image.code:
         raise LoadError("image has no code")
     if not image.origin <= image.entry < image.origin + len(image.code):

@@ -418,4 +418,23 @@ def test_macro_table_validation():
         img([MacroEntry(0x50, b"\x01")]).validate()
     with pytest.raises(ObjectError, match="empty"):
         img([MacroEntry(0x50, b"")], flags=FLAG_RAW).validate()
+    for flags in (0, FLAG_RAW):
+        with pytest.raises(ObjectError, match="0x50 body over 255 bytes"):
+            img([MacroEntry(0x50, b"\x01" * 256)], flags).validate()
     img([MacroEntry(0x50, b"\x32\x94"), MacroEntry(0x51, b"\x1c\x02")]).validate()
+
+
+@pytest.mark.parametrize("field", ["origin", "entry"])
+@pytest.mark.parametrize("value", [-1, 0x10000])
+def test_image_addresses_must_be_words(field, value):
+    image = ObjectImage(code=b"\x00", **{field: value})
+    with pytest.raises(ObjectError, match=f"{field} {value:#x} out of range"):
+        image.validate()
+
+
+def test_signatures_take_at_most_two_values_then_a_target():
+    # translate_mnemonic packs the value modes into one header byte and
+    # emits the target last; decode reads the same shapes back
+    for mnemonic, sig in isa.SIGNATURES.items():
+        assert sum(role != "target" for role in sig) <= 2, mnemonic
+        assert "target" not in sig[:-1], mnemonic

@@ -6,7 +6,7 @@ import pytest
 import corpus
 from macroforge import asm, macros
 from macroforge.cli import build_report, main
-from macroforge.objfile import FLAG_RAW, MacroEntry, ObjectImage
+from macroforge.objfile import FLAG_RAW, MacroEntry, ObjectImage, parse
 
 B_STAR = b"jabcdefmrhabcdegkcdefnshabcp"
 
@@ -55,7 +55,6 @@ def test_asm_writes_object_and_lists(tmp_path, capsys):
     assert rc == 0
     assert "ZER WC" in out
     assert out.startswith("origin 0100  entry 0100")
-    from macroforge.objfile import parse
     image = parse(obj.read_bytes())
     assert image.macros == []
     assert image.code == asm.assemble(COUNTER).code
@@ -72,6 +71,40 @@ def test_asm_reports_line_numbers(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "asm", src)
     assert rc == 2
     assert "line 1" in err
+
+
+def test_asm_rejects_a_source_that_is_not_utf8(tmp_path, capsys):
+    src = write(tmp_path, "bad.mcrl", b"       OUT =1\n\xff\xfe\n")
+    rc, _, err = run_cli(capsys, "asm", src)
+    assert rc == 2
+    assert err.startswith(f"error: {src} is not text: ")
+
+
+def test_asm_unwritable_out_is_an_input_error(tmp_path, capsys):
+    src = write(tmp_path, "p.mcrl", COUNTER)
+    out = tmp_path / "missing" / "p.mco"
+    rc, _, err = run_cli(capsys, "asm", src, "--out", out)
+    assert rc == 2
+    assert err.startswith(f"error: cannot write {out}: ")
+
+
+def test_outputs_default_to_the_input_stem(tmp_path, capsys):
+    src = write(tmp_path, "prog.mcrl", COUNTER)
+    obj = tmp_path / "prog.mco"
+    assert run_cli(capsys, "asm", src)[0] == 0
+    assert parse(obj.read_bytes()) == asm.assemble(COUNTER)
+    obj.unlink()
+    assert run_cli(capsys, "compact", src)[0] == 0
+    assert parse(obj.read_bytes()) == macros.compact_source(COUNTER)[0]
+    raw = write(tmp_path, "b.dat", B_STAR)
+    assert run_cli(capsys, "pack", raw)[0] == 0
+    assert run_cli(capsys, "unpack", tmp_path / "b.mcp")[0] == 0
+    assert (tmp_path / "b.bin").read_bytes() == B_STAR
+    # only a dot in the file name starts a suffix
+    sub = tmp_path / "v1.2"
+    sub.mkdir()
+    assert run_cli(capsys, "asm", write(sub, "prog", COUNTER))[0] == 0
+    assert parse((sub / "prog.mco").read_bytes()) == asm.assemble(COUNTER)
 
 
 # --- compact ----------------------------------------------------------------
@@ -213,6 +246,29 @@ def test_pack_exact_worked_example(tmp_path, capsys):
     assert report_from(out)["objective"] == 24
 
 
+def test_pack_exact_warns_that_allow_embed_has_no_effect(tmp_path, capsys):
+    raw = write(tmp_path, "b.bin", B_STAR)
+    rc, out, err = run_cli(capsys, "pack", raw, "--out", tmp_path / "b.mcp",
+                           "--mode", "exact", "--max-macros", 2,
+                           "--max-len", 5, "--allow-embed", "--report", "-")
+    assert rc == 0
+    assert err == "warning: --allow-embed has no effect in exact mode\n"
+    assert report_from(out)["objective"] == 24
+
+
+def test_pack_exact_without_a_free_opcode_is_an_input_error(tmp_path,
+                                                            capsys):
+    # the one paying body, 01 02, needs an opcode the data does not hold
+    raw = write(tmp_path, "full.bin",
+                bytes(range(0x50, 0x100)) + b"\x01\x02" * 3)
+    packed = tmp_path / "full.mcp"
+    rc, _, err = run_cli(capsys, "pack", raw, "--out", packed,
+                         "--mode", "exact", "--max-macros", 1, "--max-len", 2)
+    assert rc == 2
+    assert err == "error: no opcode in 0x50..0xFF is free of the input\n"
+    assert not packed.exists()
+
+
 @pytest.mark.parametrize("mode", ["greedy", "exact"])
 def test_pack_rejects_body_limit_before_selecting(tmp_path, capsys, mode):
     # the repeated 300-byte block would be adopted whole and only then
@@ -320,6 +376,13 @@ def test_run_fault_exits_three(tmp_path, capsys):
     assert "stack underflow" in err
 
 
+def test_run_of_a_program_without_code_is_an_input_error(tmp_path, capsys):
+    src = write(tmp_path, "empty.mcrl", "* only a comment\n")
+    obj = tmp_path / "empty.mco"
+    assert run_cli(capsys, "asm", src, "--out", obj)[0] == 0
+    assert run_cli(capsys, "run", obj) == (2, "", "error: image has no code\n")
+
+
 def test_disasm_lists_object(tmp_path, capsys):
     src = write(tmp_path, "p.mcrl", COUNTER)
     obj = tmp_path / "p.mco"
@@ -376,6 +439,43 @@ def test_verify_fails_when_output_depends_on_code_address(tmp_path, capsys):
         assert "first divergence at trace index 0" in out, mode
 
 
+# LCW reads the first word of DATA's code: MOV =2A, -(XS) opens with 32 9B
+# in the plain image, but greedy moves each push/add pair into a macro, so
+# the compacted image holds the macro opcode there and takes the other way.
+READS_ITS_CODE = """\
+START  MOV =DATA, XL
+       LCW WA
+       OUT =1
+{test}
+DONE   HLT
+DATA   MOV =2A, -(XS)
+       ADD WC, @40
+       MOV =2A, -(XS)
+       ADD WC, @40
+       MOV =2A, -(XS)
+       ADD WC, @40
+"""
+
+
+def test_verify_fails_on_a_trace_length_mismatch(tmp_path, capsys):
+    src = write(tmp_path, "p.mcrl", READS_ITS_CODE.format(
+        test="       BNE WA, =329B, DONE\n       OUT =2"))
+    rc, out, _ = run_cli(capsys, "verify", src)
+    assert rc == 1
+    assert out == ("verify: FAIL first divergence at trace index 1: "
+                   "trace lengths 2 vs 1\n")
+
+
+def test_verify_fails_on_a_status_mismatch(tmp_path, capsys):
+    # the compacted run pops the empty stack
+    src = write(tmp_path, "p.mcrl", READS_ITS_CODE.format(
+        test="       BEQ WA, =329B, DONE\n       OUT (XS)+"))
+    rc, out, _ = run_cli(capsys, "verify", src)
+    assert rc == 1
+    assert out == ("verify: FAIL status mismatch: plain halted vs "
+                   "compacted fault\n")
+
+
 def test_verify_fails_on_a_step_count_mismatch(tmp_path, capsys,
                                                monkeypatch):
     # same trace and status, one step more: a compaction that adds work
@@ -421,7 +521,11 @@ def test_no_subcommand_is_usage_error(capsys):
 
 
 def test_report_builder_rounds_elapsed():
-    report = build_report(100, 60, 10, 3, "greedy", {"select": 0.123456789})
+    image = ObjectImage(code=bytes(60), flags=FLAG_RAW,
+                        macros=[MacroEntry(0x50, b"ab"), MacroEntry(0x51, b"cd"),
+                                MacroEntry(0x52, b"efghij")])
+    report = build_report(100, image, "greedy", {"select": 0.123456789})
+    assert report["macroCount"] == 3
     assert report["elapsed"]["select"] == 0.123457
     assert report["objective"] == 70
     assert report["savingsPercent"] == 30.0

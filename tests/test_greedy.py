@@ -298,7 +298,14 @@ def test_pick_free_code_skips_data_bytes():
 def test_compaction_result_helpers():
     res = CompactionResult(macros=[], residual=b"abc", objective=3)
     assert res.table_size() == 0
-    assert res.savings(3) == 0
+    assert 3 - res.objective == 0
+
+
+def test_expand_rejects_a_macro_without_code_or_body():
+    with pytest.raises(ValueError, match="no assigned opcode"):
+        expand_macros(b"\x50", [Macro(b"ab")])
+    with pytest.raises(ValueError, match="0x50 has an empty body"):
+        expand_macros(b"\x50", [Macro(b"", 0x50)])
 
 
 def test_expand_refuses_a_nested_bomb_before_allocating():

@@ -169,6 +169,17 @@ def test_estimate_cost_fixed_points():
     assert estimate_cost(0, 2, 1).steps == 0
 
 
+@pytest.mark.parametrize("args, steps", [
+    ((28, 5, 2), 19_847_744),
+    ((90, 4, 2), 1_185_386_400),
+    ((90, 4, 3), 239_164_925_400),
+    ((200, 20, 1), 152_040_000),
+    ((23000, 20, 176), 10 ** 18),   # capped
+])
+def test_estimate_cost_steps(args, steps):
+    assert estimate_cost(*args).steps == steps
+
+
 def test_estimate_cost_monotone():
     rng = random.Random(435)
     for _ in range(200):

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 import corpus
-from macroforge import asm, disasm, macros
+from macroforge import asm, macros
 from macroforge.disasm import DisasmError, decode_image, render_listing, render_source
 from macroforge.objfile import FLAG_RAW, MacroEntry, ObjectImage
 
@@ -38,11 +38,6 @@ def test_listing_flags_macro_lines():
 
 def test_listing_empty_code():
     assert render_listing(ObjectImage(code=b"")) == ""
-
-
-def test_disassemble_is_the_listing():
-    image = asm.assemble("       ZER WC\n       HLT\n")
-    assert disasm.disassemble(image) == render_listing(image)
 
 
 def test_listing_of_compacted_program_smokes():

@@ -156,3 +156,36 @@ def test_no_free_opcode_needs_no_walk(monkeypatch):
     result = greedy.greedy_select(data, 176, 20)
     assert result.macros == [] and result.residual == data
     assert walks == []
+
+
+# Runs of three or more identical instructions give aligned keys whose runs
+# overlap (two instructions of three), so the aligned stage recounts them.
+# The last one's extension bytes spell ICV WC twice, so a recount also
+# meets matches that start mid-instruction.
+REPEATED = ("ICV WC", "ZER WA", "MOV =2A, -(XS)", "ADD WC, @40", "OUT WC",
+            "MOV WA, WB", "SUB =3, WB", "NOP", "MOV @1C02, @1C02")
+
+
+def repeated_runs_program(rng: random.Random) -> str:
+    lines = []
+    while len(lines) < rng.randint(10, 60):
+        lines += ["       " + rng.choice(REPEATED)] * rng.randint(1, 5)
+    return "\n".join(lines + ["       HLT"]) + "\n"
+
+
+def test_aligned_recount_matches_oracle(monkeypatch):
+    real, recounts = macros.PayingKeys._recount, []
+
+    def spy(self, s):
+        recounts.append(self.granularity)
+        return real(self, s)
+
+    monkeypatch.setattr(macros.PayingKeys, "_recount", spy)
+    rng = random.Random(3)
+    for case in range(60):
+        stream, _ = asm.assemble_stream(repeated_runs_program(rng))
+        for max_macros, max_len in ((176, 20), (3, 6), (8, 4)):
+            got = macros.select_greedy(stream, max_macros, max_len)
+            want = oracles.select_greedy(stream, max_macros, max_len)
+            assert got == want, (case, max_macros, max_len)
+    assert recounts.count("aligned") > 100

@@ -156,6 +156,18 @@ def test_stack_overflow_faults():
     assert out.steps == 4
 
 
+def test_first_operand_push_overflow_matches_reference():
+    # ZER writes its only operand, so the push is the first operand's
+    img = asm.assemble("LOOP   ZER -(XS)\n       BRN LOOP\n")
+    got = run(load(img), 100_000)
+    assert (got.status, got.steps, got.trace, got.fault_reason) == \
+        reference_run(load(img), 100_000)
+    assert got.fault_reason == "stack overflow"
+    # 16,256 words fit between the stack top and bottom; each push is
+    # followed by a branch, and the next push faults
+    assert got.steps == 2 * 16_256 + 1
+
+
 def test_run_past_end_of_memory_faults():
     img = ObjectImage(code=bytes([0x01]), origin=0xFFFF, entry=0xFFFF)
     out = run(load(img), 10)
