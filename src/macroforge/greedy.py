@@ -82,8 +82,9 @@ def greedy_select(data: Sequence[int], max_macros: int, max_len: int,
     reached.  With allow_embed=False the opcode goes in as a macro byte,
     which ends every later run, so bodies never nest; with
     allow_embed=True it goes in as a literal that later bodies may cover.
-    Candidates are counted once; macros.PayingKeys keeps the counts exact
-    from round to round.
+    Candidates are counted once, and with embedding the runs through
+    each opcode as it goes in; after that macros.PayingKeys recounts only
+    the key at the top of its heap, whose stored count is an upper bound.
     """
     check_limits(max_macros, max_len)
     keys = PayingKeys(lower(_byte_stream(data).items), max_len, "free")

@@ -112,7 +112,8 @@ def lower(items: list) -> Lowered:
 
 
 def _walk(low: Lowered, max_len: int, granularity: str):
-    """The candidate runs of 2..max_len bytes, one item count at a time.
+    """The candidate runs of 2..max_len bytes that may repeat, one item
+    count at a time.
 
     A run starts where an opcode is fetched (the body is spliced into the
     fetch stream, so a macro byte anywhere else would be read as operand
@@ -127,8 +128,11 @@ def _walk(low: Lowered, max_len: int, granularity: str):
     (whole instructions and their prefixes); "aligned" requires runs to
     cover whole instructions.
 
-    Yields (t, starts) for t = 2, 3, ...: the first item of every run of
-    t items that may end there, in stream order.
+    Yields (t, runs) for t = 2, 3, ...: runs maps the key of every run of
+    t items that may end there and whose key another run of t items
+    shares to the first item of each such run, in stream order.  A start
+    whose run of t items has a key of its own is dropped: every longer
+    run from it has a key of its own too, so none can repeat.
     """
     if max_len < 2:
         raise ValueError("max_len must be at least 2")
@@ -144,15 +148,25 @@ def _walk(low: Lowered, max_len: int, granularity: str):
     offset = [0, *accumulate(1 if c < _STOP else 2 for c in sig)]
     ends = ([m != _OTHER for m in marks] + [True]
             if granularity == "aligned" else None)
-    live = [i for i, m in enumerate(marks) if m == _START]
-    t = 1
+    live = [i for i, m in enumerate(marks) if m == _START and joins[i + 1]
+            and offset[i + 2] - offset[i] <= max_len]
+    t = 2
     while live:
-        live = [i for i in live if joins[i + t]
-                and offset[i + t + 1] - offset[i] <= max_len]
+        keys = [sig[i:i + t] for i in live]
+        seen = Counter(keys)
+        runs: dict[str, list[int]] = defaultdict(list)
+        longer = []  # the starts of runs of t + 1 items that may repeat
+        for i, s in zip(live, keys):
+            if seen[s] > 1:
+                if ends is None or ends[i + t]:
+                    runs[s].append(i)
+                if joins[i + t] and offset[i + t + 1] - offset[i] <= max_len:
+                    longer.append(i)
+        del keys, seen  # not held across the yield
+        if runs:
+            yield t, runs
+        live = longer
         t += 1
-        starts = live if ends is None else [i for i in live if ends[i + t]]
-        if starts:
-            yield t, starts
 
 
 def _width(s: str) -> int:
@@ -179,21 +193,12 @@ def _paying_runs(low: Lowered, max_len: int, granularity: str):
     first item of each of its runs in stream order.
 
     f counts runs leftmost-greedy, as Lowered.substitute replaces them.
-    Each item count's runs are dropped once that count is done.
     """
-    sig = low.sig
-    for t, starts in _walk(low, max_len, granularity):
-        keys = [sig[i:i + t] for i in starts]
-        seen = Counter(keys)
-        runs: dict[str, list[int]] = defaultdict(list)
-        for s, i in zip(keys, starts):
-            if seen[s] > 1:  # a key seen once cannot pay
-                runs[s].append(i)
-        del keys, seen  # not held across the yields
-        for s, found in runs.items():
-            f, b = _leftmost(found, t), _width(s)
+    for t, runs in _walk(low, max_len, granularity):
+        for s, starts in runs.items():
+            f, b = _leftmost(starts, t), _width(s)
             if f * (b - 1) > b:
-                yield s, f, b, found
+                yield s, f, b, starts
 
 
 def profitable_keys(low: Lowered, max_len: int, granularity: str
@@ -240,22 +245,23 @@ def _is_run(low: Lowered, i: int, t: int, granularity: str) -> bool:
 
 
 class PayingKeys:
-    """The keys that pay on a stream, kept exact while it is substituted.
+    """The keys that pay on a stream, each with an upper bound on its net
+    saving, while the stream is substituted.
 
-    One full count (_paying_runs) runs on the first call of best and
-    indexes the runs of every paying key by their first item.  After
-    that a substitution only updates the keys it touched.  Put in as a
-    macro byte, the replacement ends every run, so it only removes runs,
-    namely those that overlap a replaced span; every other run keeps its
-    items, its neighbours and so its standing.  A leftmost-greedy count
-    of equal-length runs never rises when runs go, so a key that does
-    not pay now never will, and only the paying keys are kept.  While no
-    two runs of a key overlap, the sweep takes them all, so the key loses
-    one count per run it lost; a key with overlapping runs (aa in aaaa)
-    is recounted on the new stream.  A replacement put in as a literal
-    (byte-level embedding) is a character the stream did not hold, so
-    the runs through it are new keys; they are counted in full once, at
-    insertion, and then kept like the others.
+    One full count (_paying_runs) runs on the first call of best, and
+    every key it finds is exact.  A substitution only marks every key
+    stale.  Put in as a macro byte, the replacement ends every run, so it
+    only removes runs; every other run keeps its items, its neighbours
+    and so its standing, and a leftmost-greedy count of equal-length runs
+    never rises when runs go.  So a stale net is an upper bound, and a
+    key that does not pay now never will.  best pops stale keys off the
+    top of a heap of (-net, -b, key) and recounts each on the current
+    stream until the top is exact (Minoux's accelerated greedy): every
+    other key's true entry is then at least its stored one, so the top
+    is the best key.  A replacement put in as a literal (byte-level
+    embedding) is a character the stream did not hold, so the runs
+    through it are new keys; they are counted in full once, at
+    insertion, and are exact until the next substitution.
     """
 
     def __init__(self, low: Lowered, max_len: int, granularity: str):
@@ -263,85 +269,58 @@ class PayingKeys:
         self.max_len = max_len
         self.granularity = granularity
         self.nets: dict[str, tuple[int, int]] | None = None
+        self.exact: set[str] = set()  # counted since the last substitution
 
     def _count_all(self) -> None:
-        self.nets = {}
-        # bit t of at[i] is set when a paying key has a run of t items
-        # from item i; the key is sig[i:i + t], and a bit whose key has
-        # stopped paying is skipped when read
-        self.at = [0] * len(self.low.sig)
-        self.overlapping: set[str] = set()  # keys with overlapping runs
-        for s, f, b, runs in _paying_runs(self.low, self.max_len,
-                                          self.granularity):
-            self._track(s, f, b, runs)
+        self.nets = {s: (f * (b - 1) - b, b) for s, f, b, _ in
+                     _paying_runs(self.low, self.max_len, self.granularity)}
+        self.exact = set(self.nets)
         # best-first candidates (-net, -b, key); an entry whose key no
-        # longer has that net is stale and dropped when it surfaces
+        # longer has that net was superseded and is dropped when it surfaces
         self.heap = [(-net, -b, s) for s, (net, b) in self.nets.items()]
         heapq.heapify(self.heap)
-        self.longest = max(map(len, self.nets), default=0)
 
-    def _track(self, s: str, f: int, b: int, runs: list[int]) -> None:
-        self.nets[s] = (f * (b - 1) - b, b)
-        if f < len(runs):
-            self.overlapping.add(s)
-        at, bit = self.at, 1 << len(s)
-        for i in runs:
-            at[i] |= bit
-
-    def _set(self, s: str, f: int) -> None:
-        """Record that key s now counts f runs."""
-        old, b = self.nets[s]
-        net = f * (b - 1) - b
+    def _refresh(self, s: str) -> bool:
+        """Recount stale key s; whether it still pays."""
+        b = self.nets[s][1]
+        net = self._recount(s) * (b - 1) - b
         if net <= 0:
             del self.nets[s]
-        elif net != old:
-            self.nets[s] = (net, b)
-            heapq.heappush(self.heap, (-net, -b, s))
+            return False
+        self.nets[s] = (net, b)
+        self.exact.add(s)
+        return True
 
     def best(self, defer_prefixes: bool = False) -> str | None:
-        """The key rank_keys(nets, 1, defer_prefixes) would pick, if any."""
+        """The key rank_keys(nets, 1, defer_prefixes) would pick on exact
+        counts, if any."""
         if self.nets is None:
             self._count_all()
-        if defer_prefixes:
-            return next(iter(rank_keys(self.nets, 1, True)), None)
-        heap, nets = self.heap, self.nets
+        nets, exact = self.nets, self.exact
+        if defer_prefixes:  # the prefix test needs every paying key
+            for s in [s for s in nets if s not in exact]:
+                self._refresh(s)
+            return next(iter(rank_keys(nets, 1, True)), None)
+        heap = self.heap
         while heap:
             net, b, s = heap[0]
-            if nets.get(s) == (-net, -b):
+            if nets.get(s) != (-net, -b):
+                heapq.heappop(heap)
+            elif s in exact:
                 return s
-            heapq.heappop(heap)
+            elif self._refresh(s):
+                heapq.heapreplace(heap, (-nets[s][0], b, s))
+            else:
+                heapq.heappop(heap)
         return None
 
     def substitute(self, pattern: str, item) -> tuple[list | None, int]:
-        """Substitute as Lowered.substitute does and bring the counts up
-        to date.  Returns the items removed by the first match (None if
+        """Substitute as Lowered.substitute does and mark every count
+        stale.  Returns the items removed by the first match (None if
         nothing matched) and the match count."""
         old = self.low
         self.low, spans = old.substitute(pattern, item)
-        sig, nets, at = old.sig, self.nets, self.at
-        lost: dict[str, int] = {}  # key -> its runs that overlapped a span
-        for start, end in spans:
-            for i in range(max(start - self.longest + 1, 0), end):
-                # runs of more than start - i items reach into the span;
-                # their bits are cleared, so a later span sees them no more
-                t = max(start - i + 1, 0)
-                gone = at[i] >> t
-                at[i] &= (1 << t) - 1
-                while gone:
-                    if gone & 1 and (s := sig[i:i + t]) in nets:
-                        lost[s] = lost.get(s, 0) + 1
-                    gone >>= 1
-                    t += 1
-        spliced, pos = [], 0
-        for start, end in spans:
-            spliced += at[pos:start]
-            spliced.append(0)
-            pos = end
-        self.at = spliced + at[pos:]
-        for s, k in lost.items():
-            net, b = nets[s]
-            self._set(s, self._recount(s) if s in self.overlapping
-                      else (net + b) // (b - 1) - k)
+        self.exact.clear()
         if isinstance(item, LiteralByte):
             shrink = accumulate((e - a - 1 for a, e in spans), initial=0)
             self._count_new([a - d for (a, _), d in zip(spans, shrink)])
@@ -349,18 +328,22 @@ class PayingKeys:
                 len(spans))
 
     def _recount(self, s: str) -> int:
-        """Leftmost-greedy count of the runs of key s on the stream."""
+        """Leftmost-greedy count of the runs of key s on the stream: a
+        match counts when it is a run and starts at or after the end of
+        the last counted one."""
         low, t = self.low, len(s)
-        runs = []
+        f = 0
         i = low.sig.find(s)
         while i >= 0:
             if _is_run(low, i, t, self.granularity):
-                runs.append(i)
-            i = low.sig.find(s, i + 1)
-        return _leftmost(runs, t)
+                f += 1
+                i = low.sig.find(s, i + t)
+            else:
+                i = low.sig.find(s, i + 1)
+        return f
 
     def _count_new(self, points: list[int]) -> None:
-        """Track the paying keys among the runs through the items just
+        """Count the paying keys among the runs through the items just
         put in at points, in stream order.  A run of t items through p
         starts in p-t+1..p; one through several points is taken at the
         first."""
@@ -379,10 +362,11 @@ class PayingKeys:
                 if len(found) < 2:
                     continue
                 f, b = _leftmost(found, t), _width(s)
-                if b <= self.max_len and f * (b - 1) > b:
-                    self._track(s, f, b, found)
-                    heapq.heappush(self.heap, (-self.nets[s][0], -b, s))
-                    self.longest = max(self.longest, t)
+                net = f * (b - 1) - b
+                if b <= self.max_len and net > 0:
+                    self.nets[s] = (net, b)
+                    self.exact.add(s)
+                    heapq.heappush(self.heap, (-net, -b, s))
 
 
 @dataclass
@@ -408,8 +392,9 @@ def select_greedy(stream: Stream, max_macros: int, max_len: int
     f*(b-1) - b with f counted over non-overlapping occurrences, adopts
     the best positive one, and substitutes at once so the next round
     works on the shrunken stream.  Ties fall to the longer body, then the
-    smaller key.  Each stage counts candidates once; PayingKeys keeps the
-    counts exact through the substitutions.
+    smaller key.  Each stage counts candidates once; after that
+    PayingKeys recounts a key when it reaches the top of its heap, and
+    in stage two every stale key before each pick.
 
     Selection runs coarse to fine.  The first stage admits only
     instruction-aligned runs: a mid-instruction prefix pools the counts

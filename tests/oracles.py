@@ -5,16 +5,17 @@ are deliberately dumb and quadratic-or-worse.  count_occurrences,
 single_macro_objective, substitute and length_function define the
 objective that byte-level selection minimizes; only tests call them.
 Nothing here shares code with the package under test, apart from the
-instruction tables, the one decoder that the reference interpreter
-reads instructions with, and the candidate walk that
-extract_candidates groups by match key.  Match keys here are tuples
-built from the items, (0, byte) for a literal and (1, symbol) for a
-label reference.  select_greedy and greedy_select are the
-round-by-round greedy selectors that recount every candidate after
-each adoption; they share the lowering, the full count and the
+instruction tables and the one decoder that the reference interpreter
+reads instructions with.  reference_walk lists every candidate run,
+where the package's walk drops a start as soon as its key cannot
+repeat; extract_candidates groups its runs by match key.  Match keys
+here are tuples built from the items, (0, byte) for a literal and
+(1, symbol) for a label reference.  select_greedy and greedy_select
+are the round-by-round greedy selectors that recount every candidate
+after each adoption; they share the lowering, the full count and the
 ranking of the package, substitute by a scan of their own, and
-differential tests hold the incrementally maintained selectors to
-their output.  generate_corpus drives the package's program generator
+differential tests hold the lazily recounting selectors to their
+output.  generate_corpus drives the package's program generator
 but assembles the whole program after every chunk, where
 corpus.generate_corpus sums the sizes of the chunks.
 reference_assemble_stream parses, encodes and lays out every line on
@@ -276,18 +277,45 @@ def match_key(items: list) -> tuple:
                  else (1, it.symbol) for it in items)
 
 
+def reference_walk(low: Lowered, max_len: int, granularity: str):
+    """Every candidate run of 2..max_len bytes, one item count at a time,
+    as macros._walk finds them but without dropping a start whose key
+    cannot repeat.  Yields (t, starts): the first item of every run of t
+    items that may end there, in stream order."""
+    if max_len < 2:
+        raise ValueError("max_len must be at least 2")
+    if granularity not in ("free", "instruction", "aligned"):
+        raise ValueError(f"unknown granularity {granularity!r}")
+    sig, marks = low.sig, low.marks
+    inside = granularity == "instruction"
+    joins = [c != macros._STOP and not (inside and m == macros._START)
+             for c, m in zip(sig, marks)] + [False]
+    offset = [0, *accumulate(1 if c < macros._STOP else 2 for c in sig)]
+    ends = ([m != macros._OTHER for m in marks] + [True]
+            if granularity == "aligned" else None)
+    live = [i for i, m in enumerate(marks) if m == macros._START]
+    t = 1
+    while live:
+        live = [i for i in live if joins[i + t]
+                and offset[i + t + 1] - offset[i] <= max_len]
+        t += 1
+        starts = live if ends is None else [i for i in live if ends[i + t]]
+        if starts:
+            yield t, starts
+
+
 def extract_candidates(stream: Stream, max_len: int,
                        granularity: str = "free"
                        ) -> dict[tuple, list[StreamOccurrence]]:
     """Every candidate run of 2..max_len bytes, grouped by match key.
 
-    Runs are those of macros._walk at the given granularity.  Occurrence lists
-    come back in stream order.
+    Runs are those of reference_walk at the given granularity.
+    Occurrence lists come back in stream order.
     """
     items = stream.items
     offsets = [0, *accumulate(map(asm.item_width, items))]
     found: dict[tuple, list[StreamOccurrence]] = {}
-    for t, starts in macros._walk(macros.lower(items), max_len, granularity):
+    for t, starts in reference_walk(macros.lower(items), max_len, granularity):
         for i in starts:
             found.setdefault(match_key(items[i:i + t]), []).append(
                 StreamOccurrence(i, i + t, offsets[i],

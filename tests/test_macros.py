@@ -104,10 +104,12 @@ def test_granularities_nest():
 
 def test_extract_rejects_bad_arguments():
     stream = stream_for("       NOP\n")
-    with pytest.raises(ValueError):
-        extract_candidates(stream, 1)
-    with pytest.raises(ValueError):
-        extract_candidates(stream, 8, granularity="word")
+    low = macros.lower(stream.items)
+    for max_len, granularity in ((1, "free"), (8, "word")):
+        with pytest.raises(ValueError):
+            extract_candidates(stream, max_len, granularity=granularity)
+        with pytest.raises(ValueError):
+            macros.profitable_keys(low, max_len, granularity)
 
 
 # --- frequency selection ----------------------------------------------------

@@ -1,12 +1,15 @@
-"""Incremental greedy selection against the round-by-round oracle.
+"""Lazy greedy selection against the round-by-round oracle.
 
 macros.select_greedy and greedy.greedy_select count candidates once per
-stage and then update only what each substitution touched.  The oracles
-in tests/oracles.py recount everything after every adoption; both must
-produce the same bytes.
+stage and then recount only the key at the top of the heap, whose
+stored net is an upper bound once the stream has been substituted.  The
+oracles in tests/oracles.py recount everything after every adoption;
+both must produce the same bytes.  The candidate walk drops a start as
+soon as its key cannot repeat; oracles.reference_walk lists every run.
 """
 
 import random
+from collections import defaultdict
 
 import pytest
 
@@ -189,3 +192,135 @@ def test_aligned_recount_matches_oracle(monkeypatch):
             want = oracles.select_greedy(stream, max_macros, max_len)
             assert got == want, (case, max_macros, max_len)
     assert recounts.count("aligned") > 100
+
+
+# One whole instruction, ZER WA, also begins five raw-hex instructions
+# (44 00 xx).  Only its four whole occurrences are aligned runs, and the
+# first adoption, ZER WA; OUT WC, takes two of them, so the recount that
+# follows meets seven matches of which two are runs: ZER WA stops paying
+# in the aligned stage.  In stage two OUT 00, the prefix of eight raw-hex
+# lines, outranks it.  Counting the raw-hex prefixes in the aligned
+# recount would adopt ZER WA before OUT 00.
+SHARED_PREFIX = ("""L1     ZER WA
+       OUT WC
+L2     ZER WA
+       OUT WC
+L3     ZER WA
+L4     ZER WA
+""" + "".join(f"       ZER 00, 0{k}\n" for k in range(1, 6))
+                 + "".join(f"       OUT 00, 0{k}\n" for k in range(1, 9))
+                 + "       HLT\n")
+
+
+def spy_recounts(monkeypatch):
+    """The (granularity, key, count) of every recount, in order; fails
+    if a key is recounted twice between two substitutions."""
+    recount = macros.PayingKeys._recount
+    substitute = macros.PayingKeys.substitute
+    recounts, since = [], set()
+
+    def spy_recount(self, s):
+        assert s not in since, s
+        since.add(s)
+        f = recount(self, s)
+        recounts.append((self.granularity, s, f))
+        return f
+
+    def spy_substitute(self, *args):
+        since.clear()
+        return substitute(self, *args)
+
+    monkeypatch.setattr(macros.PayingKeys, "_recount", spy_recount)
+    monkeypatch.setattr(macros.PayingKeys, "substitute", spy_substitute)
+    return recounts
+
+
+def test_aligned_end_decides_a_recount(monkeypatch):
+    recounts = spy_recounts(monkeypatch)
+    stream, _ = asm.assemble_stream(SHARED_PREFIX)
+    got = macros.select_greedy(stream, 176, 20)
+    assert got == oracles.select_greedy(stream, 176, 20)
+    assert [bytes(it.value for it in m.items) for m in got[1]] == [
+        b"\x44\x00\x40\x02", b"\x40\x00", b"\x44\x00"]
+    assert ("aligned", "\x44\x00", 2) in recounts
+
+
+# Raw-hex lines whose bytes no symbolic line shares, so stage one adopts
+# nothing; in stage two MOV 00 00 pays most, then OUT 00, then ZER 00 01.
+# ZER 00 01 also spells ZER WA; NOP, which is no run at "instruction"
+# granularity since it crosses an opcode.  Counting that match too would
+# rank ZER 00 01 above OUT 00 in the recount after the first adoption.
+CROSSING = ("       ZER WA\n       NOP\n"
+            + "".join(f"       ZER 00, 01, 0{k}\n" for k in (1, 2))
+            + "".join(f"       OUT 00, 0{k}\n" for k in range(1, 5))
+            + "".join(f"       MOV 00, 00, 0{k}\n" for k in range(1, 9))
+            + "       HLT\n")
+
+
+def test_instruction_end_decides_a_recount(monkeypatch):
+    recounts = spy_recounts(monkeypatch)
+    stream, _ = asm.assemble_stream(CROSSING)
+    got = macros.select_greedy(stream, 176, 20)
+    assert got == oracles.select_greedy(stream, 176, 20)
+    assert [bytes(it.value for it in m.items) for m in got[1]] == [
+        b"\x32\x00\x00", b"\x40\x00", b"\x44\x00\x01"]
+    assert ("instruction", "\x44\x00\x01", 2) in recounts
+
+
+def reference_paying_runs(low, max_len, granularity):
+    """_paying_runs over every run of the unpruned walk: keys seen more
+    than once, counted leftmost-greedy."""
+    out = {}
+    for t, starts in oracles.reference_walk(low, max_len, granularity):
+        runs = defaultdict(list)
+        for i in starts:
+            runs[low.sig[i:i + t]].append(i)
+        for s, found in runs.items():
+            if len(found) > 1:
+                f, b = macros._leftmost(found, t), macros._width(s)
+                if f * (b - 1) > b:
+                    out[s] = (f, b, found)
+    return out
+
+
+def walk_cases():
+    for seed in range(12):
+        stream, _ = asm.assemble_stream(corpus.generate_program(seed))
+        yield f"program {seed}", stream.items
+    for name, data in (("all-equal", bytes(90)), ("period 2", b"ab" * 45),
+                       ("period 3", b"aab" * 30),
+                       ("all values", bytes(range(256)) * 2)):
+        yield name, greedy._byte_stream(data).items
+
+
+def test_pruned_walk_matches_reference():
+    for name, items in walk_cases():
+        low = macros.lower(items)
+        for granularity in ("free", "instruction", "aligned"):
+            for max_len in (2, 5, 20):
+                got = {s: (f, b, runs) for s, f, b, runs
+                       in macros._paying_runs(low, max_len, granularity)}
+                assert got == reference_paying_runs(low, max_len,
+                                                    granularity), (
+                    name, granularity, max_len)
+
+
+def test_lazy_bounds_on_self_overlapping_inputs(monkeypatch):
+    recounts = spy_recounts(monkeypatch)
+    for n in (1, 2, 7, 40, 150):
+        for data in (bytes(n), b"ab" * n, b"aab" * n):
+            for max_len in (2, 3, 8, 20):
+                for embed in (False, True):
+                    got = greedy.greedy_select(data, 176, max_len, embed)
+                    want = oracles.greedy_select(data, 176, max_len, embed)
+                    assert got == want, (data, max_len, embed)
+    assert len(recounts) > 100
+
+
+def test_stage_two_recounts_each_key_once_per_round(monkeypatch):
+    recounts = spy_recounts(monkeypatch)
+    for seed in range(6):
+        stream, _ = asm.assemble_stream(corpus.generate_program(seed))
+        assert (macros.select_greedy(stream, 176, 20)
+                == oracles.select_greedy(stream, 176, 20)), seed
+    assert sum(g == "instruction" for g, _, _ in recounts) > 100
