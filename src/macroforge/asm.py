@@ -271,18 +271,25 @@ def _check_style_mix(operands: list, line_no: int) -> None:
 
 
 def _print_operand(o: Operand) -> str:
-    mode = o.mode
-    if mode in _TOKEN_OF_MODE:
-        return _TOKEN_OF_MODE[mode]
-    if mode is None:
+    if o.mode is None:
         if o.width:
             return f"{o.value:0{o.width * 2}X}"
         return ("+" if o.relaxable else "") + o.symbol
+    return operand_text(o.mode, o.value, o.symbol)
+
+
+def operand_text(mode: int, value: int | None, symbol: str | None = None
+                 ) -> str:
+    """The one spelling of a value operand: its mode nibble and extension
+    value, or the label of an =LABEL literal."""
+    token = _TOKEN_OF_MODE.get(mode)
+    if token is not None:
+        return token
     if mode == isa.MODE_LIT:
-        return f"={o.symbol}" if o.symbol else f"={o.value:X}"
-    if mode in (isa.MODE_MEM1, isa.MODE_MEM2):
-        return f"@{o.value:02X}"
-    return f"{o.value:X}({isa.REGISTERS[isa.BASE_REG[mode]]})"
+        return f"={symbol}" if symbol else f"={value:X}"
+    if mode == isa.MODE_MEM1 or mode == isa.MODE_MEM2:
+        return f"@{value:02X}"
+    return f"{value:X}({isa.REGISTERS[isa.BASE_REG[mode]]})"
 
 
 # ---------------------------------------------------------------------------

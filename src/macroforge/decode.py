@@ -42,21 +42,16 @@ _SHAPES = {
 }
 
 
-def _extension(buf, pos: int, mode: int) -> tuple[int | None, int, str | None]:
-    """Extension value of one operand, the position after it, and the
-    reason a re-encoding would differ (None when canonical)."""
-    if mode < isa.MODE_MEM1:  # register, indirect, pop and push modes
-        return None, pos, None
-    if mode == isa.MODE_MEM1:
-        return buf[pos], pos + 1, None
-    if mode == isa.MODE_MEM2:
-        value = (buf[pos] << 8) | buf[pos + 1]
-        return value, pos + 2, ("2-byte address under 0x100"
-                                if value <= 0xFF else None)
-    # literal, or the offset of an indexed operand
-    value, width = decode_literal(buf, pos)
-    return value, pos + width, ("long-form literal under 0x80"
-                                if width == 2 and value <= 0x7F else None)
+# mode nibble -> extension form: none (register, indirect, pop and
+# push modes), one address byte, a literal or offset (one byte if >= 0x80,
+# else two), or a 2-byte address
+_NONE, _BYTE, _LIT, _WORD = range(4)
+_FORM = tuple(_NONE if mode < isa.MODE_MEM1 else _BYTE if mode == isa.MODE_MEM1
+              else _WORD if mode == isa.MODE_MEM2 else _LIT
+              for mode in range(16))
+# form -> (largest value of its short form, why a long form would differ)
+_LONG = {_LIT: (0x7F, "long-form literal under 0x80"),
+         _WORD: (0xFF, "2-byte address under 0x100")}
 
 
 def decode(buf, pos: int, main_from: int, main_addr: int) -> tuple:
@@ -81,12 +76,32 @@ def decode(buf, pos: int, main_from: int, main_addr: int) -> tuple:
     pos += 2
     mode1 = ext1 = mode2 = ext2 = target = noncanonical = None
     if count:
+        # extensions read inline, in operand order; the first reason wins
         mode1 = header & 0x0F
-        ext1, pos, noncanonical = _extension(buf, pos, mode1)
+        form = _FORM[mode1]
+        if form:
+            b = buf[pos]
+            if form == _BYTE or form == _LIT and b >= 0x80:
+                ext1 = b - 0x80 if form == _LIT else b
+                pos += 1
+            else:
+                ext1 = (b << 8) | buf[pos + 1]
+                pos += 2
+                if ext1 <= _LONG[form][0]:
+                    noncanonical = _LONG[form][1]
         if count == 2:
             mode2 = header >> 4
-            ext2, pos, reason = _extension(buf, pos, mode2)
-            noncanonical = noncanonical or reason
+            form = _FORM[mode2]
+            if form:
+                b = buf[pos]
+                if form == _BYTE or form == _LIT and b >= 0x80:
+                    ext2 = b - 0x80 if form == _LIT else b
+                    pos += 1
+                else:
+                    ext2 = (b << 8) | buf[pos + 1]
+                    pos += 2
+                    if ext2 <= _LONG[form][0] and not noncanonical:
+                        noncanonical = _LONG[form][1]
         elif header >> 4:
             noncanonical = noncanonical or "stray high header nibble"
     elif header != isa.MODE_MEM2:

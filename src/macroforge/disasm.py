@@ -10,10 +10,18 @@ Both steps work once per distinct instruction within a call.
 decode_image keeps a memo from decode.decode's fields, less the end
 position, to one shared, immutable DecodedInstr; the fields hold the
 absolute branch target, so a short branch at another address is
-another instruction.  render_listing keeps a memo from a unit's main
-bytes and its shared instructions to the rendered line after the
-address (hex columns, continuation lines, *** flag and text), so a
-repeated unit costs one lookup and the address.
+another instruction.  It also keeps a memo from macro code to the
+instructions of a body that ends on an instruction boundary: such a
+body reads no main-stream byte, so it decodes alike at every site,
+and each later activation is a unit of the macro opcode alone with a
+fresh copy of that list.  A body that ends mid-instruction reads the
+bytes after its opcode and is decoded at every site.  render_listing
+keeps a memo from a unit's main bytes and its shared instructions to
+the rendered line after the address (hex columns, continuation lines,
+*** flag and text), so a repeated unit costs one lookup and the
+address; the macro table takes a boundary-ending body's text from its
+activation and decodes only the other bodies.  Nothing is kept from
+one call to the next.
 
 render_source only accepts macro-free images with canonical encodings:
 its output reassembles to the identical byte string, which is the
@@ -43,13 +51,11 @@ class DecodedInstr:
     noncanonical: str | None = None   # reason, when re-encoding would differ
 
     def text(self, target_text: str | None = None) -> str:
-        parts = list(self.operand_texts)
+        texts = self.operand_texts
         if self.target_addr is not None:
-            parts.append(target_text if target_text is not None
-                         else f"{self.target_addr:04X}")
-        if not parts:
-            return self.name
-        return f"{self.name} {', '.join(parts)}"
+            texts += (target_text if target_text is not None
+                      else f"{self.target_addr:04X}",)
+        return f"{self.name} {', '.join(texts)}" if texts else self.name
 
 
 @dataclass
@@ -69,10 +75,9 @@ def _instr(key: tuple) -> DecodedInstr:
     if mode1 is None:
         texts = ()
     elif mode2 is None:
-        texts = (asm._print_operand(asm.Operand(mode1, ext1)),)
+        texts = (asm.operand_text(mode1, ext1),)
     else:
-        texts = (asm._print_operand(asm.Operand(mode1, ext1)),
-                 asm._print_operand(asm.Operand(mode2, ext2)))
+        texts = (asm.operand_text(mode1, ext1), asm.operand_text(mode2, ext2))
     return DecodedInstr(name, texts, target, short, noncanonical)
 
 
@@ -97,12 +102,16 @@ def _decode_run(buf, pos: int, main_from: int, main_addr: int,
 
 def decode_image(image) -> list[DecodedUnit]:
     """Decode the whole code region into instruction units; units that
-    decode to the same fields share one DecodedInstr."""
+    decode to the same fields share one DecodedInstr, and activations of
+    a macro whose body ends on an instruction boundary share its decode."""
     if image.is_raw:
         raise DisasmError("raw container holds packed bytes, not a program")
     code, origin = image.code, image.origin
     bodies = [m.body for m in image.macros]
     shared: dict = {}
+    # macro code -> instructions of its body, for a body that ends on an
+    # instruction boundary and so reads no main-stream byte
+    whole: dict = {}
     units: list[DecodedUnit] = []
     pos = 0
     try:
@@ -113,6 +122,12 @@ def decode_image(image) -> list[DecodedUnit]:
                 units.append(DecodedUnit(origin + pos, code[pos:end], instrs))
                 pos = end
                 continue
+            instrs = whole.get(byte)
+            if instrs is not None:
+                units.append(DecodedUnit(origin + pos, code[pos:pos + 1],
+                                         instrs[:], macro_code=byte))
+                pos += 1
+                continue
             idx = byte - isa.MACRO_OPCODE_BASE
             if idx >= len(bodies):
                 raise DisasmError(f"unknown opcode {byte:#04x} at "
@@ -121,6 +136,8 @@ def decode_image(image) -> list[DecodedUnit]:
             tail = code[pos + 1:pos + 1 + isa.MAX_INSTRUCTION_BYTES]
             instrs, end = _decode_run(body + tail, 0, len(body),
                                       origin + pos + 1, shared)
+            if end == len(body):
+                whole[byte] = instrs
             end += pos + 1 - len(body)
             units.append(DecodedUnit(origin + pos, code[pos:end], instrs,
                                      macro_code=byte))
@@ -140,18 +157,21 @@ _BYTES_PER_LINE = 4
 _WIDTH = _BYTES_PER_LINE * 3 - 1
 
 
-def _hex_chunks(data: bytes) -> list[str]:
-    return [data[i:i + _BYTES_PER_LINE].hex(" ").upper()
-            for i in range(0, len(data), _BYTES_PER_LINE)]
+def _text(instrs: list) -> str:
+    if len(instrs) == 1:
+        return instrs[0].text()
+    return " / ".join([i.text() for i in instrs])
 
 
-def _tail(unit: DecodedUnit) -> str:
+def _tail(unit: DecodedUnit, text: str) -> str:
     """A unit's listing lines after its address."""
-    first, *rest = _hex_chunks(unit.main_bytes)
+    data = unit.main_bytes
     flag = "***" if unit.is_macro else "   "
-    text = " / ".join([i.text() for i in unit.instrs])
-    tail = f"  {first:<{_WIDTH}}  {flag}  {text}"
-    for chunk in rest:
+    if len(data) <= _BYTES_PER_LINE:
+        return f"  {data.hex(' ').upper():<{_WIDTH}}  {flag}  {text}"
+    tail = f"  {data[:_BYTES_PER_LINE].hex(' ').upper()}  {flag}  {text}"
+    for i in range(_BYTES_PER_LINE, len(data), _BYTES_PER_LINE):
+        chunk = data[i:i + _BYTES_PER_LINE].hex(" ").upper()
         tail += f"\n      {chunk:<{_WIDTH}}"
     return tail
 
@@ -162,20 +182,28 @@ def render_listing(image) -> str:
     units = decode_image(image)
     lines = [f"origin {image.origin:04X}  entry {image.entry:04X}", ""]
     tails: dict = {}   # (main bytes, *shared instructions) -> line tail
+    # macro code -> text of a body that ends on an instruction boundary,
+    # taken from an activation: its unit holds the macro opcode alone
+    body_texts: dict = {}
     for unit in units:
         key = (unit.main_bytes, *unit.instrs)
         tail = tails.get(key)
         if tail is None:
-            tail = tails[key] = _tail(unit)
+            text = _text(unit.instrs)
+            tail = tails[key] = _tail(unit, text)
+            if unit.is_macro and len(unit.main_bytes) == 1:
+                body_texts[unit.macro_code] = text
         lines.append(f"{unit.addr:04X}{tail}")
     if image.macros:
         lines.append("")
         lines.append("macro table:")
         shared: dict = {}
-        for m in image.macros:
+        for code, m in enumerate(image.macros, isa.MACRO_OPCODE_BASE):
+            text = body_texts.get(code)
+            if text is None:
+                text = _body_text(m.body, shared)
             lines.append(f"  {m.code:02X}  len {len(m.body):<3d} "
-                         f"{m.body.hex(' ').upper():<{_WIDTH}}  "
-                         f"{_body_text(m.body, shared)}")
+                         f"{m.body.hex(' ').upper():<{_WIDTH}}  {text}")
     return "\n".join(lines) + "\n"
 
 
@@ -186,7 +214,7 @@ def _body_text(body: bytes, shared: dict) -> str:
         instrs, _ = _decode_run(body, 0, len(body), 0, shared)
     except (IndexError, decode.DecodeError):
         return "(instruction prefix)"
-    return " / ".join(i.text() for i in instrs)
+    return _text(instrs)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,12 @@ are deliberately dumb and quadratic-or-worse.  count_occurrences,
 single_macro_objective, substitute and length_function define the
 objective that byte-level selection minimizes; only tests call them.
 Nothing here shares code with the package under test, apart from the
-instruction tables and the one decoder that the reference interpreter
-reads instructions with.  reference_walk lists every candidate run,
-where the package's walk drops a start as soon as its key cannot
-repeat; extract_candidates groups its runs by match key.  Match keys
+instruction tables: reference_decode is the instruction decoder as it
+was before decode.decode read extensions inline, and the reference
+interpreter and the reference listing read instructions with it.
+reference_walk lists every candidate run, where the package's walk
+drops a start as soon as its key cannot repeat; extract_candidates
+groups its runs by match key.  Match keys
 here are tuples built from the items, (0, byte) for a literal and
 (1, symbol) for a label reference.  select_greedy and greedy_select
 are the round-by-round greedy selectors that recount every candidate
@@ -25,8 +27,9 @@ per-instruction encoder with the package.  reference_resolve_stream
 emits the bytes by isinstance tests.  reference_decode_image and
 reference_render_listing decode and format every unit of a listing on
 its own, where the package shares one decoded instruction per distinct
-decode and one rendered line per distinct unit; they share the decoder
-and the per-instruction text with the package.
+decode, one instruction list per macro whose body ends on an
+instruction boundary and one rendered line per distinct unit; they
+share only the per-instruction text with the package.
 """
 
 from __future__ import annotations
@@ -39,12 +42,13 @@ from itertools import accumulate
 from typing import Iterable, Sequence
 
 import corpus
-from macroforge import asm, decode, disasm, isa, macros
+from macroforge import asm, disasm, isa, macros
 from macroforge.asm import (AsmError, Instruction, LabelDef, LabelRef, Layout,
                             LayoutError, LiteralByte, MacroByte, Stream,
                             _bad_label, _check_style_mix, _is_label,
                             _parse_operand, encode_short_branch, item_width,
                             translate_mnemonic)
+from macroforge.decode import DecodeError
 from macroforge.disasm import DecodedUnit, DisasmError
 from macroforge.greedy import (_BYTE_ITEMS, CompactionResult, Macro,
                                _byte_stream, _stream_bytes, pick_free_code)
@@ -581,13 +585,85 @@ def reference_assemble_stream(text: str, origin: int = isa.DEFAULT_ORIGIN
 
 
 # ---------------------------------------------------------------------------
+# Instruction decoder that reads each extension through a helper call
+
+# opcode -> (mnemonic, value operands, ends in a branch target)
+_REF_SHAPES = {
+    code: (name, sum(role != "target" for role in isa.SIGNATURES[name]),
+           isa.SIGNATURES[name][-1:] == ("target",))
+    for name, code in isa.OPCODES.items()
+}
+
+
+def _reference_extension(buf, pos: int, mode: int) -> tuple:
+    """Extension value of one operand, the position after it, and the
+    reason a re-encoding would differ (None when canonical)."""
+    if mode < isa.MODE_MEM1:  # register, indirect, pop and push modes
+        return None, pos, None
+    if mode == isa.MODE_MEM1:
+        return buf[pos], pos + 1, None
+    if mode == isa.MODE_MEM2:
+        value = (buf[pos] << 8) | buf[pos + 1]
+        return value, pos + 2, ("2-byte address under 0x100"
+                                if value <= 0xFF else None)
+    # literal, or the offset of an indexed operand
+    b0 = buf[pos]
+    if b0 >= 0x80:
+        return b0 - 0x80, pos + 1, None
+    value = (b0 << 8) | buf[pos + 1]
+    return value, pos + 2, ("long-form literal under 0x80"
+                            if value <= 0x7F else None)
+
+
+def reference_decode(buf, pos: int, main_from: int, main_addr: int) -> tuple:
+    """decode.decode with one _reference_extension call per operand."""
+    op = buf[pos]
+    shape = _REF_SHAPES.get(op)
+    if shape is None:
+        if op >= isa.MACRO_OPCODE_BASE and pos < main_from:
+            raise DecodeError(f"macro opcode {op:#04x} inside a macro body")
+        raise DecodeError(f"undefined opcode {op:#04x}")
+    name, count, branch = shape
+    if not count and not branch:
+        return name, None, None, None, None, None, False, None, pos + 1
+    header = buf[pos + 1]
+    pos += 2
+    mode1 = ext1 = mode2 = ext2 = target = noncanonical = None
+    if count:
+        mode1 = header & 0x0F
+        ext1, pos, noncanonical = _reference_extension(buf, pos, mode1)
+        if count == 2:
+            mode2 = header >> 4
+            ext2, pos, reason = _reference_extension(buf, pos, mode2)
+            noncanonical = noncanonical or reason
+        elif header >> 4:
+            noncanonical = noncanonical or "stray high header nibble"
+    elif header != isa.MODE_MEM2:
+        noncanonical = "unexpected BRN header"
+    short = False
+    if branch:
+        b = buf[pos]
+        if b >= 0x80:
+            if pos < main_from:
+                raise DecodeError("short branch form inside a macro body")
+            target = (main_addr + pos - main_from + 0xC0 - b) & 0xFFFF
+            short = True
+            pos += 1
+        else:
+            target = (b << 8) | buf[pos + 1]
+            pos += 2
+    return (name, mode1, ext1, mode2, ext2, target, short, noncanonical,
+            pos)
+
+
+# ---------------------------------------------------------------------------
 # Listing that decodes and renders every unit on its own
 
 def _reference_decode_run(buf, pos: int, main_from: int, main_addr: int
                           ) -> tuple:
     instrs = []
     while True:
-        fields = decode.decode(buf, pos, main_from, main_addr)
+        fields = reference_decode(buf, pos, main_from, main_addr)
         instrs.append(disasm._instr(fields[:-1]))
         pos = fields[-1]
         if pos >= main_from:
@@ -625,7 +701,7 @@ def reference_decode_image(image) -> list[DecodedUnit]:
     except IndexError:
         raise DisasmError(f"truncated image: instruction at {origin + pos:04X}"
                           " runs past the end of code") from None
-    except decode.DecodeError as err:
+    except DecodeError as err:
         raise DisasmError(f"{err} at {origin + pos:04X}") from None
     return units
 
@@ -658,7 +734,7 @@ def reference_render_listing(image, units: list | None = None) -> str:
             try:
                 instrs, _ = _reference_decode_run(m.body, 0, len(m.body), 0)
                 body_text = " / ".join(i.text() for i in instrs)
-            except (IndexError, decode.DecodeError):
+            except (IndexError, DecodeError):
                 body_text = "(instruction prefix)"
             lines.append(f"  {m.code:02X}  len {len(m.body):<3d} "
                          f"{_reference_hex(m.body):<{width}}  {body_text}")
@@ -680,7 +756,7 @@ def _ref_fetch(state) -> tuple:
             pc = state.pc
             op = memory[pc]
             if op < isa.MACRO_OPCODE_BASE:
-                instr = decode.decode(memory, pc, 0, 0)
+                instr = reference_decode(memory, pc, 0, 0)
                 state.pc = instr[-1]
                 return instr
             idx = op - isa.MACRO_OPCODE_BASE
@@ -694,11 +770,11 @@ def _ref_fetch(state) -> tuple:
             idx, off, resume = state.cursor
             body = state.macros[idx]
         left = len(body) - off
-        instr = decode.decode(body[off:] + memory[resume:resume + 8], 0,
-                              left, resume)
+        instr = reference_decode(body[off:] + memory[resume:resume + 8], 0,
+                                 left, resume)
     except IndexError:
         raise _Fault("fetch past the end of memory") from None
-    except decode.DecodeError as err:
+    except DecodeError as err:
         raise _Fault(str(err)) from None
     end = instr[-1]
     if end < left:

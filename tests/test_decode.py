@@ -3,6 +3,7 @@ import random
 import pytest
 
 import corpus
+import oracles
 from macroforge import decode, disasm, macros, objfile, vm
 from macroforge.disasm import DisasmError, decode_image, render_listing
 from macroforge.objfile import MacroEntry, ObjectError, ObjectImage
@@ -34,6 +35,47 @@ def test_decode_refuses_a_short_branch_byte_in_a_body():
 def test_decode_runs_off_the_buffer_with_index_error():
     with pytest.raises(IndexError):
         decode.decode(bytes([0x32, 0x4B, 0x12]), 0, 0, 0x100)
+
+
+# --- the decoder against the one that reads extensions by helper call --------
+
+def decode_outcome(decoder, buf, pos, main_from, main_addr):
+    try:
+        return "ok", decoder(buf, pos, main_from, main_addr)
+    except (IndexError, decode.DecodeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_decode_matches_reference_on_every_opcode_and_header():
+    # extension bytes near the short/long and 1-/2-byte boundaries
+    pool = [0x00, 0x01, 0x7F, 0x80, 0x81, 0xC0, 0xFF]
+    rng = random.Random(15)
+    kinds = set()
+    for op in range(256):
+        for header in range(256):
+            lead = bytes(rng.randrange(256) for _ in range(rng.randrange(3)))
+            if rng.random() < 0.25:   # every 2-byte form long
+                ext = bytes([0x00, rng.choice((0x05, 0x7F, 0xFF))] * 3)
+            else:
+                ext = bytes(rng.choice(pool) if rng.random() < 0.5
+                            else rng.randrange(256) for _ in range(6))
+            buf = lead + bytes([op, header]) + ext
+            if rng.random() < 0.3:   # truncate at or after the opcode
+                buf = buf[:rng.randrange(len(lead) + 1, len(buf))]
+            if rng.random() < 0.5:
+                buf = bytearray(buf)
+            pos = len(lead)
+            main_from = rng.randrange(len(buf) + 2)
+            main_addr = rng.randrange(0x10000)
+            want = decode_outcome(oracles.reference_decode, buf, pos,
+                                  main_from, main_addr)
+            assert decode_outcome(decode.decode, buf, pos, main_from,
+                                  main_addr) == want, (buf, pos, main_from)
+            kinds.add(want[1][7] if want[0] == "ok" else want[0])
+    assert kinds >= {"IndexError", "DecodeError", None,
+                     "2-byte address under 0x100",
+                     "long-form literal under 0x80",
+                     "stray high header nibble", "unexpected BRN header"}
 
 
 # --- no stale decode ---------------------------------------------------------

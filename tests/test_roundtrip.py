@@ -140,6 +140,80 @@ def test_decoded_instructions_are_shared_and_frozen():
         first.instrs[0].target_addr = 0x100
 
 
+# --- shared macro activations -----------------------------------------------
+# decode_image decodes a body that ends on an instruction boundary once per
+# call and copies its instructions into every activation; a body that ends
+# mid-instruction reads main-stream bytes and is decoded at every site.
+
+def macro_image(code, *bodies):
+    return ObjectImage(code=bytes(code), macros=[
+        MacroEntry(0x50 + i, bytes(b)) for i, b in enumerate(bodies)])
+
+
+def test_whole_body_sites_keep_their_own_address_and_byte():
+    # ZER WC at 0100 and 0102, then NOP and HLT; 51 (OUT WC) is never used
+    image = macro_image([0x50, 0x01, 0x50, 0x00], [0x44, 0x02], [0x40, 0x02])
+    units = decode_image(image)
+    assert [(u.addr, u.main_bytes, u.macro_code) for u in units] == [
+        (0x100, b"\x50", 0x50), (0x101, b"\x01", None),
+        (0x102, b"\x50", 0x50), (0x103, b"\x00", None)]
+    assert render_listing(image).splitlines()[2:] == [
+        "0100  50           ***  ZER WC",
+        "0101  01                NOP",
+        "0102  50           ***  ZER WC",
+        "0103  00                HLT",
+        "",
+        "macro table:",
+        "  50  len 2   44 02        ZER WC",
+        "  51  len 2   40 02        OUT WC"]
+
+
+def test_prefix_body_sites_list_their_own_instruction():
+    # the body is MOV's opcode and header; each site supplies the literal
+    image = macro_image([0x50, 0x85, 0x50, 0x00, 0x87, 0x00], [0x32, 0x4B])
+    assert render_listing(image).splitlines()[2:] == [
+        "0100  50 85        ***  MOV =5, XR",
+        "0102  50 00 87     ***  MOV =87, XR",
+        "0105  00                HLT",
+        "",
+        "macro table:",
+        "  50  len 2   32 4B        (instruction prefix)"]
+
+
+def test_images_with_the_same_code_share_nothing():
+    zer = macro_image([0x50, 0x50, 0x00], [0x44, 0x02])
+    out = macro_image([0x50, 0x50, 0x00], [0x40, 0x02, 0x01])
+    assert render_listing(zer).splitlines()[2:4] == [
+        "0100  50           ***  ZER WC",
+        "0101  50           ***  ZER WC"]
+    assert render_listing(out).splitlines()[2:4] == [
+        "0100  50           ***  OUT WC / NOP",
+        "0101  50           ***  OUT WC / NOP"]
+    assert render_listing(out).splitlines()[-1].endswith("OUT WC / NOP")
+    assert [i.name for u in decode_image(zer) for i in u.instrs] == [
+        "ZER", "ZER", "HLT"]
+
+
+@pytest.mark.parametrize("body, reason", [
+    ([0x01, 0x51], "macro opcode 0x51 inside a macro body"),
+    ([0x01, 0x4F], "undefined opcode 0x4f"),
+    ([0x03, 0x0C, 0xC0], "short branch form inside a macro body"),
+])
+def test_bad_body_fails_at_its_first_activation(body, reason):
+    image = macro_image([0x01, 0x50, 0x01, 0x50, 0x00], body)
+    with pytest.raises(DisasmError, match=f"^{reason} at 0101$"):
+        decode_image(image)
+
+
+def test_units_own_their_instruction_lists():
+    image = macro_image([0x50, 0x50, 0x50, 0x00], [0x44, 0x02, 0x01])
+    units = decode_image(image)
+    units[0].instrs.clear()
+    units[1].instrs.append(units[3].instrs[0])
+    assert [[i.text() for i in u.instrs] for u in units] == [
+        [], ["ZER WC", "NOP", "HLT"], ["ZER WC", "NOP"], ["HLT"]]
+
+
 # --- source round trip ------------------------------------------------------
 
 @pytest.mark.parametrize("seed", range(20))
