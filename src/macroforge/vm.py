@@ -12,17 +12,33 @@ stream.  Taken branches drop the cursor outright: the jump target is a
 main stream address, so whatever remained of the body is abandoned.
 
 Each fetch position (the main-stream pc, or the cursor inside a body)
-is decoded once, into an entry of a table on VmState.  A word write
-that touches a main-memory byte some entry was decoded from clears the
-table, so self-modifying code stays exact.
+is decoded once, into an entry of a table on VmState.  Entries come
+from decode.line, which reads each instruction's row in decode's one
+(opcode, header) row table; the VM keeps no operand or mnemonic table
+of its own.  A miss fills the straight line from the missed position:
+it caches each fall-through entry, main-stream, site and body step
+alike, up to the first branch, HLT or BRI, a position already cached,
+a position that does not decode (nothing is cached there, and it
+faults only when fetched), or FILL_CAP entries.  Only the missed
+position itself faults, with the same text as a decode on every step.
+
+A word write that touches a main-memory byte some entry was decoded
+from clears the table, so self-modifying code stays exact.  Each fill
+widens the watched range once, over the contiguous main-memory bytes
+its line read.  Because a fill caches at most FILL_CAP entries, a run
+decodes at most FILL_CAP instructions per executed step, however often
+writes clear the table, plus the shared decode of each body.
 
 Body entries are shared across sites: an instruction that lies wholly
 inside its body is decoded once, on first use, into a second table
 keyed by (table index, body offset), and each site's entry copies it
-with that site's next position.  The macro table is not in main memory,
-so that table is never cleared.  Only an instruction that runs past its
-body's end reads the site's main-stream bytes, and it alone is decoded
-per site.
+with that site's next position.  The first instruction of each body,
+its head, is also kept in a list indexed by table index, so a site
+costs one list read.  The macro table is not in main memory, so these
+are never cleared.  Only an instruction that runs past its body's end
+reads the site's main-stream bytes, and it alone is decoded per site;
+when the body holds exactly its opcode and header, its extensions are
+read straight from main memory after the macro opcode.
 """
 
 from __future__ import annotations
@@ -30,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import decode, isa
+from .decode import K_BASED, K_LIT, K_MEM, K_REG, K_STACK
 
 
 class LoadError(Exception):
@@ -70,10 +87,18 @@ class VmState:
     # they came from; code that writes memory directly must clear entries.
     entries: dict = field(default_factory=dict)
     watched: tuple = (0x10000, -1)       # empty
-    # (head, next body offset) of each instruction wholly inside a body,
-    # by (table index, body offset), for every site; never cleared,
-    # because the table is not in main memory.
+    # (entry less its next position, next body offset or None at the
+    # end) of each instruction wholly inside a body, by (table index,
+    # body offset), for every site; False where the instruction runs
+    # past the body's end.  heads holds each body's offset-0 one by
+    # table index (None until first use).  Never cleared, because the
+    # table is not in main memory.
     bodies: dict = field(default_factory=dict)
+    heads: list | None = None
+
+    def __post_init__(self):
+        if self.heads is None:
+            self.heads = [None] * len(self.macros)
 
 
 def load(image) -> VmState:
@@ -98,98 +123,119 @@ def load(image) -> VmState:
 # ---------------------------------------------------------------------------
 # Predecoding
 #
-# An entry is (op, k1, a1, b1, k2, a2, b2, target, next position).  op
-# numbers the mnemonics so that ranges pick the shape: 0-2 take no value
-# operand, 3-8 two, 9-14 one.  A value operand is a kind and two ints:
-# register (index, 0), literal (value, 0), memory (address, 0), based
-# (register, offset; 0 for the indirect modes), stack (0, +2 pop or -2
-# push).
+# An entry is decode.line's (op, k1, a1, b1, k2, a2, b2, target, end)
+# with end turned into the next fetch position: a main-stream pc, or
+# (table index, body offset, resume pc) inside a body.  op and the
+# operand kinds are the execution form of the instruction's row in
+# decode (see decode.K_REG and the ranges in _execute).  A miss fills
+# the straight line from the missed position on, so a run makes one
+# _decode_at call per line instead of one per instruction, and a site
+# of a decoded body costs a list read and a tuple.
 
-_OPS = ("HLT", "NOP", "BRN", "BEQ", "BNE", "BLT", "MOV", "ADD", "SUB",
-        "OUT", "BRI", "ICV", "DCV", "ZER", "LCW")
-_OPCODE = {name: i for i, name in enumerate(_OPS)}
-K_REG, K_LIT, K_MEM, K_BASED, K_STACK = range(5)
-# mode nibble (None when absent) -> (kind, a, b); a None is the extension
-_MODES = {None: (K_REG, 0, 0), isa.MODE_POP: (K_STACK, 0, 2),
-          isa.MODE_PUSH: (K_STACK, 0, -2), isa.MODE_LIT: (K_LIT, None, 0),
-          isa.MODE_MEM1: (K_MEM, None, 0), isa.MODE_MEM2: (K_MEM, None, 0),
-          **{r: (K_REG, r, 0) for r in range(isa.REG_XS + 1)},
-          **{m: (K_BASED, r, 0 if m < isa.MODE_MEM1 else None)
-             for m, r in isa.BASE_REG.items()}}
+FILL_CAP = 16          # most entries one miss caches
+_BASE = isa.MACRO_OPCODE_BASE
+_PADDING = bytes(isa.MAX_INSTRUCTION_BYTES - 1)
 
 
 def _decode_at(state: VmState, key) -> tuple:
-    """Decode the instruction at fetch position key, cache its entry and
-    widen the watched range over the main-memory bytes it read.
+    """Decode the straight line from the missed fetch position key, cache
+    its entries, widen the watched range once over the main-memory bytes
+    they read, and return key's entry.
 
-    A main-stream instruction decodes in place.  A body step decodes the
-    rest of the body followed by main memory at the resume pc, which
-    covers a body that ends mid-instruction.  An instruction that lies
-    wholly inside its body is decoded once into state.bodies and shared
-    by every site; one that runs past the body's end read the site's
-    main-stream bytes, so it stays per site.
+    A main-stream run decodes in place, in one decode.line call.  A site
+    copies its body's head from state.heads, and a body step its own
+    instruction from state.bodies, adding its next position.  An
+    instruction that runs past its body's end reads this site's
+    main-stream bytes: straight from memory after a body remainder of
+    exactly an opcode and a header, otherwise from the rest of the body
+    followed by memory at the resume pc.  The line reads main memory
+    from its first main-stream position up to where it stopped.
     """
-    memory, buf = state.memory, None
+    memory, entries, heads = state.memory, state.entries, state.heads
+    line, ends, cap, base = decode.line, decode.LINE_ENDS, FILL_CAP, _BASE
+    missed, n = key, 0
     try:
-        if type(key) is tuple:
-            idx, off, resume = key
-            first = resume
-        elif memory[key] < isa.MACRO_OPCODE_BASE:   # decode in place
-            buf, pos, left, resume, first = memory, key, 0, 0, key
-        else:
-            idx = memory[key] - isa.MACRO_OPCODE_BASE
-            off, resume, first = 0, key + 1, key
-        if buf is None:
-            shared = state.bodies.get((idx, off))
-            if shared is not None:
-                return _share(state, key, shared, idx, off, resume)
-            if idx >= len(state.macros):
-                raise VmFault(f"undefined opcode {memory[key]:#04x}")
-            body = state.macros[idx]
-            if not off and body[0] >= isa.MACRO_OPCODE_BASE:
-                raise VmFault("macro body begins with opcode "
-                              f"{body[0]:#04x}")
-            left = len(body) - off
-            tail = memory[resume:resume + isa.MAX_INSTRUCTION_BYTES]
-            buf, pos = body[off:] + tail, 0
-        name, mode1, ext1, mode2, ext2, target, _, _, end = decode.decode(
-            buf, pos, left, resume)
+        while True:
+            if type(key) is tuple:                    # a body step
+                idx, off, resume = key
+                shared = state.bodies.get((idx, off))
+            elif (idx := memory[key] - base) >= 0:    # a macro site
+                off, resume = 0, key + 1
+                try:
+                    shared = heads[idx]
+                except IndexError:                    # past the table
+                    raise decode.DecodeError(
+                        f"undefined opcode {memory[key]:#04x}") from None
+            else:                                     # main stream, in place
+                run, shared = line(memory, key, 0, 0, entries, cap - n), False
+            if shared:                                # wholly inside the body
+                head, after = shared
+                after = resume if after is None else (idx, after, resume)
+                entries[key] = head + (after,)
+                key = after
+                n += 1
+                if head[0] in ends or n == cap or key in entries:
+                    break
+                continue
+            if shared is None:                        # first use of the body
+                _share_body(state, idx, off)
+                continue
+            if idx >= 0:          # a site or body step that runs past the body
+                body = state.macros[idx]
+                left = len(body) - off
+                if left == 2:                         # opcode and header
+                    run = line(memory, resume, 0, 0, entries, cap - n,
+                               body[off:])
+                else:
+                    entry, = line(body[off:] + memory[
+                        resume:resume + isa.MAX_INSTRUCTION_BYTES],
+                        0, left, resume)
+                    run = [entry[:8] + (resume + entry[8] - left,)]
+            for entry in run:
+                entries[key] = entry
+                key = entry[8]
+            n += len(run)
+            if entry[0] in ends or n == cap or key in entries:
+                break
     except IndexError:
-        raise VmFault("fetch past the end of memory") from None
+        if not n:
+            raise VmFault("fetch past the end of memory") from None
     except decode.DecodeError as err:
-        raise VmFault(str(err)) from None
-    after = resume + end - left
-    k1, a1, b1 = _MODES[mode1]
-    k2, a2, b2 = _MODES[mode2]
-    entry = (_OPCODE[name], k1, ext1 if a1 is None else a1,
-             ext1 if b1 is None else b1, k2, ext2 if a2 is None else a2,
-             ext2 if b2 is None else b2, target, after)
-    if end <= left:                     # inside the body: share the head
-        state.bodies[idx, off] = shared = (
-            entry[:8], off + end if end < left else None)
-        return _share(state, key, shared, idx, off, resume)
-    last = after - 1
+        if not n:
+            raise VmFault(str(err)) from None
+    first = missed if type(missed) is int else missed[2]
+    last = (key if type(key) is int else key[2]) - 1
     lo, hi = state.watched
-    if first < lo or last > hi:
-        state.watched = (first if first < lo else lo,
-                         last if last > hi else hi)
-    state.entries[key] = entry
-    return entry
+    if first <= last and (first < lo or last > hi):
+        state.watched = (min(first, lo), max(last, hi))
+    return entries[missed]
 
 
-def _share(state: VmState, key, shared: tuple, idx: int, off: int,
-           resume: int) -> tuple:
-    """Cache the entry at key of the body instruction at (idx, off),
-    decoded as shared = (head, body offset after it or None at the end).
-    A site read its opcode byte from main memory, so it watches it."""
-    head, end = shared
-    after = resume if end is None else (idx, end, resume)
+def _share_body(state: VmState, idx: int, off: int) -> None:
+    """Decode the instructions of body idx from off on that lie wholly
+    inside it, up to the first that ends a line, and keep each in
+    state.bodies for every site as (entry less its next position, next
+    body offset or None at the body's end); the one at offset 0 also
+    goes to state.heads.  An instruction at off that runs past the
+    body's end is kept as False: each site decodes it with its own
+    main-stream bytes."""
+    body, bodies = state.macros[idx], state.bodies
+    if not off and body[0] >= _BASE:
+        raise decode.DecodeError("macro body begins with opcode "
+                                 f"{body[0]:#04x}")
+    # The zero padding lets an instruction that runs past the body's end
+    # decode, to be dropped here, rather than raise IndexError.
+    size, at = len(body), off
+    for entry in decode.line(body + _PADDING, off, size, 0, (size,), size):
+        end = entry[8]
+        if end > size:
+            break
+        bodies[idx, at] = (entry[:8], end if end < size else None)
+        at = end
+    if at == off:
+        bodies[idx, off] = False
     if not off:
-        lo, hi = state.watched
-        if key < lo or key > hi:
-            state.watched = (key if key < lo else lo, key if key > hi else hi)
-    entry = state.entries[key] = head + (after,)
-    return entry
+        state.heads[idx] = bodies[idx, 0]
 
 
 # ---------------------------------------------------------------------------

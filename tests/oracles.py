@@ -8,6 +8,8 @@ Nothing here shares code with the package under test, apart from the
 instruction tables: reference_decode is the instruction decoder as it
 was before decode.decode read extensions inline, and the reference
 interpreter and the reference listing read instructions with it.
+decode_literal is the inverse of asm.encode_literal; only the tests
+use it.
 reference_walk lists every candidate run, where the package's walk
 drops a start as soon as its key cannot repeat; extract_candidates
 groups its runs by match key.  Match keys
@@ -593,6 +595,14 @@ _REF_SHAPES = {
            isa.SIGNATURES[name][-1:] == ("target",))
     for name, code in isa.OPCODES.items()
 }
+
+
+def decode_literal(data, pos: int) -> tuple[int, int]:
+    """Inverse of asm.encode_literal at data[pos:]; returns (value, width)."""
+    b0 = data[pos]
+    if b0 >= 0x80:
+        return b0 - 0x80, 1
+    return (b0 << 8) | data[pos + 1], 2
 
 
 def _reference_extension(buf, pos: int, mode: int) -> tuple:

@@ -16,6 +16,7 @@ from macroforge.cli import main as cli_main
 from oracles import (
     brute_force_select,
     count_occurrences,
+    decode_literal,
     exhaustive_mwis_weight,
     length_function,
     naive_count,
@@ -146,7 +147,7 @@ def test_06_encoding_round_trips(verdict):
     assert again.code == image.code
     for value in range(0x8000):
         enc = asm.encode_literal(value)
-        assert decode.decode_literal(enc, 0) == (value, len(enc))
+        assert decode_literal(enc, 0) == (value, len(enc))
     lhs = 0x1000
     for delta in range(-0x3F, 0x41):
         byte = asm.encode_short_branch(lhs + delta, lhs)

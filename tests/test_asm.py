@@ -10,8 +10,9 @@ from macroforge.asm import (
     encode_short_branch,
     parse_source,
 )
-from macroforge.decode import decode_literal, decode_short_branch
+from macroforge.decode import decode_short_branch
 from macroforge.objfile import FLAG_RAW, MacroEntry, ObjectError, ObjectImage
+from oracles import decode_literal
 
 
 def print_program(instructions: list) -> str:

@@ -448,14 +448,14 @@ def test_body_decodes_once_for_every_site(monkeypatch):
     # One whole-instruction macro, ICV WA, at eight sites.
     img = ObjectImage(code=bytes([0x50] * 8 + [0x40, 0x00, 0x00]),
                       macros=[MacroEntry(0x50, bytes([0x1C, 0x00]))])
-    real, body_decodes = decode.decode, []
+    real, body_decodes = decode.line, []
 
-    def counting(buf, pos, main_from, main_addr):
+    def counting(buf, pos, main_from, main_addr, *rest):
         if main_from:                    # read from a body, not in place
             body_decodes.append(pos)
-        return real(buf, pos, main_from, main_addr)
+        return real(buf, pos, main_from, main_addr, *rest)
 
-    monkeypatch.setattr(decode, "decode", counting)
+    monkeypatch.setattr(decode, "line", counting)
     state = load(img)
     out = run(state, 100)
     assert out.status == "halted"
@@ -464,3 +464,76 @@ def test_body_decodes_once_for_every_site(monkeypatch):
     assert len(state.entries) == 10 and len(state.bodies) == 1
     again = load(img)
     assert again.entries == {} and again.bodies == {}
+
+
+# --- straight-line fill -------------------------------------------------------
+# A miss decodes the line ahead of the missed position.  What it decoded
+# ahead must see the writes that run before it, and what does not decode
+# must not fault until it is fetched.
+
+# Macro 50 is OUT's opcode and header; its literal comes from main memory.
+OUT_PREFIX = [MacroEntry(0x50, bytes([0x40, 0x0B]))]
+
+
+@pytest.mark.parametrize("code, table, trace", [
+    # MOV =0B82, @0107 rewrites the header and literal of OUT =1 to OUT =2
+    ([0x32, 0xCB, 0x0B, 0x82, 0x01, 0x07, 0x40, 0x0B, 0x81, 0x00], [], [2]),
+    # MOV =0100, @0106 turns the site at 0106 into NOP; HLT
+    ([0x32, 0xCB, 0x01, 0x00, 0x01, 0x06, 0x50, 0x81, 0x00], OUT_PREFIX, []),
+    # MOV =5083, @0106 keeps the site and sets its literal byte to 3
+    ([0x32, 0xCB, 0x50, 0x83, 0x01, 0x06, 0x50, 0x81, 0x00], OUT_PREFIX, [3]),
+    # MOV =0, @0109 writes HLT over the undefined bytes after ICV WA; OUT WA
+    ([0x32, 0xCB, 0x80, 0x01, 0x09, 0x1C, 0x00, 0x40, 0x00, 0x02, 0x02], [],
+     [1]),
+])
+def test_rewritten_later_part_of_the_line_is_seen(code, table, trace):
+    out = run_both(ObjectImage(code=bytes(code), macros=table))
+    assert (out.status, out.trace) == ("halted", trace)
+
+
+@pytest.mark.parametrize("origin, tail, reason", [
+    (0x0100, [0x02], "undefined opcode 0x02"),
+    (0x0100, [0x7F], "undefined opcode 0x7f"),
+    (0xFFFA, [0x32, 0x1B], "fetch past the end of memory"),   # MOV =.., WB
+])
+def test_line_into_bytes_that_do_not_decode(origin, tail, reason):
+    # ICV WA; OUT WA; then bytes that do not form an instruction.
+    img = ObjectImage(code=bytes([0x1C, 0x00, 0x40, 0x00, *tail]),
+                      origin=origin, entry=origin)
+    stopped = run_both(img, fuel=2)
+    assert (stopped.status, stopped.trace) == ("out-of-fuel", [1])
+    faulted = run_both(img)
+    assert (faulted.status, faulted.steps, faulted.trace,
+            faulted.fault_reason) == ("fault", 3, [1], reason)
+
+
+def test_earlier_fault_wins_over_an_undecodable_byte_ahead():
+    out = run_both(ObjectImage(code=bytes([0x32, 0x08, 0x02])))  # MOV (XS)+, WA
+    assert (out.status, out.steps, out.fault_reason) == \
+        ("fault", 1, "stack underflow")
+
+
+def test_refill_after_every_write_is_bounded(monkeypatch):
+    # Each MOV =32CB, @addr writes its own first two bytes back, a
+    # watched code byte, so every step clears the table and misses.  A
+    # miss decodes at most FILL_CAP entries, so decodes per step stay at
+    # the cap at both lengths; refilling the rest of the line on every
+    # miss would decode (length + 2) / 2 per step on average.
+    real, decoded = decode.line, []
+
+    def counting(*args):
+        entries = real(*args)
+        decoded.append(len(entries))
+        return entries
+
+    monkeypatch.setattr(decode, "line", counting)
+    for length in (128, 512):
+        decoded.clear()
+        code = b"".join(bytes([0x32, 0xCB, 0x32, 0xCB, addr >> 8, addr & 0xFF])
+                        for addr in range(0x100, 0x100 + 6 * length, 6))
+        out = run_both(ObjectImage(code=code + b"\x00"), fuel=10_000)
+        assert (out.status, out.steps) == ("halted", length + 1)
+        assert len(decoded) == out.steps                # a miss every step
+        per_step = sum(decoded) / out.steps
+        assert per_step <= vm.FILL_CAP
+        assert per_step < (length + 2) / 4
