@@ -30,7 +30,8 @@ property the round-trip checks lean on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
+from typing import NamedTuple
 
 from . import asm, decode, isa
 
@@ -39,16 +40,24 @@ class DisasmError(Exception):
     pass
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class DecodedInstr:
+class DecodedInstr(NamedTuple):
     """One decoded instruction.  decode_image shares one among all units
-    that decode alike, so it is frozen and compares by identity."""
+    that decode alike, so it is frozen and compares by identity.  A named
+    tuple sets its fields in one tuple build, where a frozen dataclass
+    sets each through object.__setattr__."""
 
     name: str
     operand_texts: tuple
     target_addr: int | None = None
     target_short: bool = False
     noncanonical: str | None = None   # reason, when re-encoding would differ
+
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def text(self, target_text: str | None = None) -> str:
         texts = self.operand_texts

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from . import isa
@@ -134,6 +135,8 @@ def exact_select(data: Sequence[int], max_macros: int, max_len: int
 
 MAX_OUTPUT = 1 << 24   # bytes expand_macros builds at most by default
 
+_ONE_BYTE = [bytes((v,)) for v in range(0x100)]
+
 
 def expand_macros(residual: Sequence[int], macros: Sequence[Macro],
                   limit: int = MAX_OUTPUT) -> bytes:
@@ -159,7 +162,9 @@ def expand_macros(residual: Sequence[int], macros: Sequence[Macro],
             raise ValueError("macro has no assigned opcode")
         if not m.body:
             raise ValueError(f"macro {m.code:#04x} has an empty body")
-        size[m.code] = sum(size.get(b, 1) for b in m.body)
+        if not 0 <= m.code <= 0xFF:
+            raise ValueError(f"macro opcode {m.code} is not a byte value")
+        size[m.code] = sum(map(size.get, m.body, repeat(1)))
     out = bytes(residual)
     if len(out) * max(size.values(), default=1) > limit:
         total = len(out) + sum(out.count(code) * (n - 1)
@@ -168,5 +173,5 @@ def expand_macros(residual: Sequence[int], macros: Sequence[Macro],
             raise ValueError(f"expanded output of {total} bytes exceeds "
                              f"the limit of {limit}")
     for m in reversed(macros):
-        out = out.replace(bytes([m.code]), m.body)
+        out = out.replace(_ONE_BYTE[m.code], m.body)
     return out

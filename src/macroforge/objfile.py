@@ -16,10 +16,20 @@ Layout, all multi-byte fields big-endian:
     ..      1     macro opcode
     ..      1     body length
     ..      m     body bytes
+
+parse reads the fixed header by offset, in one struct unpack, and the
+macro table in one loop of slices; then it validates the image, as
+serialize does before writing.  Every table needs opcodes in
+0x50..0xff, no duplicate and bodies of 1..255 bytes.  An executable
+table must also count up densely from 0x50, with bodies of at least 2
+bytes that open with a real opcode; validate checks it over the whole
+table at once and walks it only to name the first bad entry.  A raw
+table is walked entry by entry.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 from . import isa
@@ -29,7 +39,10 @@ VERSION = 0x01
 
 FLAG_RAW = 0x01
 
+# magic, version, flags, entry, origin, code length
+_HEAD = struct.Struct(">4sBBHHH")
 _LEN_ESCAPE = 0xFFFF
+_TRUNCATED = "truncated container"
 
 
 class ObjectError(Exception):
@@ -65,10 +78,12 @@ class ObjectImage:
         if len(self.macros) > isa.MAX_MACROS:
             raise ObjectError(f"{len(self.macros)} macros exceeds the "
                               f"{isa.MAX_MACROS} opcode slots")
-        # a raw table has no dense-code shortcut, so it is always walked
-        if self.macros and (self.is_raw or not self._table_is_sound()):
-            self._check_entries()
-        if not self.is_raw and len(self.code) + self.origin > 0x10000:
+        raw = self.is_raw
+        # a raw table is walked: on pack's tables of 4-10 entries a
+        # whole-table check of its rules measured slower
+        if self.macros and (raw or not self._table_is_sound()):
+            self._check_entries(raw)
+        if not raw and len(self.code) + self.origin > 0x10000:
             raise ObjectError("code does not fit below 0x10000")
 
     def _table_is_sound(self) -> bool:
@@ -81,7 +96,7 @@ class ObjectImage:
                 and min(sizes) >= 2 and max(sizes) <= isa.MAX_BODY_BYTES
                 and max([m.body[0] for m in self.macros]) < base)
 
-    def _check_entries(self) -> None:
+    def _check_entries(self, raw: bool) -> None:
         """Raise for the first bad table entry, naming it."""
         seen = set()
         for i, m in enumerate(self.macros):
@@ -96,7 +111,7 @@ class ObjectImage:
             if len(m.body) > isa.MAX_BODY_BYTES:
                 raise ObjectError(f"macro {m.code:#04x} body over "
                                   f"{isa.MAX_BODY_BYTES} bytes")
-            if not self.is_raw:
+            if not raw:
                 # Executable images keep the table dense and well formed:
                 # codes count up from the base, a body opens with a real
                 # opcode, and one-byte bodies would never pay their way.
@@ -132,50 +147,38 @@ class ObjectImage:
 
 
 def parse(blob: bytes) -> ObjectImage:
-    r = _Reader(blob)
-    if r.take(4) != MAGIC:
+    if len(blob) >= 4 and blob[:4] != MAGIC:
         raise ObjectError("bad magic; not an MCRL container")
-    version = r.u8()
-    if version != VERSION:
-        raise ObjectError(f"unsupported container version {version}")
-    flags = r.u8()
-    entry = r.u16()
-    origin = r.u16()
-    code_len = r.u16()
+    if len(blob) > 4 and blob[4] != VERSION:
+        raise ObjectError(f"unsupported container version {blob[4]}")
+    if len(blob) < _HEAD.size:
+        raise ObjectError(_TRUNCATED)
+    _, _, flags, entry, origin, code_len = _HEAD.unpack_from(blob)
+    pos = _HEAD.size
     if code_len == _LEN_ESCAPE:
-        code_len = r.u32()
-    code = r.take(code_len)
+        # a blob that ends inside the long length fails the check below
+        pos += 4
+        code_len = int.from_bytes(blob[pos - 4:pos], "big")
+    end = pos + code_len
+    if end >= len(blob):     # the code, then the macro count
+        raise ObjectError(_TRUNCATED)
+    code = blob[pos:end]
     macros = []
-    for _ in range(r.u8()):
-        code_byte = r.u8()
-        body = r.take(r.u8())
-        macros.append(MacroEntry(code_byte, body))
-    if r.pos != len(blob):
-        raise ObjectError(f"{len(blob) - r.pos} trailing byte(s) after "
+    pos = end + 1
+    try:
+        for _ in range(blob[end]):
+            body_end = pos + 2 + blob[pos + 1]
+            macros.append(MacroEntry(blob[pos], blob[pos + 2:body_end]))
+            pos = body_end
+    except IndexError:      # an entry's opcode or length byte is missing
+        raise ObjectError(_TRUNCATED) from None
+    if pos != len(blob):
+        if pos > len(blob):  # a body runs past the end
+            raise ObjectError(_TRUNCATED)
+        raise ObjectError(f"{len(blob) - pos} trailing byte(s) after "
                           "container payload")
     img = ObjectImage(code=code, origin=origin, entry=entry,
                       macros=macros, flags=flags)
     img.validate()
     return img
 
-
-class _Reader:
-    def __init__(self, blob: bytes) -> None:
-        self.blob = blob
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise ObjectError("truncated container")
-        chunk = self.blob[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return int.from_bytes(self.take(2), "big")
-
-    def u32(self) -> int:
-        return int.from_bytes(self.take(4), "big")

@@ -32,6 +32,10 @@ its own, where the package shares one decoded instruction per distinct
 decode, one instruction list per macro whose body ends on an
 instruction boundary and one rendered line per distinct unit; they
 share only the per-instruction text with the package.
+reference_parse reads a container one header field and one table byte
+at a time through a reader object, and reference_expand sizes each
+body with a generator; both share only ObjectImage and its validate
+with the package.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from itertools import accumulate
 from typing import Iterable, Sequence
 
 import corpus
-from macroforge import asm, disasm, isa, macros
+from macroforge import asm, disasm, isa, macros, objfile
 from macroforge.asm import (AsmError, Instruction, LabelDef, LabelRef, Layout,
                             LayoutError, LiteralByte, MacroByte, Stream,
                             _bad_label, _check_style_mix, _is_label,
@@ -52,10 +56,12 @@ from macroforge.asm import (AsmError, Instruction, LabelDef, LabelRef, Layout,
                             translate_mnemonic)
 from macroforge.decode import DecodeError
 from macroforge.disasm import DecodedUnit, DisasmError
-from macroforge.greedy import (_BYTE_ITEMS, CompactionResult, Macro,
-                               _byte_stream, _stream_bytes, pick_free_code)
+from macroforge.greedy import (_BYTE_ITEMS, MAX_OUTPUT, CompactionResult,
+                               Macro, _byte_stream, _stream_bytes,
+                               pick_free_code)
 from macroforge.macros import (Lowered, StreamMacro, check_limits, lower,
                                profitable_keys, rank_keys)
+from macroforge.objfile import MacroEntry, ObjectError, ObjectImage
 
 
 def naive_count(haystack: bytes, needle: bytes) -> int:
@@ -749,6 +755,84 @@ def reference_render_listing(image, units: list | None = None) -> str:
             lines.append(f"  {m.code:02X}  len {len(m.body):<3d} "
                          f"{_reference_hex(m.body):<{width}}  {body_text}")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Container reader and expansion, one field and one byte at a time
+
+def reference_parse(blob: bytes) -> ObjectImage:
+    """objfile.parse as it was before it read the header by offset: every
+    header field and table entry through a reader call."""
+    r = _Reader(blob)
+    if r.take(4) != objfile.MAGIC:
+        raise ObjectError("bad magic; not an MCRL container")
+    version = r.u8()
+    if version != objfile.VERSION:
+        raise ObjectError(f"unsupported container version {version}")
+    flags = r.u8()
+    entry = r.u16()
+    origin = r.u16()
+    code_len = r.u16()
+    if code_len == 0xFFFF:
+        code_len = r.u32()
+    code = r.take(code_len)
+    table = []
+    for _ in range(r.u8()):
+        code_byte = r.u8()
+        body = r.take(r.u8())
+        table.append(MacroEntry(code_byte, body))
+    if r.pos != len(blob):
+        raise ObjectError(f"{len(blob) - r.pos} trailing byte(s) after "
+                          "container payload")
+    img = ObjectImage(code=code, origin=origin, entry=entry,
+                      macros=table, flags=flags)
+    img.validate()
+    return img
+
+
+class _Reader:
+    def __init__(self, blob: bytes) -> None:
+        self.blob = blob
+        self.pos = 0
+
+    def take(self, n: int) -> bytes:
+        if self.pos + n > len(self.blob):
+            raise ObjectError("truncated container")
+        chunk = self.blob[self.pos:self.pos + n]
+        self.pos += n
+        return chunk
+
+    def u8(self) -> int:
+        return self.take(1)[0]
+
+    def u16(self) -> int:
+        return int.from_bytes(self.take(2), "big")
+
+    def u32(self) -> int:
+        return int.from_bytes(self.take(4), "big")
+
+
+def reference_expand(residual: Sequence[int], table: Sequence[Macro],
+                     limit: int = MAX_OUTPUT) -> bytes:
+    """greedy.expand_macros as it was before it sized bodies with map:
+    a generator per body and a fresh one-byte string per opcode."""
+    size: dict[int, int] = {}
+    for m in table:
+        if m.code is None:
+            raise ValueError("macro has no assigned opcode")
+        if not m.body:
+            raise ValueError(f"macro {m.code:#04x} has an empty body")
+        size[m.code] = sum(size.get(b, 1) for b in m.body)
+    out = bytes(residual)
+    if len(out) * max(size.values(), default=1) > limit:
+        total = len(out) + sum(out.count(code) * (n - 1)
+                               for code, n in size.items())
+        if total > limit:
+            raise ValueError(f"expanded output of {total} bytes exceeds "
+                             f"the limit of {limit}")
+    for m in reversed(table):
+        out = out.replace(bytes([m.code]), m.body)
+    return out
 
 
 # ---------------------------------------------------------------------------

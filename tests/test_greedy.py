@@ -306,6 +306,9 @@ def test_expand_rejects_a_macro_without_code_or_body():
         expand_macros(b"\x50", [Macro(b"ab")])
     with pytest.raises(ValueError, match="0x50 has an empty body"):
         expand_macros(b"\x50", [Macro(b"", 0x50)])
+    for code in (-1, 0x100):
+        with pytest.raises(ValueError, match="is not a byte value"):
+            expand_macros(b"\x50", [Macro(b"ab", code)])
 
 
 def test_expand_refuses_a_nested_bomb_before_allocating():
