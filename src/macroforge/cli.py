@@ -176,6 +176,8 @@ def cmd_disasm(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.fuel < 1:
+        raise CliError("--fuel must be at least 1")
     text = _read_source(args.source)
     base_image = asm.assemble(text, origin=args.origin)
     compacted, _ = macros.compact_source(

@@ -171,46 +171,36 @@ def decode(buf, pos: int, main_from: int, main_addr: int) -> tuple:
             pos)
 
 
-
-
 def line(buf, pos: int, main_from: int, main_addr: int, stops=(),
-         cap: int = 1, lead=None) -> list:
+         cap: int = 1) -> list:
     """Decode the straight line of instructions from buf[pos] into the
     interpreter's entries, (op, k1, a1, b1, k2, a2, b2, target, end):
     the row's execution form with the extension values in place, the
     branch target (None for non-branches) and the buffer position after
-    the instruction.
+    the instruction.  Bytes before main_from come from a macro body, as
+    in decode().
 
     The line ends after an instruction in LINE_ENDS or after cap
     entries, and before a position in stops or one that does not decode
     (a macro opcode among them).  Only the first instruction raises:
-    DecodeError, or IndexError at the end of buf.  lead, when
-    given, is the opcode and header of a first instruction that takes
-    a header, read from a macro body; its extensions start at buf[pos].
+    DecodeError, or IndexError at the end of buf.
     """
     entries = []
     try:
         while True:
-            if lead is None:
-                op = buf[pos]
-                headed = _HEADED[op]
-                if headed:
-                    header = buf[pos + 1]
-                    pos += 2
-                elif headed is None:
-                    if entries:
-                        return entries
-                    raise DecodeError(_not_instruction(op, pos < main_from))
-                else:
-                    header = 0
-                    pos += 1
+            op = buf[pos]
+            headed = _HEADED[op]
+            if headed:
+                header = buf[pos + 1]
+                pos += 2
+            elif headed is None:
+                if entries:
+                    return entries
+                raise DecodeError(_not_instruction(op, pos < main_from))
             else:
-                op, header = lead
-                if _HEADED[op] is None:
-                    raise DecodeError(_not_instruction(op, True))
-                lead = None
-            fields, head, fixed, ends = (_ROWS[op][header]
-                                         or _row(op, header))
+                header = 0
+                pos += 1
+            fields, head, fixed, ends = _ROWS[op][header] or _row(op, header)
             if fixed:
                 entries.append(head + (pos,))
             else:

@@ -272,8 +272,7 @@ class PayingKeys:
         self.exact: set[str] = set()  # counted since the last substitution
 
     def _count_all(self) -> None:
-        self.nets = {s: (f * (b - 1) - b, b) for s, f, b, _ in
-                     _paying_runs(self.low, self.max_len, self.granularity)}
+        self.nets = profitable_keys(self.low, self.max_len, self.granularity)
         self.exact = set(self.nets)
         # best-first candidates (-net, -b, key); an entry whose key no
         # longer has that net was superseded and is dropped when it surfaces

@@ -27,18 +27,18 @@ from clears the table, so self-modifying code stays exact.  Each fill
 widens the watched range once, over the contiguous main-memory bytes
 its line read.  Because a fill caches at most FILL_CAP entries, a run
 decodes at most FILL_CAP instructions per executed step, however often
-writes clear the table, plus the shared decode of each body.
+writes clear the table, plus one decode of the macro table per machine.
 
-Body entries are shared across sites: an instruction that lies wholly
-inside its body is decoded once, on first use, into a second table
-keyed by (table index, body offset), and each site's entry copies it
-with that site's next position.  The first instruction of each body,
-its head, is also kept in a list indexed by table index, so a site
-costs one list read.  The macro table is not in main memory, so these
-are never cleared.  Only an instruction that runs past its body's end
-reads the site's main-stream bytes, and it alone is decoded per site;
-when the body holds exactly its opcode and header, its extensions are
-read straight from main memory after the macro opcode.
+The macro table is decoded once, when the machine is built: each
+instruction that lies wholly inside its body goes into a second table
+keyed by (table index, body offset), shared by every site, and each
+body's first one, its head, also into a list indexed by table index.
+A site's entry copies the shared one with that site's next position.
+The table is not in main memory, so these are never cleared.  The pass
+stops in each body at the first instruction that runs past the body's
+end or does not decode, and never faults.  Such a position is decoded
+at its site, from the rest of the body followed by memory at the
+resume pc, and a fault it raises surfaces only when it is fetched.
 """
 
 from __future__ import annotations
@@ -89,16 +89,14 @@ class VmState:
     watched: tuple = (0x10000, -1)       # empty
     # (entry less its next position, next body offset or None at the
     # end) of each instruction wholly inside a body, by (table index,
-    # body offset), for every site; False where the instruction runs
-    # past the body's end.  heads holds each body's offset-0 one by
-    # table index (None until first use).  Never cleared, because the
-    # table is not in main memory.
-    bodies: dict = field(default_factory=dict)
-    heads: list | None = None
+    # body offset), for every site; heads holds each body's offset-0 one,
+    # or None, by table index.  Both are built with the machine and never
+    # cleared, because the table is not in main memory.
+    bodies: dict = field(init=False)
+    heads: list = field(init=False)
 
     def __post_init__(self):
-        if self.heads is None:
-            self.heads = [None] * len(self.macros)
+        _share_bodies(self)
 
 
 def load(image) -> VmState:
@@ -130,11 +128,33 @@ def load(image) -> VmState:
 # decode (see decode.K_REG and the ranges in _execute).  A miss fills
 # the straight line from the missed position on, so a run makes one
 # _decode_at call per line instead of one per instruction, and a site
-# of a decoded body costs a list read and a tuple.
+# of a body costs a list read and a tuple.
 
 FILL_CAP = 16          # most entries one miss caches
 _BASE = isa.MACRO_OPCODE_BASE
 _PADDING = bytes(isa.MAX_INSTRUCTION_BYTES - 1)
+
+
+def _share_bodies(state: VmState) -> None:
+    """Decode each body of the macro table once, one instruction at a
+    time, into state.bodies and state.heads.  A body's pass stops at the
+    first instruction that runs past its end or does not decode."""
+    state.bodies, state.heads = bodies, heads = {}, []
+    for idx, body in enumerate(state.macros):
+        # The zero padding lets an instruction that runs past the body's
+        # end decode, to be dropped here, rather than raise IndexError.
+        size, off, padded = len(body), 0, body + _PADDING
+        try:
+            while off < size:
+                entry, = decode.line(padded, off, size, 0)
+                end = entry[8]
+                if end > size:
+                    break
+                bodies[idx, off] = (entry[:8], end if end < size else None)
+                off = end
+        except decode.DecodeError:
+            pass
+        heads.append(bodies.get((idx, 0)))
 
 
 def _decode_at(state: VmState, key) -> tuple:
@@ -144,12 +164,11 @@ def _decode_at(state: VmState, key) -> tuple:
 
     A main-stream run decodes in place, in one decode.line call.  A site
     copies its body's head from state.heads, and a body step its own
-    instruction from state.bodies, adding its next position.  An
-    instruction that runs past its body's end reads this site's
-    main-stream bytes: straight from memory after a body remainder of
-    exactly an opcode and a header, otherwise from the rest of the body
-    followed by memory at the resume pc.  The line reads main memory
-    from its first main-stream position up to where it stopped.
+    instruction from state.bodies, adding its next position.  A body
+    position without a shared instruction is decoded at its site, from
+    the rest of the body followed by memory at the resume pc.  The line
+    reads main memory from its first main-stream position up to where
+    it stopped.
     """
     memory, entries, heads = state.memory, state.entries, state.heads
     line, ends, cap, base = decode.line, decode.LINE_ENDS, FILL_CAP, _BASE
@@ -167,7 +186,7 @@ def _decode_at(state: VmState, key) -> tuple:
                     raise decode.DecodeError(
                         f"undefined opcode {memory[key]:#04x}") from None
             else:                                     # main stream, in place
-                run, shared = line(memory, key, 0, 0, entries, cap - n), False
+                run, shared = line(memory, key, 0, 0, entries, cap - n), None
             if shared:                                # wholly inside the body
                 head, after = shared
                 after = resume if after is None else (idx, after, resume)
@@ -177,20 +196,16 @@ def _decode_at(state: VmState, key) -> tuple:
                 if head[0] in ends or n == cap or key in entries:
                     break
                 continue
-            if shared is None:                        # first use of the body
-                _share_body(state, idx, off)
-                continue
-            if idx >= 0:          # a site or body step that runs past the body
+            if idx >= 0:                              # decoded at its site
                 body = state.macros[idx]
+                if not off and body[0] >= base:
+                    raise decode.DecodeError("macro body begins with opcode "
+                                             f"{body[0]:#04x}")
                 left = len(body) - off
-                if left == 2:                         # opcode and header
-                    run = line(memory, resume, 0, 0, entries, cap - n,
-                               body[off:])
-                else:
-                    entry, = line(body[off:] + memory[
-                        resume:resume + isa.MAX_INSTRUCTION_BYTES],
-                        0, left, resume)
-                    run = [entry[:8] + (resume + entry[8] - left,)]
+                entry, = line(body[off:] + memory[
+                    resume:resume + isa.MAX_INSTRUCTION_BYTES],
+                    0, left, resume)
+                run = [entry[:8] + (resume + entry[8] - left,)]
             for entry in run:
                 entries[key] = entry
                 key = entry[8]
@@ -209,33 +224,6 @@ def _decode_at(state: VmState, key) -> tuple:
     if first <= last and (first < lo or last > hi):
         state.watched = (min(first, lo), max(last, hi))
     return entries[missed]
-
-
-def _share_body(state: VmState, idx: int, off: int) -> None:
-    """Decode the instructions of body idx from off on that lie wholly
-    inside it, up to the first that ends a line, and keep each in
-    state.bodies for every site as (entry less its next position, next
-    body offset or None at the body's end); the one at offset 0 also
-    goes to state.heads.  An instruction at off that runs past the
-    body's end is kept as False: each site decodes it with its own
-    main-stream bytes."""
-    body, bodies = state.macros[idx], state.bodies
-    if not off and body[0] >= _BASE:
-        raise decode.DecodeError("macro body begins with opcode "
-                                 f"{body[0]:#04x}")
-    # The zero padding lets an instruction that runs past the body's end
-    # decode, to be dropped here, rather than raise IndexError.
-    size, at = len(body), off
-    for entry in decode.line(body + _PADDING, off, size, 0, (size,), size):
-        end = entry[8]
-        if end > size:
-            break
-        bodies[idx, at] = (entry[:8], end if end < size else None)
-        at = end
-    if at == off:
-        bodies[idx, off] = False
-    if not off:
-        state.heads[idx] = bodies[idx, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -410,6 +410,19 @@ def test_verify_passes_on_corpus_program(tmp_path, capsys):
     assert out.startswith("verify: pass")
 
 
+def test_verify_rejects_zero_fuel_before_compacting(tmp_path, capsys,
+                                                    monkeypatch):
+    src = write(tmp_path, "p.mcrl", COUNTER)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compacted before checking --fuel")
+
+    monkeypatch.setattr(macros, "compact_source", refuse)
+    rc, out, err = run_cli(capsys, "verify", src, "--fuel", 0)
+    assert (rc, out) == (2, "")
+    assert "--fuel must be at least 1" in err
+
+
 def test_verify_zero_macros_trivially_passes(tmp_path, capsys):
     src = write(tmp_path, "p.mcrl", corpus.generate_program(seed=6))
     rc, out, _ = run_cli(capsys, "verify", src, "--max-macros", 0)

@@ -1,6 +1,6 @@
 import pytest
 
-from macroforge import asm, decode, vm
+from macroforge import asm, decode, isa, vm
 from macroforge.objfile import FLAG_RAW, MacroEntry, ObjectError, ObjectImage
 from macroforge.vm import LoadError, load, run, step
 from oracles import reference_run
@@ -463,7 +463,78 @@ def test_body_decodes_once_for_every_site(monkeypatch):
     assert len(body_decodes) == 1
     assert len(state.entries) == 10 and len(state.bodies) == 1
     again = load(img)
-    assert again.entries == {} and again.bodies == {}
+    assert again.entries == {} and again.bodies == state.bodies
+    assert len(body_decodes) == 2                # one body decode per load
+
+
+# --- the body table, decoded at load -----------------------------------------
+# Each body is decoded once when the machine is built, one instruction at
+# a time, past line ends, up to the first instruction that runs past the
+# body's end or does not decode.  The load itself never faults.
+
+@pytest.mark.parametrize("branch, outcome", [
+    (0x08, ("halted", 3, [0], None)),                   # BEQ, taken
+    (0x09, ("fault", 2, [], "undefined opcode 0x02")),  # BNE, falls through
+])
+def test_undecodable_byte_after_a_body_branch(branch, outcome):
+    # Body: B.. WA, WB, 0101 then 0x02, no instruction.  Registers start
+    # equal, so BEQ jumps to OUT WA; HLT and BNE fetches the 0x02.
+    body = bytes([branch, 0x10, 0x01, 0x01, 0x02])
+    img = ObjectImage(code=bytes([0x50, 0x40, 0x00, 0x00]),
+                      macros=[MacroEntry(0x50, body)])
+    assert list(load(img).bodies) == [(0, 0)]
+    out = run_both(img)
+    assert (out.status, out.steps, out.trace, out.fault_reason) == outcome
+
+
+def count_body_decodes(monkeypatch):
+    """Spy on decode.line; return a list that grows by one on each call
+    that reads from a body."""
+    real, body_decodes = decode.line, []
+
+    def counting(buf, pos, main_from, main_addr, *rest):
+        if main_from:                    # read from a body, not in place
+            body_decodes.append(main_from)
+        return real(buf, pos, main_from, main_addr, *rest)
+
+    monkeypatch.setattr(decode, "line", counting)
+    return body_decodes
+
+
+def test_body_table_runs_past_a_branch_that_falls_through(monkeypatch):
+    # Body ICV WA; BNE WA, WA, 0100 (never taken); OUT WA, at two sites.
+    body = bytes([0x1C, 0x00, 0x09, 0x00, 0x01, 0x00, 0x40, 0x00])
+    img = ObjectImage(code=bytes([0x50, 0x50, 0x00]),
+                      macros=[MacroEntry(0x50, body)])
+    out = run_both(img)
+    assert (out.status, out.steps, out.trace) == ("halted", 7, [1, 2])
+    state = load(img)
+    assert list(state.bodies) == [(0, 0), (0, 2), (0, 6)]
+    body_decodes = count_body_decodes(monkeypatch)
+    assert run(state, 100).trace == [1, 2]
+    assert body_decodes == []            # every body step came from the table
+
+
+def test_load_decodes_the_table_once(monkeypatch):
+    # A full table of 255-byte bodies, each ICV WA; MOV =1234, WB
+    # repeated, then three NOPs, every body used once.  A load decodes
+    # each body instruction at most once, and the run decodes no body.
+    codes = range(isa.MACRO_OPCODE_BASE, 0x100)
+    body = bytes([0x1C, 0x00, 0x32, 0x1B, 0x12, 0x34]) * 42 + b"\x01" * 3
+    assert (len(codes), len(body)) == (isa.MAX_MACROS, isa.MAX_BODY_BYTES)
+    img = ObjectImage(code=bytes(codes) + bytes([0x40, 0x00, 0x00]),
+                      macros=[MacroEntry(code, body) for code in codes])
+    instructions = len(codes) * (2 * 42 + 3)
+    out = run_both(img, fuel=instructions + 2)
+    assert (out.status, out.steps) == ("halted", instructions + 2)
+    assert out.trace == [len(codes) * 42]
+    body_decodes = count_body_decodes(monkeypatch)
+    state = load(img)
+    assert len(state.bodies) == instructions
+    assert len(body_decodes) <= instructions
+    body_decodes.clear()
+    assert run(state, instructions + 2).trace == out.trace
+    assert body_decodes == []
 
 
 # --- straight-line fill -------------------------------------------------------
