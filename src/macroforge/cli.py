@@ -31,15 +31,19 @@ def _read_bytes(path: str) -> bytes:
         raise CliError(f"cannot read {path}: {exc.strerror}") from exc
 
 
+def _text(path: str, blob: bytes) -> str:
+    try:
+        return blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path} is not text: {exc}") from exc
+
+
 def _read_source(path: str) -> str:
     blob = _read_bytes(path)
     if blob[:4] == MAGIC:
         raise CliError(f"{path} is an object file where assembly source "
                        "was expected")
-    try:
-        return blob.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CliError(f"{path} is not text: {exc}") from exc
+    return _text(path, blob)
 
 
 def _write_bytes(path: str, data: bytes) -> None:
@@ -218,7 +222,7 @@ def cmd_stats(args) -> int:
         elif image.is_raw:
             input_bytes = len(blob)
         else:
-            input_bytes = len(asm.assemble(blob.decode("utf-8")).code)
+            input_bytes = len(asm.assemble(_text(args.original, blob)).code)
     else:
         # without a reference there is nothing to compare against
         input_bytes = len(image.code) + image.table_bytes()

@@ -259,9 +259,11 @@ class PayingKeys:
     stream until the top is exact (Minoux's accelerated greedy): every
     other key's true entry is then at least its stored one, so the top
     is the best key.  A replacement put in as a literal (byte-level
-    embedding) is a character the stream did not hold, so the runs
-    through it are new keys; they are counted in full once, at
-    insertion, and are exact until the next substitution.
+    embedding) must be a character the stream did not hold, so the runs
+    through it are new keys.  They are counted once, at insertion, by
+    the same walk as the full count, run over the windows around the new
+    literals only (see _count_new), and are exact until the next
+    substitution.
     """
 
     def __init__(self, low: Lowered, max_len: int, granularity: str):
@@ -322,7 +324,8 @@ class PayingKeys:
         self.exact.clear()
         if isinstance(item, LiteralByte):
             shrink = accumulate((e - a - 1 for a, e in spans), initial=0)
-            self._count_new([a - d for (a, _), d in zip(spans, shrink)])
+            self._count_new([a - d for (a, _), d in zip(spans, shrink)],
+                            chr(item.value))
         return (old.items[spans[0][0]:spans[0][1]] if spans else None,
                 len(spans))
 
@@ -341,31 +344,34 @@ class PayingKeys:
                 i = low.sig.find(s, i + 1)
         return f
 
-    def _count_new(self, points: list[int]) -> None:
-        """Count the paying keys among the runs through the items just
-        put in at points, in stream order.  A run of t items through p
-        starts in p-t+1..p; one through several points is taken at the
-        first."""
-        low, sig = self.low, self.low.sig
-        for t in range(2, self.max_len + 1):
-            runs: dict[str, list[int]] = defaultdict(list)
-            last = -1
-            for p in points:
-                for i in range(max(last + 1, p - t + 1),
-                               min(p + 1, len(sig) - t + 1)):
-                    s = sig[i:i + t]
-                    if _STOP not in s and _is_run(low, i, t, self.granularity):
-                        runs[s].append(i)
-                last = p
-            for s, found in runs.items():
-                if len(found) < 2:
-                    continue
-                f, b = _leftmost(found, t), _width(s)
+    def _count_new(self, points: list[int], char: str) -> None:
+        """Count the paying keys that hold char, the signature character
+        of the items just put in at points (in stream order).
+
+        The stream held no char before, so every run of such a key lies
+        in a window [p - max_len + 1, p + max_len + 1) around a point;
+        the last item of a window is there only for the aligned end
+        test.  Windows that touch are merged, and the rest are joined
+        into one stream by a _STOP, which no run crosses.  One walk over
+        that stream sees every run of these keys, in stream order, and
+        two of them overlap there exactly when they overlap in the
+        stream, so their counts are exact.
+        """
+        low, reach, cuts = self.low, self.max_len, []
+        for p in points:
+            a, e = max(p - reach + 1, 0), min(p + reach + 1, len(low.sig))
+            if cuts and a <= cuts[-1][1]:
+                cuts[-1][1] = e
+            else:
+                cuts.append([a, e])
+        windows = Lowered([], _STOP.join(low.sig[a:e] for a, e in cuts),
+                          _BOUNDARY.join(low.marks[a:e] for a, e in cuts))
+        for s, f, b, _ in _paying_runs(windows, reach, self.granularity):
+            if char in s:
                 net = f * (b - 1) - b
-                if b <= self.max_len and net > 0:
-                    self.nets[s] = (net, b)
-                    self.exact.add(s)
-                    heapq.heappush(self.heap, (-net, -b, s))
+                self.nets[s] = (net, b)
+                self.exact.add(s)
+                heapq.heappush(self.heap, (-net, -b, s))
 
 
 @dataclass

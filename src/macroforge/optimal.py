@@ -94,9 +94,15 @@ def estimate_cost(eta: int, max_len: int, max_macros: int) -> CostEstimate:
     candidate-content pool is bounded by eta*(max_len-1) and each
     combination is charged one interval-DP pass at (max_macros*eta)^2
     steps.  steps is capped at 10**18.  The budget is BUDGET_ENV if set,
-    else DEFAULT_BUDGET.
+    else DEFAULT_BUDGET; a value that is not a whole number raises
+    ValueError.
     """
-    budget = int(os.environ.get(BUDGET_ENV, DEFAULT_BUDGET))
+    given = os.environ.get(BUDGET_ENV, DEFAULT_BUDGET)
+    try:
+        budget = int(given)
+    except ValueError:
+        raise ValueError(f"{BUDGET_ENV} must be a whole number of steps, "
+                         f"not {given!r}") from None
     pool = max(eta, 0) * max(max_len - 1, 0)
     combos = sum(math.comb(pool, k) for k in range(min(pool, max_macros) + 1))
     steps = min(combos * (max_macros * max(eta, 0)) ** 2, _SATURATED)

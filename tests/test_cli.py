@@ -169,6 +169,19 @@ def test_compact_exact_budget_refusal(tmp_path, capsys):
     assert "estimated" in err and "budget" in err
 
 
+@pytest.mark.parametrize("budget", ["abc", "1e9"])
+def test_budget_that_is_not_a_number_is_named(tmp_path, capsys, monkeypatch,
+                                              budget):
+    monkeypatch.setenv("MACROFORGE_BUDGET", budget)
+    raw = write(tmp_path, "b.bin", B_STAR)
+    rc, _, err = run_cli(capsys, "pack", raw, "--out", tmp_path / "b.mcp",
+                         "--mode", "exact", "--max-macros", 2)
+    assert rc == 2
+    assert err == ("error: MACROFORGE_BUDGET must be a whole number of "
+                   f"steps, not {budget!r}\n")
+    assert not (tmp_path / "b.mcp").exists()
+
+
 @pytest.mark.parametrize("command", ["asm", "compact"])
 @pytest.mark.parametrize("entry", ["50", "10B", "300"])
 def test_entry_outside_code_is_rejected(tmp_path, capsys, command, entry):
@@ -514,6 +527,16 @@ def test_stats_with_source_reference(tmp_path, capsys):
     assert report["mode"] is None
     assert report["savingsBytes"] > 0
     assert report["inputBytes"] == len(asm.assemble(src.read_text()).code)
+
+
+def test_stats_rejects_an_original_that_is_not_text(tmp_path, capsys):
+    src = write(tmp_path, "p.mcrl", COUNTER)
+    obj = tmp_path / "p.mco"
+    run_cli(capsys, "asm", src, "--out", obj)
+    original = write(tmp_path, "p.bin", b"\xff\xfe\x00\x01")
+    rc, out, err = run_cli(capsys, "stats", obj, "--original", original)
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: {original} is not text: ")
 
 
 def test_stats_without_reference_reports_zero_savings(tmp_path, capsys):

@@ -120,3 +120,41 @@ def test_cli_ends_in_an_exit_code(tmp_path, capsys):
         seen.add(rc)
     # failures and successes both occur, or the fuzz shows nothing
     assert {0, 2} <= seen, seen
+
+
+PACK_FLAGS = [["--allow-embed"], ["--mode", "exact"], ["--max-len", "1"],
+              ["--max-len", "2"], ["--max-len", "256"],
+              ["--max-macros", "0"], ["--max-macros", "177"]]
+
+
+def test_pack_ends_in_success_or_an_input_error(tmp_path, capsys):
+    # a generator of its own, so the cases above stay as they are
+    rng = random.Random(1919)
+    sources = [corpus.generate_program(seed, min_instructions=6,
+                                       max_instructions=30)
+               for seed in range(4)]
+    blobs = ([text.encode() for text in sources]
+             + [asm.assemble(text).code for text in sources]
+             + [b"", bytes(64), b"ab" * 40, bytes(range(256)) * 2])
+    data_path, packed, back = (tmp_path / "in.bin", tmp_path / "in.mcp",
+                               tmp_path / "back.bin")
+    seen = set()
+    for case in range(120):
+        data = rng.choice(blobs)
+        if rng.random() < 0.5:
+            data = mutate_bytes(rng, data)
+        data_path.write_bytes(data)
+        argv = ["pack", data_path, "--out", packed]
+        for _ in range(rng.randint(0, 3)):
+            argv += rng.choice(PACK_FLAGS)
+        packed.unlink(missing_ok=True)
+        rc = exit_code(argv)
+        capsys.readouterr()
+        assert rc in (0, 2), (case, argv)
+        seen.add(rc)
+        if rc == 0:
+            assert exit_code(["unpack", packed, "--out", back]) == 0, case
+            assert back.read_bytes() == data, (case, argv)
+        else:
+            assert not packed.exists(), (case, argv)
+    assert seen == {0, 2}, seen

@@ -9,13 +9,14 @@ soon as its key cannot repeat; oracles.reference_walk lists every run.
 """
 
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 
 import corpus
 import oracles
 from macroforge import asm, greedy, macros
+from macroforge.asm import LiteralByte
 from macroforge.macros import compact_source
 
 
@@ -126,17 +127,40 @@ def count_walks(monkeypatch):
 
 
 def test_each_stage_walks_the_stream_once(monkeypatch, criterion_corpus):
-    walks = count_walks(monkeypatch)
+    # a walk inside a substitution counts the keys born through the
+    # embedded literals, over the windows around them only
+    walk, substitute = macros._walk, macros.PayingKeys.substitute
+    walks, windows = [], []
+
+    def spy_walk(low, max_len, granularity):
+        walks.append((granularity, len(low.sig)))
+        return walk(low, max_len, granularity)
+
+    def spy_substitute(self, pattern, item):
+        before = len(walks)
+        removed, count = substitute(self, pattern, item)
+        for _, n in walks[before:]:
+            assert n <= (2 * self.max_len + 1) * count, (n, count)
+        windows.extend(walks[before:])
+        del walks[before:]
+        return removed, count
+
+    monkeypatch.setattr(macros, "_walk", spy_walk)
+    monkeypatch.setattr(macros.PayingKeys, "substitute", spy_substitute)
     _, info = compact_source(criterion_corpus, mode="greedy")
     assert info["macro_count"] == 120  # one round each
-    assert walks == ["aligned", "instruction"]
+    stream, _ = asm.assemble_stream(criterion_corpus)
+    assert walks[0] == ("aligned", len(stream.items))
+    assert [g for g, _ in walks] == ["aligned", "instruction"]
+    assert windows == []
 
     walks.clear()
     code = asm.assemble(criterion_corpus).code[:1024]
     for embed in (False, True):
         result = greedy.greedy_select(code, 176, 20, allow_embed=embed)
         assert len(result.macros) > 10
-    assert walks == ["free", "free"]
+    assert walks == [("free", 1024), ("free", 1024)]
+    assert len(windows) > 10 and {g for g, _ in windows} == {"free"}
 
 
 def test_exact_and_freq_walk_the_stream_once(monkeypatch):
@@ -324,3 +348,68 @@ def test_stage_two_recounts_each_key_once_per_round(monkeypatch):
         assert (macros.select_greedy(stream, 176, 20)
                 == oracles.select_greedy(stream, 176, 20)), seed
     assert sum(g == "instruction" for g, _, _ in recounts) > 100
+
+
+def born_keys(nets, char):
+    return {s: v for s, v in nets.items() if char in s}
+
+
+def check_born_keys(monkeypatch):
+    """After every substitution by a literal, the keys counted exact
+    that hold its character are those a fresh full count finds, with
+    the same nets.  A key that held the character before it left the
+    stream may still be there, stale: its stored net bounds the count
+    of its new runs, which do not pay, or it would be exact.  Returns
+    the match count of each substitution checked, in order."""
+    substitute, checked = macros.PayingKeys.substitute, []
+
+    def spy(self, pattern, item):
+        out = substitute(self, pattern, item)
+        char = chr(item.value)
+        exact = {s: self.nets[s] for s in self.exact}
+        fresh = macros.profitable_keys(self.low, self.max_len,
+                                       self.granularity)
+        assert born_keys(exact, char) == born_keys(fresh, char), (
+            self.granularity, self.max_len, pattern, char)
+        checked.append(out[1])
+        return out
+
+    monkeypatch.setattr(macros.PayingKeys, "substitute", spy)
+    return checked
+
+
+def test_keys_born_through_an_embedded_literal_are_exact(monkeypatch):
+    checked = check_born_keys(monkeypatch)
+    rng = random.Random(19)
+    text = "".join(corpus.generate_program(seed) for seed in range(2))
+    inputs = [bytes(300), b"ab" * 150, b"aab" * 100,
+              bytes(rng.choice(b"ACGT") for _ in range(400)),
+              bytes(rng.randrange(256) for _ in range(400)),
+              text.encode()[:600]]
+    for data in inputs:
+        for max_len in (2, 3, 20):
+            greedy.greedy_select(data, 176, max_len, allow_embed=True)
+    assert len(checked) > 150
+
+
+def test_keys_born_at_whole_instruction_granularities(monkeypatch):
+    # The literal replaces every MOV opcode of CROSSING, whose eight
+    # lines read MOV 00, 00, 0k: a run of the literal and the 00 after it
+    # ends mid-instruction, which only the item after the run shows.
+    checked = check_born_keys(monkeypatch)
+    for text in [CROSSING] + [corpus.generate_program(s) for s in range(4)]:
+        stream, _ = asm.assemble_stream(text)
+        low = macros.lower(stream.items)
+        free = min(set(range(256)) - {ord(c) for c in low.sig})
+        fetched = Counter(c for c, m in zip(low.sig, low.marks)
+                          if m == macros._START)
+        for granularity in ("aligned", "instruction"):
+            for max_len in (2, 3, 20):
+                keys = macros.PayingKeys(low, max_len, granularity)
+                keys.best()
+                for opcode, _ in fetched.most_common(2):
+                    keys.substitute(opcode, LiteralByte(free, op_start=True))
+                    free += 1
+                    while chr(free) in keys.low.sig:
+                        free += 1
+    assert len(checked) == 5 * 2 * 3 * 2 and min(checked) > 1
