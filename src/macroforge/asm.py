@@ -29,11 +29,11 @@ prints a decoded (mode, extension) pair with this module's printer.
 Interpretive code repeats the same instruction text many times, so the
 per-program passes work once per distinct text: parse_source parses
 each distinct text once and translate_program encodes it once, sharing
-the literal bytes and giving each site fresh LabelRefs.  Relaxation
-runs over an array of item widths (Szymanski, "Assembling code for
-machines with span-dependent instructions", CACM 1978): addresses are
-its running sums, each pass visits only the refs still pending, and a
-ref that relaxes drops to width 1 and leaves the pending set for good.
+its items with every site.  Relaxation runs over an array of item
+widths (Szymanski, "Assembling code for machines with span-dependent
+instructions", CACM 1978): addresses are its running sums, each pass
+visits only the refs still pending, and a ref that relaxes drops to
+width 1 and leaves the pending set for good.
 """
 
 from __future__ import annotations
@@ -386,28 +386,19 @@ def _raw_items(o: Operand) -> list:
 def translate_program(instructions: list) -> Stream:
     """Stream items for parsed instructions, labels as LabelDefs.
 
-    Each distinct instruction text is encoded once per call.  Its
-    literal bytes are shared by every site, since nothing mutates them,
-    but each site gets LabelRefs of its own: layout relaxes refs per
-    site.
+    Each distinct instruction text is encoded once per call, and its
+    items are shared by every site, since nothing mutates them.
     """
     items: list = []
     extend = items.extend
-    encoded: dict[str, tuple[list, list[int]]] = {}
+    encoded: dict[str, list] = {}
     for inst in instructions:
         if inst.label:
             items.append(LabelDef(inst.label))
-        hit = encoded.get(inst.text)
-        if hit is None:
-            template = translate_mnemonic(inst)
-            hit = encoded[inst.text] = (template, [
-                i for i, it in enumerate(template) if type(it) is LabelRef])
-        template, refs = hit
-        base = len(items)
+        template = encoded.get(inst.text)
+        if template is None:
+            template = encoded[inst.text] = translate_mnemonic(inst)
         extend(template)
-        for i in refs:
-            ref = template[i]
-            items[base + i] = LabelRef(ref.symbol, ref.relaxable)
     return Stream(items)
 
 
@@ -432,7 +423,8 @@ def layout_and_resolve(stream: Stream, origin: int = isa.DEFAULT_ORIGIN,
     width 1.  Shrinking only moves code down, so a ref that fits stays
     in range; pending refs only leave the set, and the passes stop at
     the first that relaxes none.  Refs already relaxed are never widened
-    back.
+    back.  A ref relaxes by a new item in its place, so items shared
+    between sites are never changed.
     """
     items = stream.items
     widths: list[int] = []
@@ -464,7 +456,7 @@ def layout_and_resolve(stream: Stream, origin: int = isa.DEFAULT_ORIGIN,
                                    addresses[i]) is None:
                 still.append(i)
             else:
-                it.relaxed = True
+                items[i] = LabelRef(it.symbol, True, relaxed=True)
                 widths[i] = 1
         if len(still) == len(pending):
             break

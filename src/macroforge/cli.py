@@ -149,6 +149,8 @@ def cmd_pack(args) -> int:
 
 
 def cmd_unpack(args) -> int:
+    if args.max_output < 0:
+        raise CliError("--max-output must be at least 0")
     image = parse(_read_bytes(args.input))
     if not image.is_raw:
         raise CliError("object holds a program image; unpack takes the "

@@ -81,23 +81,30 @@ class Lowered:
         return Lowered(items, "".join(sig) + self.sig[pos:],
                        "".join(marks) + self.marks[pos:])
 
-    def substitute(self, pattern: str, item
-                   ) -> tuple[Lowered, list[tuple[int, int]]]:
-        """Replace the matches of a signature string by item.
+    def runs(self, pattern: str, granularity: str) -> list[int]:
+        """The first item of each run of key pattern at granularity (see
+        _walk), taken left to right: a match counts when it is a run and
+        starts at or after the end of the last counted one."""
+        sig, t, starts = self.sig, len(pattern), []
+        i = sig.find(pattern)
+        while i >= 0:
+            if _is_run(self, i, t, granularity):
+                starts.append(i)
+                i = sig.find(pattern, i + t)
+            else:
+                i = sig.find(pattern, i + 1)
+        return starts
 
-        Matches are taken left to right, resuming after each one, and
-        start at an instruction fetch position.  Returns the new state
-        and the item spans (start, end) that were replaced.
+    def substitute(self, pattern: str, item) -> tuple[Lowered, list[int]]:
+        """Replace the runs of a signature string by item.
+
+        Every match at an instruction fetch position is a run here, at
+        any stage's granularity.  Returns the new state and the first
+        item of each replaced run.
         """
-        spans = []
-        pos = 0
-        hit = self.sig.find(pattern)
-        while hit >= 0:
-            if self.marks[hit] == _START:
-                pos = hit + len(pattern)
-                spans.append((hit, pos))
-            hit = self.sig.find(pattern, max(pos, hit + 1))
-        return self.splice([(a, e, item) for a, e in spans]), spans
+        starts = self.runs(pattern, "free")
+        t = len(pattern)
+        return self.splice([(a, a + t, item) for a in starts]), starts
 
 
 def lower(items: list) -> Lowered:
@@ -209,25 +216,10 @@ def profitable_keys(low: Lowered, max_len: int, granularity: str
             for s, f, b, _ in _paying_runs(low, max_len, granularity)}
 
 
-def rank_keys(nets: dict[str, tuple[int, int]], limit: int,
-              defer_prefixes: bool = False) -> list[str]:
+def rank_keys(nets: dict[str, tuple[int, int]], limit: int) -> list[str]:
     """Up to limit keys counted by profitable_keys, best first: the larger
-    net saving, then the longer body, then the smaller key.
-
-    With defer_prefixes a key that strictly prefixes another profitable
-    key is passed over: the extension's leftovers are still there for
-    the short key next round, while the short key would strand the
-    extension's tail bytes for good.
-    """
-    keys = list(nets)
-    if defer_prefixes:
-        # in sorted order every extension of a key follows it, and
-        # anything between them extends it too, so checking the next
-        # key suffices; the last key is never deferred
-        ordered = sorted(nets)
-        keys = [k for k, nxt in zip(ordered, ordered[1:] + [""])
-                if nxt[:len(k)] != k]
-    return heapq.nsmallest(limit, keys,
+    net saving, then the longer body, then the smaller key."""
+    return heapq.nsmallest(limit, nets,
                            key=lambda k: (-nets[k][0], -nets[k][1], k))
 
 
@@ -254,16 +246,22 @@ class PayingKeys:
     only removes runs; every other run keeps its items, its neighbours
     and so its standing, and a leftmost-greedy count of equal-length runs
     never rises when runs go.  So a stale net is an upper bound, and a
-    key that does not pay now never will.  best pops stale keys off the
-    top of a heap of (-net, -b, key) and recounts each on the current
-    stream until the top is exact (Minoux's accelerated greedy): every
-    other key's true entry is then at least its stored one, so the top
-    is the best key.  A replacement put in as a literal (byte-level
-    embedding) must be a character the stream did not hold, so the runs
-    through it are new keys.  They are counted once, at insertion, by
-    the same walk as the full count, run over the windows around the new
-    literals only (see _count_new), and are exact until the next
-    substitution.
+    key that does not pay now never will.  best recounts the stale key
+    on top of a heap of (-net, -b, key) on the current stream until the
+    top is exact (Minoux's accelerated greedy): every other key's true
+    entry is then at least its stored one, so the top is the best key.
+    A replacement put in as a literal (byte-level embedding) must be a
+    character the stream did not hold, so the runs through it are new
+    keys.  They are counted once, at insertion, by the same walk as the
+    full count, run over the windows around the new literals only (see
+    _count_new), and are exact until the next substitution.
+
+    The same loop defers prefixes.  Once the top is exact, it is set
+    aside for this pick if a paying key strictly extends it; a stale
+    extension is recounted before it counts.  The counts that set a key
+    aside stay exact until the next substitution, so the first exact top
+    not set aside is the best key that no paying key extends, and the
+    keys set aside go back on the heap for the next pick.
     """
 
     def __init__(self, low: Lowered, max_len: int, granularity: str):
@@ -282,67 +280,61 @@ class PayingKeys:
         heapq.heapify(self.heap)
 
     def _refresh(self, s: str) -> bool:
-        """Recount stale key s; whether it still pays."""
-        b = self.nets[s][1]
+        """Recount stale key s; whether it still pays.  A changed net
+        gets a heap entry of its own, which supersedes the old one."""
+        old, b = self.nets[s]
         net = self._recount(s) * (b - 1) - b
         if net <= 0:
             del self.nets[s]
             return False
-        self.nets[s] = (net, b)
         self.exact.add(s)
+        if net != old:
+            self.nets[s] = (net, b)
+            heapq.heappush(self.heap, (-net, -b, s))
         return True
 
     def best(self, defer_prefixes: bool = False) -> str | None:
-        """The key rank_keys(nets, 1, defer_prefixes) would pick on exact
-        counts, if any."""
+        """The key rank_keys(nets, 1) would pick on exact counts, if any;
+        with defer_prefixes, among the keys that no paying key strictly
+        extends (see select_greedy)."""
         if self.nets is None:
             self._count_all()
-        nets, exact = self.nets, self.exact
-        if defer_prefixes:  # the prefix test needs every paying key
-            for s in [s for s in nets if s not in exact]:
-                self._refresh(s)
-            return next(iter(rank_keys(nets, 1, True)), None)
-        heap = self.heap
+        nets, exact, heap = self.nets, self.exact, self.heap
+        aside, best = [], None
         while heap:
             net, b, s = heap[0]
             if nets.get(s) != (-net, -b):
                 heapq.heappop(heap)
-            elif s in exact:
-                return s
-            elif self._refresh(s):
-                heapq.heapreplace(heap, (-nets[s][0], b, s))
+            elif s not in exact:
+                self._refresh(s)
+            elif defer_prefixes and any(
+                    e != s and e.startswith(s)
+                    and (e in exact or self._refresh(e)) for e in list(nets)):
+                aside.append(heapq.heappop(heap))
             else:
-                heapq.heappop(heap)
-        return None
+                best = s
+                break
+        for entry in aside:
+            heapq.heappush(heap, entry)
+        return best
 
     def substitute(self, pattern: str, item) -> tuple[list | None, int]:
         """Substitute as Lowered.substitute does and mark every count
         stale.  Returns the items removed by the first match (None if
         nothing matched) and the match count."""
-        old = self.low
-        self.low, spans = old.substitute(pattern, item)
+        old, t = self.low, len(pattern)
+        self.low, starts = old.substitute(pattern, item)
         self.exact.clear()
         if isinstance(item, LiteralByte):
-            shrink = accumulate((e - a - 1 for a, e in spans), initial=0)
-            self._count_new([a - d for (a, _), d in zip(spans, shrink)],
+            # each replaced run before a start moved it t - 1 items down
+            self._count_new([a - k * (t - 1) for k, a in enumerate(starts)],
                             chr(item.value))
-        return (old.items[spans[0][0]:spans[0][1]] if spans else None,
-                len(spans))
+        return (old.items[starts[0]:starts[0] + t] if starts else None,
+                len(starts))
 
     def _recount(self, s: str) -> int:
-        """Leftmost-greedy count of the runs of key s on the stream: a
-        match counts when it is a run and starts at or after the end of
-        the last counted one."""
-        low, t = self.low, len(s)
-        f = 0
-        i = low.sig.find(s)
-        while i >= 0:
-            if _is_run(low, i, t, self.granularity):
-                f += 1
-                i = low.sig.find(s, i + t)
-            else:
-                i = low.sig.find(s, i + 1)
-        return f
+        """Leftmost-greedy count of the runs of key s on the stream."""
+        return len(self.low.runs(s, self.granularity))
 
     def _count_new(self, points: list[int], char: str) -> None:
         """Count the paying keys that hold char, the signature character
@@ -399,7 +391,7 @@ def select_greedy(stream: Stream, max_macros: int, max_len: int
     works on the shrunken stream.  Ties fall to the longer body, then the
     smaller key.  Each stage counts candidates once; after that
     PayingKeys recounts a key when it reaches the top of its heap, and
-    in stage two every stale key before each pick.
+    in stage two also a stale key that would defer the top.
 
     Selection runs coarse to fine.  The first stage admits only
     instruction-aligned runs: a mid-instruction prefix pools the counts
@@ -410,7 +402,9 @@ def select_greedy(stream: Stream, max_macros: int, max_len: int
     whose full forms were too rare to adopt.
 
     Stage two defers any profitable key that strictly prefixes another
-    profitable key (see rank_keys).  Stage one must not do this; there
+    profitable key: the extension's leftovers are still there for the
+    short key next round, while the short key would strand the
+    extension's tail bytes for good.  Stage one must not do this; there
     the prefix relation pits a high-count instruction against every
     barely-profitable longer run it starts, and deferring to those
     fragments the stream and squanders the opcode space on long bodies.
@@ -445,14 +439,13 @@ def _adopt_in_order(cur: Lowered, keys: list[str]
     """
     adopted: list[StreamMacro] = []
     for s in keys:
-        code = isa.MACRO_OPCODE_BASE + len(adopted)
-        nxt, spans = cur.substitute(s, MacroByte(code))
-        b = _width(s)
-        if len(spans) * (b - 1) - b <= 0:
+        starts, t, b = cur.runs(s, "free"), len(s), _width(s)
+        if len(starts) * (b - 1) - b <= 0:
             continue  # adopting it now would grow the image
+        code = isa.MACRO_OPCODE_BASE + len(adopted)
         adopted.append(StreamMacro(code=code, byte_len=b,
-                                   items=cur.items[spans[0][0]:spans[0][1]]))
-        cur = nxt
+                                   items=cur.items[starts[0]:starts[0] + t]))
+        cur = cur.splice([(a, a + t, MacroByte(code)) for a in starts])
     return Stream(cur.items), adopted
 
 

@@ -79,7 +79,7 @@ class ObjectImage:
             raise ObjectError(f"{len(self.macros)} macros exceeds the "
                               f"{isa.MAX_MACROS} opcode slots")
         raw = self.is_raw
-        # a raw table is walked: on pack's tables of 4-10 entries a
+        # a raw table is walked: on pack's tables of 4-30 entries a
         # whole-table check of its rules measured slower
         if self.macros and (raw or not self._table_is_sound()):
             self._check_entries(raw)

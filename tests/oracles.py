@@ -18,7 +18,8 @@ here are tuples built from the items, (0, byte) for a literal and
 are the round-by-round greedy selectors that recount every candidate
 after each adoption; they share the lowering, the full count and the
 ranking of the package, substitute by a scan of their own, and
-differential tests hold the lazily recounting selectors to their
+select_greedy defers prefixes by a sorted-neighbour filter of its own.
+Differential tests hold the lazily recounting selectors to their
 output.  generate_corpus drives the package's program generator
 but assembles the whole program after every chunk, where
 corpus.generate_corpus sums the sizes of the chunks.
@@ -387,7 +388,9 @@ def select_greedy(stream: Stream, max_macros: int, max_len: int
     whose full forms were too rare to adopt.
 
     Stage two defers any profitable key that strictly prefixes another
-    profitable key (see rank_keys).  Stage one must not do this; there
+    profitable key: the extension's leftovers are still there for the
+    short key next round, while the short key would strand the
+    extension's tail bytes for good.  Stage one must not do this; there
     the prefix relation pits a high-count instruction against every
     barely-profitable longer run it starts, and deferring to those
     fragments the stream and squanders the opcode space on long bodies.
@@ -399,7 +402,15 @@ def select_greedy(stream: Stream, max_macros: int, max_len: int
                                         ("instruction", True)):
         while len(adopted) < max_macros:
             nets = profitable_keys(cur, max_len, granularity)
-            best = rank_keys(nets, 1, defer_prefixes)
+            if defer_prefixes:
+                # in sorted order every extension of a key follows it,
+                # and anything between them extends it too, so checking
+                # the next key suffices; the last key is never deferred
+                ordered = sorted(nets)
+                nets = {k: nets[k] for k, nxt in zip(ordered,
+                                                     ordered[1:] + [""])
+                        if nxt[:len(k)] != k}
+            best = rank_keys(nets, 1)
             if not best:
                 break
             code = isa.MACRO_OPCODE_BASE + len(adopted)

@@ -360,6 +360,18 @@ def test_unpack_refuses_output_over_the_limit(tmp_path, capsys):
     assert out.read_bytes() == b"abcd"
 
 
+def test_unpack_rejects_negative_max_output_before_reading(tmp_path, capsys):
+    small = write(tmp_path, "s.mcp", ObjectImage(
+        code=b"ab\x50", flags=FLAG_RAW,
+        macros=[MacroEntry(0x50, b"cd")]).serialize())
+    for path in (small, tmp_path / "missing.mcp"):
+        rc, out, err = run_cli(capsys, "unpack", path, "--out",
+                               tmp_path / "s.out", "--max-output", -1)
+        assert (rc, out) == (2, "")
+        assert "--max-output must be at least 0" in err
+    assert not (tmp_path / "s.out").exists()
+
+
 # --- run / disasm -------------------------------------------------------------
 
 def test_run_prints_decimal_trace(tmp_path, capsys):

@@ -78,8 +78,9 @@ def test_relaxed_branch_byte_blocks_run():
 
 def test_macro_byte_blocks_run():
     low = lower(stream_for("       NOP\n" * 6).items)
-    out, spans = low.substitute("\x01\x01", MacroByte(0x50))
-    assert spans == [(0, 2), (2, 4), (4, 6)]
+    out, starts = low.substitute("\x01\x01", MacroByte(0x50))
+    assert starts == [0, 2, 4]
+    assert out.items == [MacroByte(0x50)] * 3
     assert extract_candidates(Stream(out.items), 8) == {}
 
 
