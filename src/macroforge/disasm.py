@@ -167,8 +167,6 @@ _WIDTH = _BYTES_PER_LINE * 3 - 1
 
 
 def _text(instrs: list) -> str:
-    if len(instrs) == 1:
-        return instrs[0].text()
     return " / ".join([i.text() for i in instrs])
 
 
@@ -176,9 +174,8 @@ def _tail(unit: DecodedUnit, text: str) -> str:
     """A unit's listing lines after its address."""
     data = unit.main_bytes
     flag = "***" if unit.is_macro else "   "
-    if len(data) <= _BYTES_PER_LINE:
-        return f"  {data.hex(' ').upper():<{_WIDTH}}  {flag}  {text}"
-    tail = f"  {data[:_BYTES_PER_LINE].hex(' ').upper()}  {flag}  {text}"
+    head = data[:_BYTES_PER_LINE].hex(" ").upper()
+    tail = f"  {head:<{_WIDTH}}  {flag}  {text}"
     for i in range(_BYTES_PER_LINE, len(data), _BYTES_PER_LINE):
         chunk = data[i:i + _BYTES_PER_LINE].hex(" ").upper()
         tail += f"\n      {chunk:<{_WIDTH}}"

@@ -256,12 +256,13 @@ class PayingKeys:
     full count, run over the windows around the new literals only (see
     _count_new), and are exact until the next substitution.
 
-    The same loop defers prefixes.  Once the top is exact, it is set
-    aside for this pick if a paying key strictly extends it; a stale
-    extension is recounted before it counts.  The counts that set a key
-    aside stay exact until the next substitution, so the first exact top
-    not set aside is the best key that no paying key extends, and the
-    keys set aside go back on the heap for the next pick.
+    At the "instruction" granularity the same loop defers prefixes.
+    Once the top is exact, it is set aside for this pick if a paying key
+    strictly extends it; a stale extension is recounted before it
+    counts.  The counts that set a key aside stay exact until the next
+    substitution, so the first exact top not set aside is the best key
+    that no paying key extends, and the keys set aside go back on the
+    heap for the next pick.
     """
 
     def __init__(self, low: Lowered, max_len: int, granularity: str):
@@ -293,10 +294,10 @@ class PayingKeys:
             heapq.heappush(self.heap, (-net, -b, s))
         return True
 
-    def best(self, defer_prefixes: bool = False) -> str | None:
+    def best(self) -> str | None:
         """The key rank_keys(nets, 1) would pick on exact counts, if any;
-        with defer_prefixes, among the keys that no paying key strictly
-        extends (see select_greedy)."""
+        at the "instruction" granularity, among the keys that no paying
+        key strictly extends (see select_greedy)."""
         if self.nets is None:
             self._count_all()
         nets, exact, heap = self.nets, self.exact, self.heap
@@ -307,7 +308,7 @@ class PayingKeys:
                 heapq.heappop(heap)
             elif s not in exact:
                 self._refresh(s)
-            elif defer_prefixes and any(
+            elif self.granularity == "instruction" and any(
                     e != s and e.startswith(s)
                     and (e in exact or self._refresh(e)) for e in list(nets)):
                 aside.append(heapq.heappop(heap))
@@ -391,7 +392,8 @@ def select_greedy(stream: Stream, max_macros: int, max_len: int
     works on the shrunken stream.  Ties fall to the longer body, then the
     smaller key.  Each stage counts candidates once; after that
     PayingKeys recounts a key when it reaches the top of its heap, and
-    in stage two also a stale key that would defer the top.
+    in stage two, at the "instruction" granularity, also a stale key that
+    would defer the top.
 
     Selection runs coarse to fine.  The first stage admits only
     instruction-aligned runs: a mid-instruction prefix pools the counts
@@ -402,9 +404,10 @@ def select_greedy(stream: Stream, max_macros: int, max_len: int
     whose full forms were too rare to adopt.
 
     Stage two defers any profitable key that strictly prefixes another
-    profitable key: the extension's leftovers are still there for the
-    short key next round, while the short key would strand the
-    extension's tail bytes for good.  Stage one must not do this; there
+    profitable key, as PayingKeys does at the "instruction" granularity:
+    the extension's leftovers are still there for the short key next
+    round, while the short key would strand the extension's tail bytes
+    for good.  Stage one, at the "aligned" granularity, must not; there
     the prefix relation pits a high-count instruction against every
     barely-profitable longer run it starts, and deferring to those
     fragments the stream and squanders the opcode space on long bodies.
@@ -412,11 +415,10 @@ def select_greedy(stream: Stream, max_macros: int, max_len: int
     check_limits(max_macros, max_len)
     cur = lower(stream.items)
     adopted: list[StreamMacro] = []
-    for granularity, defer_prefixes in (("aligned", False),
-                                        ("instruction", True)):
+    for granularity in ("aligned", "instruction"):
         keys = PayingKeys(cur, max_len, granularity)
         while len(adopted) < max_macros:
-            best = keys.best(defer_prefixes)
+            best = keys.best()
             if best is None:
                 break
             code = isa.MACRO_OPCODE_BASE + len(adopted)

@@ -17,14 +17,13 @@ Layout, all multi-byte fields big-endian:
     ..      1     body length
     ..      m     body bytes
 
-parse reads the fixed header by offset, in one struct unpack, and the
-macro table in one loop of slices; then it validates the image, as
-serialize does before writing.  Every table needs opcodes in
-0x50..0xff, no duplicate and bodies of 1..255 bytes.  An executable
-table must also count up densely from 0x50, with bodies of at least 2
-bytes that open with a real opcode; validate checks it over the whole
-table at once and walks it only to name the first bad entry.  A raw
-table is walked entry by entry.
+serialize packs the fixed header and parse unpacks it through one
+struct; parse reads the macro table in one loop of slices, then
+validates the image, as serialize does before writing.  validate walks
+every table once, entry by entry, and names the first bad entry.  Every
+table needs opcodes in 0x50..0xff, no duplicate and bodies of 1..255
+bytes.  An executable table must also count up densely from 0x50, with
+bodies of at least 2 bytes that open with a real opcode.
 """
 
 from __future__ import annotations
@@ -79,22 +78,9 @@ class ObjectImage:
             raise ObjectError(f"{len(self.macros)} macros exceeds the "
                               f"{isa.MAX_MACROS} opcode slots")
         raw = self.is_raw
-        # a raw table is walked: on pack's tables of 4-30 entries a
-        # whole-table check of its rules measured slower
-        if self.macros and (raw or not self._table_is_sound()):
-            self._check_entries(raw)
+        self._check_entries(raw)
         if not raw and len(self.code) + self.origin > 0x10000:
             raise ObjectError("code does not fit below 0x10000")
-
-    def _table_is_sound(self) -> bool:
-        """The checks of _check_entries on an executable image's table,
-        over the whole table at once."""
-        base = isa.MACRO_OPCODE_BASE
-        codes = [m.code for m in self.macros]
-        sizes = [len(m.body) for m in self.macros]
-        return (codes == list(range(base, base + len(codes)))
-                and min(sizes) >= 2 and max(sizes) <= isa.MAX_BODY_BYTES
-                and max([m.body[0] for m in self.macros]) < base)
 
     def _check_entries(self, raw: bool) -> None:
         """Raise for the first bad table entry, naming it."""
@@ -127,21 +113,16 @@ class ObjectImage:
 
     def serialize(self) -> bytes:
         self.validate()
-        out = bytearray(MAGIC)
-        out.append(VERSION)
-        out.append(self.flags & 0xFF)
-        out += self.entry.to_bytes(2, "big")
-        out += self.origin.to_bytes(2, "big")
-        if len(self.code) >= _LEN_ESCAPE:
-            out += _LEN_ESCAPE.to_bytes(2, "big")
-            out += len(self.code).to_bytes(4, "big")
-        else:
-            out += len(self.code).to_bytes(2, "big")
+        size = len(self.code)
+        out = bytearray(_HEAD.pack(MAGIC, VERSION, self.flags & 0xFF,
+                                   self.entry, self.origin,
+                                   min(size, _LEN_ESCAPE)))
+        if size >= _LEN_ESCAPE:
+            out += size.to_bytes(4, "big")
         out += self.code
         out.append(len(self.macros))
         for m in self.macros:
-            out.append(m.code)
-            out.append(len(m.body))
+            out.extend((m.code, len(m.body)))
             out += m.body
         return bytes(out)
 

@@ -54,7 +54,8 @@ class LoadError(Exception):
 
 
 class VmFault(Exception):
-    """Internal signal; surfaces to callers as a fault StepEvent."""
+    """Internal signal; surfaces to callers as a RunOutcome with status
+    "fault" and the fault's text as its fault_reason."""
 
 
 @dataclass
@@ -322,6 +323,9 @@ def _execute(state: VmState, fuel: int) -> tuple:
 
 
 def step(state: VmState) -> StepEvent:
+    """Run one instruction, as run(state, 1) does, and name what it did.
+    run is the entry point; perfbench's traced rounds step with this to
+    count macro activations."""
     before = len(state.out_trace)
     status, _, reason = _execute(state, 1)
     if status != "out-of-fuel":                  # halted or fault

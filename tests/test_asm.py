@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from macroforge import asm, decode, isa, objfile
@@ -12,7 +14,7 @@ from macroforge.asm import (
 )
 from macroforge.decode import decode_short_branch
 from macroforge.objfile import FLAG_RAW, MacroEntry, ObjectError, ObjectImage
-from oracles import decode_literal
+from oracles import decode_literal, reference_parse
 
 
 def print_program(instructions: list) -> str:
@@ -400,6 +402,69 @@ def test_container_long_raw_payload():
     back = objfile.parse(img.serialize())
     assert back.code == img.code
     assert back.is_raw
+
+
+@pytest.mark.parametrize("size", [0xFFFE, 0xFFFF, 0x10000])
+def test_serialize_length_escape_boundary(size):
+    # a code length of 0xFFFF or more is written as the 0xFFFF escape
+    # followed by the 4-byte length
+    code = random.Random(size).randbytes(size)
+    img = ObjectImage(code=code, origin=0x1234, entry=0xBEEF, flags=FLAG_RAW,
+                      macros=[MacroEntry(0x50, b"\x07\x08"),
+                              MacroEntry(0xFF, b"\x09")])
+    blob = img.serialize()
+    length = (size.to_bytes(2, "big") if size < 0xFFFF
+              else b"\xff\xff" + size.to_bytes(4, "big"))
+    head = b"MCRL\x01\x01\xbe\xef\x12\x34" + length
+    assert blob == (head + code + b"\x02" + b"\x50\x02\x07\x08"
+                    + b"\xff\x01\x09")
+    assert objfile.parse(blob) == img
+    assert reference_parse(blob) == img
+
+
+def _full_table():
+    return [MacroEntry(isa.MACRO_OPCODE_BASE + i, bytes([0x01, i]))
+            for i in range(isa.MAX_MACROS)]
+
+
+# (rule, entry, field, value, the message validate raises)
+_BROKEN_TABLES = [
+    ("dense", 0, "code", 0x51, "macro opcodes not dense: slot 0 holds 0x51"),
+    ("dense", 88, "code", 0xA9, "macro opcodes not dense: slot 88 holds 0xa9"),
+    # the last slot has no free code left, so its gap is a duplicate
+    ("dense", 175, "code", 0xFE, "duplicate macro opcode 0xfe"),
+    ("duplicate", 1, "code", 0x50, "duplicate macro opcode 0x50"),
+    ("duplicate", 88, "code", 0xA7, "duplicate macro opcode 0xa7"),
+    ("duplicate", 175, "code", 0x50, "duplicate macro opcode 0x50"),
+    ("short", 0, "body", b"\x01", "macro 0x50 body under 2 bytes"),
+    ("short", 88, "body", b"\x01", "macro 0xa8 body under 2 bytes"),
+    ("short", 175, "body", b"", "macro 0xff has an empty body"),
+    ("long", 0, "body", bytes(256), "macro 0x50 body over 255 bytes"),
+    ("long", 88, "body", bytes(256), "macro 0xa8 body over 255 bytes"),
+    ("long", 175, "body", bytes(300), "macro 0xff body over 255 bytes"),
+    ("nested", 0, "body", b"\x50\x01",
+     "macro 0x50 body starts with another macro opcode"),
+    ("nested", 88, "body", b"\xa8\x01",
+     "macro 0xa8 body starts with another macro opcode"),
+    ("nested", 175, "body", b"\xff\x01",
+     "macro 0xff body starts with another macro opcode"),
+]
+
+
+def test_full_executable_table_is_sound():
+    img = ObjectImage(code=b"\x00", macros=_full_table())
+    assert objfile.parse(img.serialize()) == img
+
+
+@pytest.mark.parametrize("rule, i, field, value, message", _BROKEN_TABLES,
+                         ids=[f"{rule}-{i}" for rule, i, *_ in _BROKEN_TABLES])
+def test_full_executable_table_names_its_first_bad_entry(rule, i, field,
+                                                         value, message):
+    table = _full_table()
+    setattr(table[i], field, value)
+    with pytest.raises(ObjectError) as err:
+        ObjectImage(code=b"\x00", macros=table).validate()
+    assert str(err.value) == message
 
 
 def test_macro_table_validation():

@@ -2,7 +2,7 @@ import pytest
 
 from macroforge import asm, decode, isa, vm
 from macroforge.objfile import FLAG_RAW, MacroEntry, ObjectError, ObjectImage
-from macroforge.vm import LoadError, load, run, step
+from macroforge.vm import LoadError, load, run
 from oracles import reference_run
 
 
@@ -177,9 +177,9 @@ def test_run_past_end_of_memory_faults():
 
 def test_step_after_halt_rejected():
     state = load(asm.assemble("      HLT\n"))
-    assert step(state).kind == "halted"
+    assert run(state, 1).status == "halted"
     with pytest.raises(ValueError):
-        step(state)
+        run(state, 1)
 
 
 def test_fuel_must_be_positive():
@@ -270,20 +270,20 @@ def test_macro_opcode_inside_body_faults():
     state = vm.VmState(memory=bytearray(0x10000), regs=[0] * 6, pc=0x100,
                        macros=[bytes([0x01, 0x50])])
     state.memory[0x100] = 0x50
-    first = step(state)
-    assert first.kind == "executed"
-    second = step(state)
-    assert second.kind == "fault"
-    assert "inside a macro body" in second.reason
+    first = run(state, 1)
+    assert (first.status, first.steps, first.trace) == ("out-of-fuel", 1, [])
+    second = run(state, 1)
+    assert second.status == "fault"
+    assert "inside a macro body" in second.fault_reason
 
 
 def test_macro_body_starting_with_macro_opcode_faults():
     state = vm.VmState(memory=bytearray(0x10000), regs=[0] * 6, pc=0x100,
                        macros=[bytes([0x51, 0x01])])
     state.memory[0x100] = 0x50
-    event = step(state)
-    assert event.kind == "fault"
-    assert "begins with" in event.reason
+    out = run(state, 1)
+    assert out.status == "fault"
+    assert "begins with" in out.fault_reason
 
 
 def test_unassigned_macro_opcode_faults():

@@ -1,5 +1,6 @@
 """The interpreter against the step-at-a-time reference interpreter in
-oracles.py, and vm.step against vm.run."""
+oracles.py, and vm.run one step at a time, and vm.step, against one
+vm.run of as many steps."""
 
 import dataclasses
 import random
@@ -66,18 +67,27 @@ def test_steps_match_run_at_every_prefix():
     for image in (asm.assemble(text),
                   macros.compact_source(text, max_macros=176)[0]):
         total = vm.run(vm.load(image), 100_000).steps
-        stepped = vm.load(image)
+        stepped, evented = vm.load(image), vm.load(image)
         in_body = 0
         for n in range(1, total + 1):
-            event = vm.step(stepped)
+            before = len(stepped.out_trace)
+            one = vm.run(stepped, 1)
+            event = vm.step(evented)
             ran = vm.load(image)
             outcome = vm.run(ran, n)
-            assert (stepped.pc, stepped.cursor, stepped.regs,
-                    stepped.out_trace) == (ran.pc, ran.cursor, ran.regs,
-                                           ran.out_trace)
-            assert (event.kind in ("halted", "fault")) == stepped.halted
-            assert outcome.status == ("out-of-fuel" if n < total
-                                      else event.kind)
+            for state in (stepped, evented):
+                assert (state.pc, state.cursor, state.regs,
+                        state.out_trace) == (ran.pc, ran.cursor, ran.regs,
+                                             ran.out_trace)
+            assert one.steps == 1 and one.trace == stepped.out_trace
+            grew = len(one.trace) - before
+            assert grew in (0, 1)
+            assert (one.status != "out-of-fuel") == stepped.halted
+            assert (outcome.status, outcome.fault_reason) == (
+                ("out-of-fuel", None) if n < total
+                else (one.status, one.fault_reason))
+            assert event.kind == (one.status if stepped.halted
+                                  else "output" if grew else "executed")
             in_body += stepped.cursor is not None
         assert stepped.halted
         if image.macros:
