@@ -339,13 +339,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except optimal.BudgetError as exc:
         print(f"error: exact search refused: {exc}", file=sys.stderr)
         return 2
-    except (asm.AsmError, ObjectError, disasm.DisasmError, vm.LoadError,
-            ValueError) as exc:
+    except (CliError, asm.AsmError, ObjectError, disasm.DisasmError,
+            vm.LoadError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

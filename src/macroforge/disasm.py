@@ -183,9 +183,9 @@ def _tail(unit: DecodedUnit, text: str) -> str:
 
 
 def render_listing(image) -> str:
-    if not image.code:
-        return ""
     units = decode_image(image)
+    if not units:
+        return ""
     lines = [f"origin {image.origin:04X}  entry {image.entry:04X}", ""]
     tails: dict = {}   # (main bytes, *shared instructions) -> line tail
     # macro code -> text of a body that ends on an instruction boundary,

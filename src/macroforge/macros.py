@@ -95,17 +95,6 @@ class Lowered:
                 i = sig.find(pattern, i + 1)
         return starts
 
-    def substitute(self, pattern: str, item) -> tuple[Lowered, list[int]]:
-        """Replace the runs of a signature string by item.
-
-        Every match at an instruction fetch position is a run here, at
-        any stage's granularity.  Returns the new state and the first
-        item of each replaced run.
-        """
-        starts = self.runs(pattern, "free")
-        t = len(pattern)
-        return self.splice([(a, a + t, item) for a in starts]), starts
-
 
 def lower(items: list) -> Lowered:
     """Lower stream items for selection; symbols are numbered in name
@@ -199,7 +188,7 @@ def _paying_runs(low: Lowered, max_len: int, granularity: str):
     f*(b-1) - b is positive, b being its width in bytes and runs the
     first item of each of its runs in stream order.
 
-    f counts runs leftmost-greedy, as Lowered.substitute replaces them.
+    f counts runs leftmost-greedy, as Lowered.runs takes them.
     """
     for t, runs in _walk(low, max_len, granularity):
         for s, starts in runs.items():
@@ -320,11 +309,18 @@ class PayingKeys:
         return best
 
     def substitute(self, pattern: str, item) -> tuple[list | None, int]:
-        """Substitute as Lowered.substitute does and mark every count
-        stale.  Returns the items removed by the first match (None if
-        nothing matched) and the match count."""
+        """Replace by item every match of pattern at a fetch position,
+        taken left to right, and mark every count stale.  Returns the
+        items removed by the first match (None if nothing matched) and
+        the match count.
+
+        Every such match is replaced, whatever the stage's granularity,
+        so on raw-hex lines a stage can replace more matches than it
+        counted.
+        """
         old, t = self.low, len(pattern)
-        self.low, starts = old.substitute(pattern, item)
+        starts = old.runs(pattern, "free")
+        self.low = old.splice([(a, a + t, item) for a in starts])
         self.exact.clear()
         if isinstance(item, LiteralByte):
             # each replaced run before a start moved it t - 1 items down

@@ -61,8 +61,6 @@ class VmFault(Exception):
 @dataclass
 class StepEvent:
     kind: str                    # executed | output | halted | fault
-    value: int | None = None     # output only
-    reason: str | None = None    # fault only
 
 
 @dataclass
@@ -323,16 +321,16 @@ def _execute(state: VmState, fuel: int) -> tuple:
 
 
 def step(state: VmState) -> StepEvent:
-    """Run one instruction, as run(state, 1) does, and name what it did.
-    run is the entry point; perfbench's traced rounds step with this to
-    count macro activations."""
+    """Run one instruction, as run(state, 1) does, and name what it did:
+    the status if the machine halted or faulted, else "output" when the
+    trace grew and "executed" when it did not.  run is the entry point;
+    perfbench's traced rounds step with this to count macro
+    activations."""
     before = len(state.out_trace)
-    status, _, reason = _execute(state, 1)
-    if status != "out-of-fuel":                  # halted or fault
-        return StepEvent(status, reason=reason)
-    if len(state.out_trace) > before:
-        return StepEvent("output", value=state.out_trace[-1])
-    return StepEvent("executed")
+    kind = _execute(state, 1)[0]
+    if kind == "out-of-fuel":                    # neither halted nor faulted
+        kind = "output" if len(state.out_trace) > before else "executed"
+    return StepEvent(kind)
 
 
 def run(state: VmState, fuel: int) -> RunOutcome:

@@ -426,6 +426,17 @@ def test_disasm_rejects_raw_container(tmp_path, capsys):
     assert "raw" in err
 
 
+def test_disasm_and_run_reject_empty_raw_container(tmp_path, capsys):
+    empty = write(tmp_path, "empty.bin", b"")
+    packed = tmp_path / "empty.mcp"
+    run_cli(capsys, "pack", empty, "--out", packed, "--report", tmp_path / "r")
+    for command in ("disasm", "run"):
+        rc, out, err = run_cli(capsys, command, packed)
+        assert (rc, out) == (2, "")
+        assert err == ("error: raw container holds packed bytes, "
+                       "not a program\n")
+
+
 # --- verify -------------------------------------------------------------------
 
 def test_verify_passes_on_corpus_program(tmp_path, capsys):

@@ -78,7 +78,8 @@ def test_relaxed_branch_byte_blocks_run():
 
 def test_macro_byte_blocks_run():
     low = lower(stream_for("       NOP\n" * 6).items)
-    out, starts = low.substitute("\x01\x01", MacroByte(0x50))
+    starts = low.runs("\x01\x01", "free")
+    out = low.splice([(a, a + 2, MacroByte(0x50)) for a in starts])
     assert starts == [0, 2, 4]
     assert out.items == [MacroByte(0x50)] * 3
     assert extract_candidates(Stream(out.items), 8) == {}

@@ -55,6 +55,11 @@ def test_raw_container_cannot_be_decoded():
         decode_image(raw)
 
 
+def test_empty_raw_container_cannot_be_listed():
+    with pytest.raises(DisasmError, match="raw container holds packed bytes"):
+        render_listing(ObjectImage(code=b"", flags=FLAG_RAW))
+
+
 def test_unknown_opcode_rejected():
     with pytest.raises(DisasmError):
         decode_image(ObjectImage(code=bytes([0x4F])))
