@@ -69,19 +69,19 @@ class LabelRef:
     symbol: str
     relaxable: bool = False
     relaxed: bool = False
-    op_start: bool = False
+    op_start = False
 
 
 @dataclass
 class LabelDef:
     symbol: str
-    op_start: bool = False  # always False; zero width
+    op_start = False    # zero width
 
 
 @dataclass
 class MacroByte:
     code: int
-    op_start: bool = True
+    op_start = True
 
 
 Item = LiteralByte | LabelRef | LabelDef | MacroByte

@@ -99,9 +99,9 @@ def greedy_select(data: Sequence[int], max_macros: int, max_len: int,
         best = keys.best()
         if best is None:
             break
-        _, count = keys.substitute(
+        removed, count = keys.substitute(
             best, _BYTE_ITEMS[code] if allow_embed else MacroByte(code))
-        body = best.encode("latin-1")
+        body = bytes(it.value for it in removed)
         left.subtract(body * count)
         macros.append(Macro(body=body, code=code))
         assigned.add(code)

@@ -29,16 +29,17 @@ its line read.  Because a fill caches at most FILL_CAP entries, a run
 decodes at most FILL_CAP instructions per executed step, however often
 writes clear the table, plus one decode of the macro table per machine.
 
-The macro table is decoded once, when the machine is built: each
-instruction that lies wholly inside its body goes into a second table
-keyed by (table index, body offset), shared by every site, and each
-body's first one, its head, also into a list indexed by table index.
-A site's entry copies the shared one with that site's next position.
-The table is not in main memory, so these are never cleared.  The pass
-stops in each body at the first instruction that runs past the body's
-end or does not decode, and never faults.  Such a position is decoded
-at its site, from the rest of the body followed by memory at the
-resume pc, and a fault it raises surfaces only when it is fetched.
+The macro table is decoded once, when the machine is built, into one
+list per table entry indexed by body offset and shared by every site:
+a slot holds the instruction that lies wholly inside the body there,
+or None.  A site reads its body's slot 0 and a body step the slot at
+its offset, and its entry copies the shared one with its own next
+position.  The table is not in main memory, so the lists are never
+cleared.  The pass stops in each body at the first instruction that
+runs past the body's end or does not decode, and never faults.  Such a
+position is decoded at its site, from the rest of the body followed by
+memory at the resume pc, and a fault it raises surfaces only when it
+is fetched.
 """
 
 from __future__ import annotations
@@ -80,19 +81,16 @@ class VmState:
     cursor: tuple | None = None  # (table index, body offset, resume pc)
     out_trace: list = field(default_factory=list)
     halted: bool = False
-    stack_top: int = isa.DEFAULT_STACK_TOP
-    stack_bottom: int = isa.DEFAULT_STACK_BOTTOM
     # Decoded entries by fetch position and the main-memory bytes [lo, hi]
     # they came from; code that writes memory directly must clear entries.
     entries: dict = field(default_factory=dict)
     watched: tuple = (0x10000, -1)       # empty
-    # (entry less its next position, next body offset or None at the
-    # end) of each instruction wholly inside a body, by (table index,
-    # body offset), for every site; heads holds each body's offset-0 one,
-    # or None, by table index.  Both are built with the machine and never
-    # cleared, because the table is not in main memory.
-    bodies: dict = field(init=False)
-    heads: list = field(init=False)
+    # One list per table entry, indexed by body offset, shared by every
+    # site: (entry less its next position, next body offset or None at
+    # the end) where an instruction lies wholly inside the body, else
+    # None.  Built with the machine and never cleared, because the table
+    # is not in main memory.
+    bodies: list = field(init=False)
 
     def __post_init__(self):
         _share_bodies(self)
@@ -127,7 +125,7 @@ def load(image) -> VmState:
 # decode (see decode.K_REG and the ranges in _execute).  A miss fills
 # the straight line from the missed position on, so a run makes one
 # _decode_at call per line instead of one per instruction, and a site
-# of a body costs a list read and a tuple.
+# of a body costs two list reads and a tuple.
 
 FILL_CAP = 16          # most entries one miss caches
 _BASE = isa.MACRO_OPCODE_BASE
@@ -136,24 +134,24 @@ _PADDING = bytes(isa.MAX_INSTRUCTION_BYTES - 1)
 
 def _share_bodies(state: VmState) -> None:
     """Decode each body of the macro table once, one instruction at a
-    time, into state.bodies and state.heads.  A body's pass stops at the
+    time, into its list in state.bodies.  A body's pass stops at the
     first instruction that runs past its end or does not decode."""
-    state.bodies, state.heads = bodies, heads = {}, []
-    for idx, body in enumerate(state.macros):
+    state.bodies = bodies = []
+    for body in state.macros:
         # The zero padding lets an instruction that runs past the body's
         # end decode, to be dropped here, rather than raise IndexError.
         size, off, padded = len(body), 0, body + _PADDING
+        bodies.append(shared := [None] * size)
         try:
             while off < size:
                 entry, = decode.line(padded, off, size, 0)
                 end = entry[8]
                 if end > size:
                     break
-                bodies[idx, off] = (entry[:8], end if end < size else None)
+                shared[off] = (entry[:8], end if end < size else None)
                 off = end
         except decode.DecodeError:
             pass
-        heads.append(bodies.get((idx, 0)))
 
 
 def _decode_at(state: VmState, key) -> tuple:
@@ -162,41 +160,38 @@ def _decode_at(state: VmState, key) -> tuple:
     they read, and return key's entry.
 
     A main-stream run decodes in place, in one decode.line call.  A site
-    copies its body's head from state.heads, and a body step its own
-    instruction from state.bodies, adding its next position.  A body
-    position without a shared instruction is decoded at its site, from
-    the rest of the body followed by memory at the resume pc.  The line
-    reads main memory from its first main-stream position up to where
-    it stopped.
+    reads offset 0 of its body's list in state.bodies, a body step its
+    own offset, and each copies the shared instruction there, adding its
+    next position.  A body position without a shared instruction is
+    decoded at its site, from the rest of the body followed by memory at
+    the resume pc.  The line reads main memory from its first
+    main-stream position up to where it stopped.
     """
-    memory, entries, heads = state.memory, state.entries, state.heads
+    memory, entries, bodies = state.memory, state.entries, state.bodies
     line, ends, cap, base = decode.line, decode.LINE_ENDS, FILL_CAP, _BASE
     missed, n = key, 0
     try:
         while True:
             if type(key) is tuple:                    # a body step
                 idx, off, resume = key
-                shared = state.bodies.get((idx, off))
-            elif (idx := memory[key] - base) >= 0:    # a macro site
+            elif (idx := memory[key] - base) < 0:     # main stream, in place
+                run = line(memory, key, 0, 0, entries, cap - n)
+            elif idx >= len(bodies):                  # past the table
+                raise decode.DecodeError(
+                    f"undefined opcode {memory[key]:#04x}")
+            else:                                     # a macro site
                 off, resume = 0, key + 1
-                try:
-                    shared = heads[idx]
-                except IndexError:                    # past the table
-                    raise decode.DecodeError(
-                        f"undefined opcode {memory[key]:#04x}") from None
-            else:                                     # main stream, in place
-                run, shared = line(memory, key, 0, 0, entries, cap - n), None
-            if shared:                                # wholly inside the body
-                head, after = shared
-                after = resume if after is None else (idx, after, resume)
-                entries[key] = head + (after,)
-                key = after
-                n += 1
-                if head[0] in ends or n == cap or key in entries:
-                    break
-                continue
-            if idx >= 0:                              # decoded at its site
-                body = state.macros[idx]
+            if idx >= 0:
+                if shared := bodies[idx][off]:        # wholly inside the body
+                    head, after = shared
+                    after = resume if after is None else (idx, after, resume)
+                    entries[key] = head + (after,)
+                    key = after
+                    n += 1
+                    if head[0] in ends or n == cap or key in entries:
+                        break
+                    continue
+                body = state.macros[idx]              # decoded at its site
                 if not off and body[0] >= base:
                     raise decode.DecodeError("macro body begins with opcode "
                                              f"{body[0]:#04x}")
@@ -238,7 +233,7 @@ def _execute(state: VmState, fuel: int) -> tuple:
         raise ValueError("cannot step a halted machine")
     memory, regs, entries = state.memory, state.regs, state.entries
     get, emit = entries.get, state.out_trace.append
-    top, bottom = state.stack_top, state.stack_bottom
+    top, bottom = isa.DEFAULT_STACK_TOP, isa.DEFAULT_STACK_BOTTOM
     lo, hi = state.watched
     key = state.pc if state.cursor is None else state.cursor
     status, steps, reason = "out-of-fuel", 0, None

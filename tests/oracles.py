@@ -897,13 +897,13 @@ def _ref_resolve(state, mode, ext) -> tuple:
         return "reg", mode
     if mode == isa.MODE_POP:
         addr = state.regs[isa.REG_XS]
-        if addr + 2 > state.stack_top:
+        if addr + 2 > isa.DEFAULT_STACK_TOP:
             raise _Fault("stack underflow")
         state.regs[isa.REG_XS] = addr + 2
         return "mem", addr
     if mode == isa.MODE_PUSH:
         moved = state.regs[isa.REG_XS] - 2
-        if moved < state.stack_bottom:
+        if moved < isa.DEFAULT_STACK_BOTTOM:
             raise _Fault("stack overflow")
         state.regs[isa.REG_XS] = moved
         return "mem", moved
