@@ -29,11 +29,22 @@ prints a decoded (mode, extension) pair with this module's printer.
 Interpretive code repeats the same instruction text many times, so the
 per-program passes work once per distinct text: parse_source parses
 each distinct text once and translate_program encodes it once, sharing
-its items with every site.  Relaxation runs over an array of item
-widths (Szymanski, "Assembling code for machines with span-dependent
-instructions", CACM 1978): addresses are its running sums, each pass
-visits only the refs still pending, and a ref that relaxes drops to
-width 1 and leaves the pending set for good.
+its items with every site.  Distinct texts repeat their operands, so
+parse_source also parses each distinct operand token once per call.
+The encoder is table driven (Ramsey & Fernandez, "Specifying
+representations of machine instructions", TOPLAS 1997): one row per
+mnemonic and tuple of operand modes holds the opcode and header items
+and the verdict of the count, role and target checks, and only the
+extensions and targets are built per text.  A row is keyed by ISA
+vocabulary alone and holds no label, value or source text, so rows are
+kept across calls, as decode's are; the memos keyed by text or token
+last one call.
+
+Relaxation runs over an array of item widths (Szymanski, "Assembling
+code for machines with span-dependent instructions", CACM 1978):
+addresses are its running sums, each pass visits only the refs still
+pending, and a ref that relaxes drops to width 1 and leaves the pending
+set for good.
 """
 
 from __future__ import annotations
@@ -212,6 +223,7 @@ def parse_source(text: str) -> list[Instruction]:
     out: list[Instruction] = []
     seen_labels: dict[str, int] = {}
     parsed: dict[str, tuple[str, list]] = {}
+    operands: dict[str, Operand] = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line or line[0] in "*;":
@@ -229,13 +241,15 @@ def parse_source(text: str) -> list[Instruction]:
             seen_labels[label] = line_no
         hit = parsed.get(line)
         if hit is None:
-            hit = parsed[line] = _parse_instruction(line, line_no)
+            hit = parsed[line] = _parse_instruction(line, line_no, operands)
         out.append(Instruction(label, hit[0], hit[1], line_no, line))
     return out
 
 
-def _parse_instruction(line: str, line_no: int) -> tuple[str, list]:
-    """(mnemonic, operands) of one instruction text, label removed."""
+def _parse_instruction(line: str, line_no: int, memo: dict
+                       ) -> tuple[str, list]:
+    """(mnemonic, operands) of one instruction text, label removed; memo
+    maps each operand token parsed so far to its Operand."""
     words = line.split()
     if not words:
         raise AsmError(f"line {line_no}: label without instruction")
@@ -246,26 +260,22 @@ def _parse_instruction(line: str, line_no: int) -> tuple[str, list]:
     # follows the last one is a comment.  Mnemonics that take nothing
     # have no operand field at all, only comment.
     tokens: list[str] = []
-    i = 1 if isa.SIGNATURES[mnemonic] else len(words)
-    while i < len(words):
-        w = words[i].upper()
-        i += 1
-        more = w.endswith(",")
-        tokens.append(w.rstrip(","))
-        if not more:
+    for w in words[1 if isa.SIGNATURES[mnemonic] else len(words):]:
+        tokens.append(w.upper().rstrip(","))
+        if not w.endswith(","):
             break
-    operands = []
-    for tok in ",".join(tokens).split(","):
-        if tok:
-            operands.append(_parse_operand(tok, line_no))
+    # a token is parsed once per call; a token that fails is never kept,
+    # so each error names its own line
+    operands = [memo.get(tok)
+                or memo.setdefault(tok, _parse_operand(tok, line_no))
+                for tok in ",".join(tokens).split(",") if tok]
     _check_style_mix(operands, line_no)
     return mnemonic, operands
 
 
 def _check_style_mix(operands: list, line_no: int) -> None:
-    has_raw = any(o.width for o in operands)
-    has_sym = any(o.mode is not None for o in operands)
-    if has_raw and has_sym:
+    if any(o.width for o in operands) and any(o.mode is not None
+                                              for o in operands):
         raise AsmError(f"line {line_no}: raw hex items and symbolic operands "
                        "cannot be mixed on one line")
 
@@ -317,10 +327,42 @@ def encode_short_branch(target: int, offset_addr: int) -> int | None:
     return None
 
 
-# The modes each value role refuses.  None, a branch ref, is no value.
+# The modes each role refuses.  None, a branch ref, is no value, and a
+# branch target must be one.
 _REJECTED = {"src": {None, isa.MODE_PUSH},
              "dst": {None, isa.MODE_POP, isa.MODE_LIT},
-             "mod": {None, isa.MODE_POP, isa.MODE_PUSH, isa.MODE_LIT}}
+             "mod": {None, isa.MODE_POP, isa.MODE_PUSH, isa.MODE_LIT},
+             "target": set(range(16))}
+
+# _ROWS[(mnemonic, operand modes)] -> (head, tail, verdict).  head is the
+# opcode item and, when the instruction takes operands, its header item;
+# tail lists the positions of the operands that add items after it (an
+# extension or a branch target); verdict is None or the check that
+# fails: "count", or the position of the first operand its role
+# refuses.  Rows are built on first use and kept across calls, as
+# decode's are: a key is ISA vocabulary only, and no row holds a label,
+# an operand value or source text.
+_ROWS: dict[tuple, tuple] = {}
+
+
+def _row(mnemonic: str, modes: tuple) -> tuple:
+    """Build, keep and return the encode row of mnemonic on modes."""
+    sig = isa.SIGNATURES[mnemonic]
+    head = [LiteralByte(isa.OPCODES[mnemonic], op_start=True)]
+    if len(modes) != len(sig):
+        row = head, (), "count"
+    elif refused := [i for i, role in enumerate(sig)
+                     if modes[i] in _REJECTED[role]]:
+        row = head, (), refused[0]
+    else:
+        if sig:  # value modes packed low nibble first; BRN's C: an address
+            head.append(LiteralByte(isa.MODE_MEM2 if mnemonic == "BRN" else
+                                    sum(m << 4 * i for i, m in enumerate(modes)
+                                        if m is not None)))
+        row = head, [i for i, m in enumerate(modes)
+                     if m is None or m >= isa.MODE_MEM1], None
+    _ROWS[mnemonic, modes] = row
+    return row
 
 
 def translate_mnemonic(inst: Instruction) -> list:
@@ -328,59 +370,47 @@ def translate_mnemonic(inst: Instruction) -> list:
 
     Emits the opcode byte (marked as an instruction start), the header
     byte when the instruction takes operands, extension items in operand
-    order, and finally the branch-target item if any.  Raw hex lines skip
-    the header computation: their items are emitted verbatim.
+    order, and finally the branch-target item if any.  The encode row of
+    the mnemonic and operand modes holds the opcode and header items and
+    the verdict of the checks.  Raw hex lines skip the row: their items
+    are emitted verbatim.
     """
-    items: list = [LiteralByte(isa.OPCODES[inst.mnemonic], op_start=True)]
-    if any(o.width for o in inst.operands):
-        for o in inst.operands:
-            items.extend(_raw_items(o))
-        return items
-    sig = isa.SIGNATURES[inst.mnemonic]
-    if len(inst.operands) != len(sig):
-        raise AsmError(f"line {inst.line_no}: {inst.mnemonic} takes "
-                       f"{len(sig)} operand(s), got {len(inst.operands)}")
-    if not sig:
-        return items
-    value_ops = [(o, role) for o, role in zip(inst.operands, sig)
-                 if role != "target"]
-    targets = [o for o, role in zip(inst.operands, sig) if role == "target"]
-    for o, role in value_ops:
-        if o.mode in _REJECTED[role]:
-            raise AsmError(f"line {inst.line_no}: operand {_print_operand(o)!r} "
-                           f"cannot be used as {role} of {inst.mnemonic}")
-    if any(t.mode is not None for t in targets):
-        raise AsmError(f"line {inst.line_no}: branch target must be a label")
-    if inst.mnemonic == "BRN":
-        header = isa.MODE_MEM2  # low nibble C: code address follows
+    ops = inst.operands
+    if any(o.width for o in ops):
+        items = [LiteralByte(isa.OPCODES[inst.mnemonic], op_start=True)]
     else:
-        header = 0
-        for pos, (o, _) in enumerate(value_ops):
-            header |= o.mode << (4 * pos)
-    items.append(LiteralByte(header))
-    for o, _ in value_ops:
-        items.extend(_extension_items(o))
-    for t in targets:
-        items.append(LabelRef(t.symbol, relaxable=t.relaxable))
+        key = inst.mnemonic, tuple([o.mode for o in ops])
+        head, tail, verdict = _ROWS.get(key) or _row(*key)
+        if verdict is not None:
+            sig = isa.SIGNATURES[inst.mnemonic]
+            if verdict == "count":
+                what = (f"{inst.mnemonic} takes {len(sig)} operand(s), "
+                        f"got {len(ops)}")
+            elif sig[verdict] == "target":
+                what = "branch target must be a label"
+            else:
+                what = (f"operand {_print_operand(ops[verdict])!r} cannot be "
+                        f"used as {sig[verdict]} of {inst.mnemonic}")
+            raise AsmError(f"line {inst.line_no}: {what}")
+        items, ops = head.copy(), [ops[i] for i in tail]
+    for o in ops:
+        items += _operand_items(o)
     return items
 
 
-def _extension_items(o: Operand) -> list:
-    if o.mode < isa.MODE_MEM1:
-        return []
+def _operand_items(o: Operand) -> list:
+    """The items an operand adds after the header: a raw item, a label
+    ref (a branch target or an =LABEL literal, absolute 2 bytes) or an
+    extension."""
+    if o.width:
+        return [LiteralByte(b) for b in o.value.to_bytes(o.width, "big")]
+    if o.symbol is not None:
+        return [LabelRef(o.symbol, relaxable=o.relaxable)]
     if o.mode == isa.MODE_MEM1:
         return [LiteralByte(o.value)]
     if o.mode == isa.MODE_MEM2:
         return [LiteralByte(o.value >> 8), LiteralByte(o.value & 0xFF)]
-    if o.symbol is not None:
-        return [LabelRef(o.symbol)]  # address literal, absolute 2 bytes
     return [LiteralByte(b) for b in encode_literal(o.value)]  # literal, offset
-
-
-def _raw_items(o: Operand) -> list:
-    if not o.width:
-        return [LabelRef(o.symbol, relaxable=o.relaxable)]
-    return [LiteralByte(b) for b in o.value.to_bytes(o.width, "big")]
 
 
 def translate_program(instructions: list) -> Stream:

@@ -100,11 +100,14 @@ def lower(items: list) -> Lowered:
     """Lower stream items for selection; symbols are numbered in name
     order."""
     symbols = sorted({it.symbol for it in items
-                      if isinstance(it, LabelRef) and not it.relaxed})
+                      if type(it) is LabelRef and not it.relaxed})
     char_of = {sym: chr(0x101 + i) for i, sym in enumerate(symbols)}
-    lowered = [_lower_item(it, char_of) for it in items]
-    return Lowered(items, "".join(c for c, _ in lowered),
-                   "".join(m for _, m in lowered))
+    # literals, nearly every item, inline; _lower_item for the rest
+    sig = [chr(it.value) if type(it) is LiteralByte
+           else _lower_item(it, char_of)[0] for it in items]
+    marks = [(_START if it.op_start else _OTHER) if type(it) is LiteralByte
+             else _lower_item(it, char_of)[1] for it in items]
+    return Lowered(items, "".join(sig), "".join(marks))
 
 
 def _walk(low: Lowered, max_len: int, granularity: str):

@@ -25,8 +25,11 @@ but assembles the whole program after every chunk, where
 corpus.generate_corpus sums the sizes of the chunks.
 reference_assemble_stream parses, encodes and lays out every line on
 its own, where the package works once per distinct instruction text
-and relaxes over a width array; it shares the operand parser and the
-per-instruction encoder with the package.  reference_resolve_stream
+and operand token, encodes through rows keyed by mnemonic and operand
+modes, and relaxes over a width array; it shares the operand parser
+and printer with the package, and reference_translate_mnemonic checks
+and encodes each instruction operand by operand with a role table of
+its own.  reference_resolve_stream
 emits the bytes by isinstance tests.  reference_decode_image and
 reference_render_listing decode and format every unit of a listing on
 its own, where the package shares one decoded instruction per distinct
@@ -53,8 +56,8 @@ from macroforge import asm, disasm, isa, macros, objfile
 from macroforge.asm import (AsmError, Instruction, LabelDef, LabelRef, Layout,
                             LayoutError, LiteralByte, MacroByte, Stream,
                             _bad_label, _check_style_mix, _is_label,
-                            _parse_operand, encode_short_branch, item_width,
-                            translate_mnemonic)
+                            _parse_operand, _print_operand, encode_literal,
+                            encode_short_branch, item_width)
 from macroforge.decode import DecodeError
 from macroforge.disasm import DecodedUnit, DisasmError
 from macroforge.greedy import (_BYTE_ITEMS, MAX_OUTPUT, CompactionResult,
@@ -508,8 +511,69 @@ def reference_translate_program(instructions: list) -> Stream:
     for inst in instructions:
         if inst.label:
             items.append(LabelDef(inst.label))
-        items.extend(translate_mnemonic(inst))
+        items.extend(reference_translate_mnemonic(inst))
     return Stream(items)
+
+
+# The modes each value role refuses.  None, a branch ref, is no value.
+_REJECTED = {"src": {None, isa.MODE_PUSH},
+             "dst": {None, isa.MODE_POP, isa.MODE_LIT},
+             "mod": {None, isa.MODE_POP, isa.MODE_PUSH, isa.MODE_LIT}}
+
+
+def reference_translate_mnemonic(inst: Instruction) -> list:
+    """Encode one instruction into fresh stream items, checking its count,
+    roles and targets operand by operand."""
+    items: list = [LiteralByte(isa.OPCODES[inst.mnemonic], op_start=True)]
+    if any(o.width for o in inst.operands):
+        for o in inst.operands:
+            items.extend(_reference_raw_items(o))
+        return items
+    sig = isa.SIGNATURES[inst.mnemonic]
+    if len(inst.operands) != len(sig):
+        raise AsmError(f"line {inst.line_no}: {inst.mnemonic} takes "
+                       f"{len(sig)} operand(s), got {len(inst.operands)}")
+    if not sig:
+        return items
+    value_ops = [(o, role) for o, role in zip(inst.operands, sig)
+                 if role != "target"]
+    targets = [o for o, role in zip(inst.operands, sig) if role == "target"]
+    for o, role in value_ops:
+        if o.mode in _REJECTED[role]:
+            raise AsmError(f"line {inst.line_no}: operand {_print_operand(o)!r} "
+                           f"cannot be used as {role} of {inst.mnemonic}")
+    if any(t.mode is not None for t in targets):
+        raise AsmError(f"line {inst.line_no}: branch target must be a label")
+    if inst.mnemonic == "BRN":
+        header = isa.MODE_MEM2  # low nibble C: code address follows
+    else:
+        header = 0
+        for pos, (o, _) in enumerate(value_ops):
+            header |= o.mode << (4 * pos)
+    items.append(LiteralByte(header))
+    for o, _ in value_ops:
+        items.extend(_reference_extension_items(o))
+    for t in targets:
+        items.append(LabelRef(t.symbol, relaxable=t.relaxable))
+    return items
+
+
+def _reference_extension_items(o) -> list:
+    if o.mode < isa.MODE_MEM1:
+        return []
+    if o.mode == isa.MODE_MEM1:
+        return [LiteralByte(o.value)]
+    if o.mode == isa.MODE_MEM2:
+        return [LiteralByte(o.value >> 8), LiteralByte(o.value & 0xFF)]
+    if o.symbol is not None:
+        return [LabelRef(o.symbol)]  # address literal, absolute 2 bytes
+    return [LiteralByte(b) for b in encode_literal(o.value)]  # literal, offset
+
+
+def _reference_raw_items(o) -> list:
+    if not o.width:
+        return [LabelRef(o.symbol, relaxable=o.relaxable)]
+    return [LiteralByte(b) for b in o.value.to_bytes(o.width, "big")]
 
 
 def reference_layout_and_resolve(stream: Stream,

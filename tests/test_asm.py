@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import corpus
 from macroforge import asm, decode, isa, objfile
 from macroforge.asm import (
     AsmError,
@@ -14,7 +15,9 @@ from macroforge.asm import (
 )
 from macroforge.decode import decode_short_branch
 from macroforge.objfile import FLAG_RAW, MacroEntry, ObjectError, ObjectImage
-from oracles import decode_literal, reference_parse
+from oracles import (decode_literal, reference_assemble_stream,
+                     reference_parse)
+from test_asm_oracle import fields
 
 
 def print_program(instructions: list) -> str:
@@ -309,6 +312,56 @@ def test_repeated_text_under_different_labels():
     assert layout.symbols == {"ONE": 0x100, "TWO": 0x103, "THREE": 0x106}
     assert asm.resolve_stream(stream, layout) == bytes(
         [0x40, 0x0B, 0x85] * 3 + [0x03, 0x0C, 0x01, 0x03])
+
+
+def test_parse_errors_come_before_translate_errors():
+    # line 1 parses but cannot be encoded (a literal cannot be written);
+    # line 2 does not parse, and every parse error is reported first
+    with pytest.raises(AsmError) as err:
+        assemble("       ZER =5\n       BEQ WA, ??, L1\n")
+    assert str(err.value) == "line 2: unrecognized operand '??'"
+
+
+@pytest.mark.parametrize("line, tokens, message", [
+    ("ZER {}", ("=5", "=7"), "operand {!r} cannot be used as dst of ZER"),
+    ("MOV WA, {}", ("=5", "=7"), "operand {!r} cannot be used as dst of MOV"),
+    ("OUT WA, {}", ("@10", "@20"), "OUT takes 1 operand(s), got 2"),
+    ("BRN {}", ("@10", "@2F"), "branch target must be a label"),
+])
+def test_a_refused_encoding_names_its_own_line(line, tokens, message):
+    # both lines share one mnemonic and one set of operand modes, so one
+    # encode row refuses both; each error keeps its line and its operand
+    first, later = (line.format(tok) for tok in tokens)
+    for text, line_no, tok in (
+            (f"       {first}\n       NOP\n       {later}\n", 1, tokens[0]),
+            (f"       HLT\n       NOP\n       {later}\n", 3, tokens[1])):
+        with pytest.raises(AsmError) as err:
+            assemble(text)
+        assert str(err.value) == f"line {line_no}: " + message.format(tok)
+
+
+def test_assembly_keeps_nothing_of_one_call_for_the_next():
+    near = "      BRN +L1\nL1    OUT =5\n      BEQ WA, =L1, -L1\n      HLT\n"
+    far = ("L2    OUT =7\n" + "      NOP\n" * 0x50
+           + "      BEQ WB, =L2, -L2\n      BRN +L2\n      HLT\n")
+    before = assemble_stream(near)
+    assert any(getattr(it, "relaxed", False) for it in before[0].items)
+    other = assemble_stream(far)
+    assert not any(getattr(it, "relaxed", False) for it in other[0].items)
+    assert fields(other[0].items) == fields(
+        reference_assemble_stream(far)[0].items)
+    after = assemble_stream(near)
+    assert fields(after[0].items) == fields(before[0].items)
+    assert asm.resolve_stream(*after) == asm.resolve_stream(*before)
+    # the encode rows that persist are keyed by ISA vocabulary only
+    for seed in range(50):
+        assemble(corpus.generate_program(seed))
+    for (mnemonic, modes), (head, _, _) in asm._ROWS.items():
+        assert mnemonic in isa.OPCODES
+        assert type(modes) is tuple
+        assert all(m is None or type(m) is int and 0 <= m <= 15
+                   for m in modes)
+        assert all(type(it) is asm.LiteralByte for it in head)
 
 
 def test_unknown_mnemonic():
