@@ -26,19 +26,22 @@ or MODE_MEM2 by value, 2(XR) is MODE_OFF_XR), and its extension value.
 The encoder writes the nibble into the header as it stands, and disasm
 prints a decoded (mode, extension) pair with this module's printer.
 
-Interpretive code repeats the same instruction text many times, so the
-per-program passes work once per distinct text: parse_source parses
-each distinct text once and translate_program encodes it once, sharing
-its items with every site.  Distinct texts repeat their operands, so
-parse_source also parses each distinct operand token once per call.
+Interpretive code repeats the same instruction text many times, so
+parse_source compiles each distinct text once per call, in one pass
+over its operand words, into its mnemonic, operands and stream items;
+every line that repeats the text shares them, and translate_program
+only joins them, with a label def per label.  Distinct texts repeat
+their operands, so each distinct operand token is compiled once per
+call too, into its Operand and the items it adds after the header.
 The encoder is table driven (Ramsey & Fernandez, "Specifying
 representations of machine instructions", TOPLAS 1997): one row per
 mnemonic and tuple of operand modes holds the opcode and header items
-and the verdict of the count, role and target checks, and only the
-extensions and targets are built per text.  A row is keyed by ISA
-vocabulary alone and holds no label, value or source text, so rows are
-kept across calls, as decode's are; the memos keyed by text or token
-last one call.
+and the verdict of the count, role and target checks.  A refused
+encoding is kept as its error text and raised by translate_program at
+the first line that carries it, after every parse error.  A row is
+keyed by ISA vocabulary alone and holds no label, value or source
+text, so rows are kept across calls, as decode's are; the memos keyed
+by text or token last one call.
 
 Relaxation runs over an array of item widths (Szymanski, "Assembling
 code for machines with span-dependent instructions", CACM 1978):
@@ -135,8 +138,10 @@ class Instruction:
     mnemonic: str
     operands: list
     line_no: int = field(compare=False)
-    # the source text after the label; translate_program keys its memo by it
-    text: str = field(compare=False, repr=False)
+    # the stream items compiled from the text after the label, shared by
+    # every line that repeats that text, or the text of the error that
+    # refuses its encoding, which translate_program raises
+    items: list | str | None = field(default=None, compare=False, repr=False)
 
 
 _HEX_ITEM = re.compile(r"^[0-9A-F]{2}([0-9A-F]{2})?$")
@@ -216,14 +221,15 @@ def _parse_operand(tok: str, line_no: int) -> Operand:
 def parse_source(text: str) -> list[Instruction]:
     """Parse assembly text into instructions (symbols unresolved).
 
-    Each distinct instruction text (the line after its label) is parsed
-    once per call; every line that repeats it shares the parsed mnemonic
-    and operands.  Labels and line numbers stay per line.
+    Each distinct instruction text (the line after its label) is compiled
+    once per call into its mnemonic, operands and stream items; every
+    line that repeats it shares them.  Labels and line numbers stay per
+    line.
     """
     out: list[Instruction] = []
     seen_labels: dict[str, int] = {}
-    parsed: dict[str, tuple[str, list]] = {}
-    operands: dict[str, Operand] = {}
+    compiled: dict[str, tuple] = {}
+    operands: dict[str, tuple] = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line or line[0] in "*;":
@@ -239,45 +245,61 @@ def parse_source(text: str) -> list[Instruction]:
                 raise AsmError(f"line {line_no}: duplicate label {label!r} "
                                f"(first defined on line {seen_labels[label]})")
             seen_labels[label] = line_no
-        hit = parsed.get(line)
+        hit = compiled.get(line)
         if hit is None:
-            hit = parsed[line] = _parse_instruction(line, line_no, operands)
-        out.append(Instruction(label, hit[0], hit[1], line_no, line))
+            hit = compiled[line] = _compile(line, line_no, operands)
+        out.append(Instruction(label, hit[0], hit[1], line_no, hit[2]))
     return out
 
 
-def _parse_instruction(line: str, line_no: int, memo: dict
-                       ) -> tuple[str, list]:
-    """(mnemonic, operands) of one instruction text, label removed; memo
-    maps each operand token parsed so far to its Operand."""
-    words = line.split()
+def _compile(line: str, line_no: int, memo: dict) -> tuple:
+    """(mnemonic, operands, items) of one instruction text, label removed;
+    items is the error text instead when the encoding is refused.  memo
+    maps each operand token compiled so far to its Operand, its mode, the
+    items it adds after the header and its style: 1 raw, 2 symbolic."""
+    words = line.upper().split()
     if not words:
         raise AsmError(f"line {line_no}: label without instruction")
-    mnemonic = words[0].upper()
+    mnemonic = words[0]
     if mnemonic not in isa.OPCODES:
         raise AsmError(f"line {line_no}: unknown mnemonic {mnemonic!r}")
+    operands: list[Operand] = []
+    modes: list = []
+    items: list = []
+    style = 0
     # Operand words continue while each ends with a comma; whatever
     # follows the last one is a comment.  Mnemonics that take nothing
     # have no operand field at all, only comment.
-    tokens: list[str] = []
-    for w in words[1 if isa.SIGNATURES[mnemonic] else len(words):]:
-        tokens.append(w.upper().rstrip(","))
-        if not w.endswith(","):
+    for word in words[1:] if isa.SIGNATURES[mnemonic] else ():
+        for tok in word.split(","):
+            if tok:
+                # a token is compiled once per call; a token that fails
+                # is never kept, so each error names its own line
+                hit = memo.get(tok)
+                if hit is None:
+                    o = _parse_operand(tok, line_no)
+                    bit = 1 if o.width else 2 if o.mode is not None else 0
+                    hit = memo[tok] = o, o.mode, _operand_items(o), bit
+                operands.append(hit[0])
+                modes.append(hit[1])
+                items += hit[2]
+                style |= hit[3]
+        if word[-1] != ",":
             break
-    # a token is parsed once per call; a token that fails is never kept,
-    # so each error names its own line
-    operands = [memo.get(tok)
-                or memo.setdefault(tok, _parse_operand(tok, line_no))
-                for tok in ",".join(tokens).split(",") if tok]
-    _check_style_mix(operands, line_no)
-    return mnemonic, operands
-
-
-def _check_style_mix(operands: list, line_no: int) -> None:
-    if any(o.width for o in operands) and any(o.mode is not None
-                                              for o in operands):
+    if style == 3:
         raise AsmError(f"line {line_no}: raw hex items and symbolic operands "
                        "cannot be mixed on one line")
+    if style == 1:  # raw hex items are assembled verbatim
+        items.insert(0, LiteralByte(isa.OPCODES[mnemonic], op_start=True))
+        return mnemonic, operands, items
+    key = mnemonic, tuple(modes)
+    head, refusal, at = _ROWS.get(key) or _row(*key)
+    if refusal is None:
+        return mnemonic, operands, head + items
+    if at is None:
+        return mnemonic, operands, refusal
+    return mnemonic, operands, (f"operand {_print_operand(operands[at])!r} "
+                                f"{refusal}")
 
 
 def _print_operand(o: Operand) -> str:
@@ -334,14 +356,14 @@ _REJECTED = {"src": {None, isa.MODE_PUSH},
              "mod": {None, isa.MODE_POP, isa.MODE_PUSH, isa.MODE_LIT},
              "target": set(range(16))}
 
-# _ROWS[(mnemonic, operand modes)] -> (head, tail, verdict).  head is the
+# _ROWS[(mnemonic, operand modes)] -> (head, refusal, at).  head is the
 # opcode item and, when the instruction takes operands, its header item;
-# tail lists the positions of the operands that add items after it (an
-# extension or a branch target); verdict is None or the check that
-# fails: "count", or the position of the first operand its role
-# refuses.  Rows are built on first use and kept across calls, as
-# decode's are: a key is ISA vocabulary only, and no row holds a label,
-# an operand value or source text.
+# each operand's items follow it in operand order.  refusal is None, or
+# the text of the count, role or target check that fails, and at is the
+# position of the operand that text names, or None.  Rows are built on
+# first use and kept across calls, as decode's are: a key is ISA
+# vocabulary only, and no row holds a label, an operand value or source
+# text.
 _ROWS: dict[tuple, tuple] = {}
 
 
@@ -349,63 +371,34 @@ def _row(mnemonic: str, modes: tuple) -> tuple:
     """Build, keep and return the encode row of mnemonic on modes."""
     sig = isa.SIGNATURES[mnemonic]
     head = [LiteralByte(isa.OPCODES[mnemonic], op_start=True)]
+    row = head, None, None
     if len(modes) != len(sig):
-        row = head, (), "count"
+        row = head, (f"{mnemonic} takes {len(sig)} operand(s), "
+                     f"got {len(modes)}"), None
     elif refused := [i for i, role in enumerate(sig)
                      if modes[i] in _REJECTED[role]]:
-        row = head, (), refused[0]
-    else:
-        if sig:  # value modes packed low nibble first; BRN's C: an address
-            head.append(LiteralByte(isa.MODE_MEM2 if mnemonic == "BRN" else
-                                    sum(m << 4 * i for i, m in enumerate(modes)
-                                        if m is not None)))
-        row = head, [i for i, m in enumerate(modes)
-                     if m is None or m >= isa.MODE_MEM1], None
+        at = refused[0]
+        row = ((head, "branch target must be a label", None)
+               if sig[at] == "target" else
+               (head, f"cannot be used as {sig[at]} of {mnemonic}", at))
+    elif sig:  # value modes packed low nibble first; BRN's C: an address
+        head.append(LiteralByte(isa.MODE_MEM2 if mnemonic == "BRN" else
+                                sum(m << 4 * i for i, m in enumerate(modes)
+                                    if m is not None)))
     _ROWS[mnemonic, modes] = row
     return row
 
 
-def translate_mnemonic(inst: Instruction) -> list:
-    """Encode one instruction into stream items.
-
-    Emits the opcode byte (marked as an instruction start), the header
-    byte when the instruction takes operands, extension items in operand
-    order, and finally the branch-target item if any.  The encode row of
-    the mnemonic and operand modes holds the opcode and header items and
-    the verdict of the checks.  Raw hex lines skip the row: their items
-    are emitted verbatim.
-    """
-    ops = inst.operands
-    if any(o.width for o in ops):
-        items = [LiteralByte(isa.OPCODES[inst.mnemonic], op_start=True)]
-    else:
-        key = inst.mnemonic, tuple([o.mode for o in ops])
-        head, tail, verdict = _ROWS.get(key) or _row(*key)
-        if verdict is not None:
-            sig = isa.SIGNATURES[inst.mnemonic]
-            if verdict == "count":
-                what = (f"{inst.mnemonic} takes {len(sig)} operand(s), "
-                        f"got {len(ops)}")
-            elif sig[verdict] == "target":
-                what = "branch target must be a label"
-            else:
-                what = (f"operand {_print_operand(ops[verdict])!r} cannot be "
-                        f"used as {sig[verdict]} of {inst.mnemonic}")
-            raise AsmError(f"line {inst.line_no}: {what}")
-        items, ops = head.copy(), [ops[i] for i in tail]
-    for o in ops:
-        items += _operand_items(o)
-    return items
-
-
 def _operand_items(o: Operand) -> list:
     """The items an operand adds after the header: a raw item, a label
-    ref (a branch target or an =LABEL literal, absolute 2 bytes) or an
-    extension."""
+    ref (a branch target or an =LABEL literal, absolute 2 bytes), an
+    extension, or none."""
     if o.width:
         return [LiteralByte(b) for b in o.value.to_bytes(o.width, "big")]
     if o.symbol is not None:
         return [LabelRef(o.symbol, relaxable=o.relaxable)]
+    if o.mode < isa.MODE_MEM1:
+        return []
     if o.mode == isa.MODE_MEM1:
         return [LiteralByte(o.value)]
     if o.mode == isa.MODE_MEM2:
@@ -416,19 +409,19 @@ def _operand_items(o: Operand) -> list:
 def translate_program(instructions: list) -> Stream:
     """Stream items for parsed instructions, labels as LabelDefs.
 
-    Each distinct instruction text is encoded once per call, and its
-    items are shared by every site, since nothing mutates them.
+    Each line adds the items parse_source compiled for its text, shared
+    by every site, since nothing mutates them.  A refused encoding is
+    raised here, at the first line that carries one, so that every
+    parse error is reported before it.
     """
     items: list = []
-    extend = items.extend
-    encoded: dict[str, list] = {}
+    append, extend = items.append, items.extend
     for inst in instructions:
         if inst.label:
-            items.append(LabelDef(inst.label))
-        template = encoded.get(inst.text)
-        if template is None:
-            template = encoded[inst.text] = translate_mnemonic(inst)
-        extend(template)
+            append(LabelDef(inst.label))
+        if type(inst.items) is str:
+            raise AsmError(f"line {inst.line_no}: {inst.items}")
+        extend(inst.items)
     return Stream(items)
 
 

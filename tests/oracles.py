@@ -24,12 +24,14 @@ output.  generate_corpus drives the package's program generator
 but assembles the whole program after every chunk, where
 corpus.generate_corpus sums the sizes of the chunks.
 reference_assemble_stream parses, encodes and lays out every line on
-its own, where the package works once per distinct instruction text
-and operand token, encodes through rows keyed by mnemonic and operand
-modes, and relaxes over a width array; it shares the operand parser
-and printer with the package, and reference_translate_mnemonic checks
-and encodes each instruction operand by operand with a role table of
-its own.  reference_resolve_stream
+its own, where the package compiles each distinct instruction text and
+operand token once per call in one pass, encodes through rows keyed by
+mnemonic and operand modes, and relaxes over a width array; it shares
+the operand parser and printer with the package.
+reference_parse_source checks the mix of raw and symbolic operands
+with a check of its own, after the whole line is parsed, and
+reference_translate_mnemonic checks and encodes each instruction
+operand by operand with a role table of its own.  reference_resolve_stream
 emits the bytes by isinstance tests.  reference_decode_image and
 reference_render_listing decode and format every unit of a listing on
 its own, where the package shares one decoded instruction per distinct
@@ -55,8 +57,8 @@ import corpus
 from macroforge import asm, disasm, isa, macros, objfile
 from macroforge.asm import (AsmError, Instruction, LabelDef, LabelRef, Layout,
                             LayoutError, LiteralByte, MacroByte, Stream,
-                            _bad_label, _check_style_mix, _is_label,
-                            _parse_operand, _print_operand, encode_literal,
+                            _bad_label, _is_label, _parse_operand,
+                            _print_operand, encode_literal,
                             encode_short_branch, item_width)
 from macroforge.decode import DecodeError
 from macroforge.disasm import DecodedUnit, DisasmError
@@ -501,8 +503,11 @@ def reference_parse_source(text: str) -> list[Instruction]:
         for tok in ",".join(tokens).split(","):
             if tok:
                 operands.append(_parse_operand(tok, line_no))
-        _check_style_mix(operands, line_no)
-        out.append(Instruction(label, mnemonic, operands, line_no, line))
+        if any(o.width for o in operands) and any(o.mode is not None
+                                                  for o in operands):
+            raise AsmError(f"line {line_no}: raw hex items and symbolic "
+                           "operands cannot be mixed on one line")
+        out.append(Instruction(label, mnemonic, operands, line_no))
     return out
 
 

@@ -16,7 +16,8 @@ from macroforge.asm import (
 from macroforge.decode import decode_short_branch
 from macroforge.objfile import FLAG_RAW, MacroEntry, ObjectError, ObjectImage
 from oracles import (decode_literal, reference_assemble_stream,
-                     reference_parse)
+                     reference_parse, reference_parse_source,
+                     reference_translate_program)
 from test_asm_oracle import fields
 
 
@@ -261,6 +262,43 @@ def test_comments_and_blank_lines():
     assert prog[0].operands == []
 
 
+MOV_2A_WA = "       MOV =2A, WA\n"
+
+
+def items_or_error(parse, translate, text):
+    try:
+        return fields(translate(parse(text)).items)
+    except AsmError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("text, same_as", [
+    ("       MOV =2A,WA\n", MOV_2A_WA),
+    ("       MOV =2A, WA  copy it\n", MOV_2A_WA),
+    # the lone comma comes after the operand field has ended at =2A
+    ("       MOV =2A , WA\n", "line 1: MOV takes 2 operand(s), got 1"),
+    ("       OUT WA,\n", "       OUT WA\n"),
+    # the word after a trailing comma is an operand, not a comment
+    ("       OUT WA, copy\n", "line 1: OUT takes 1 operand(s), got 2"),
+    ("       mov =2a, wa\n", MOV_2A_WA),
+    ("\tMOV\t=2A,\tWA\n", MOV_2A_WA),
+    ("       HLT stop, here\n", "       HLT\n"),
+    ("       BNE B0, 7FFF, EXSI1\nEXSI1  HLT\n",
+     "       BNE WA, =7FFF, EXSI1\nEXSI1  HLT\n"),
+])
+def test_operand_field_spellings(text, same_as):
+    # each word of the operand field is split at its commas; the result
+    # is the line-by-line oracle's, in items and in error text
+    got = items_or_error(parse_source, asm.translate_program, text)
+    assert got == items_or_error(reference_parse_source,
+                                 reference_translate_program, text)
+    if same_as.startswith("line "):
+        assert got == same_as
+    else:
+        assert got == items_or_error(parse_source, asm.translate_program,
+                                     same_as)
+
+
 def test_label_rules():
     with pytest.raises(AsmError):
         parse_source("FEED  HLT")       # reads as a 4-digit hex item
@@ -302,6 +340,11 @@ def test_repeated_bad_line_reports_its_first_line():
         text = f"      HLT\n      {bad}\nL1    {bad}\n"
         with pytest.raises(AsmError, match="^line 2: "):
             assemble(text)
+    # a bad operand token on lines 3 and 6, in two texts
+    with pytest.raises(AsmError) as err:
+        assemble("      HLT\n      NOP\n      OUT ??\n      NOP\n"
+                 "      NOP\n      MOV ??, WA\n")
+    assert str(err.value) == "line 3: unrecognized operand '??'"
 
 
 def test_repeated_text_under_different_labels():
@@ -320,6 +363,21 @@ def test_parse_errors_come_before_translate_errors():
     with pytest.raises(AsmError) as err:
         assemble("       ZER =5\n       BEQ WA, ??, L1\n")
     assert str(err.value) == "line 2: unrecognized operand '??'"
+    # a text whose encoding is refused (by role, count or target), on
+    # lines 2 and 5, waits for the parse error on line 7; without it,
+    # its first line is reported
+    for bad, message in (
+            ("ZER =5", "operand '=5' cannot be used as dst of ZER"),
+            ("OUT WA, WB", "OUT takes 1 operand(s), got 2"),
+            ("BRN @10", "branch target must be a label")):
+        refused = (f"       HLT\n       {bad}\n       NOP\n       NOP\n"
+                   f"       {bad}\n       NOP\n")
+        with pytest.raises(AsmError) as err:
+            assemble(refused + "       OUT ??\n")
+        assert str(err.value) == "line 7: unrecognized operand '??'"
+        with pytest.raises(AsmError) as err:
+            assemble(refused)
+        assert str(err.value) == "line 2: " + message
 
 
 @pytest.mark.parametrize("line, tokens, message", [
@@ -552,8 +610,8 @@ def test_image_addresses_must_be_words(field, value):
 
 
 def test_signatures_take_at_most_two_values_then_a_target():
-    # translate_mnemonic packs the value modes into one header byte and
-    # emits the target last; decode reads the same shapes back
+    # an encode row packs the value modes into one header byte, and the
+    # target's items come last; decode reads the same shapes back
     for mnemonic, sig in isa.SIGNATURES.items():
         assert sum(role != "target" for role in sig) <= 2, mnemonic
         assert "target" not in sig[:-1], mnemonic

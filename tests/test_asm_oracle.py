@@ -1,6 +1,6 @@
 """The assembler against its line-by-line oracle.
 
-asm parses and encodes each distinct instruction text once per program
+asm compiles each distinct instruction text once per program, in one pass,
 and relaxes branches over a width array.  oracles.reference_assemble_stream
 does every line on its own and re-measures every item in each pass.
 Both must give the same items, field for field, the same layout and the
