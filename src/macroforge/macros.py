@@ -16,7 +16,7 @@ import heapq
 import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from . import asm, isa
 from .asm import LabelRef, LiteralByte, MacroByte, Stream
@@ -83,8 +83,8 @@ class Lowered:
 
     def runs(self, pattern: str, granularity: str) -> list[int]:
         """The first item of each run of key pattern at granularity (see
-        _walk), taken left to right: a match counts when it is a run and
-        starts at or after the end of the last counted one."""
+        _paying_runs), taken left to right: a match counts when it is a
+        run and starts at or after the end of the last counted one."""
         sig, t, starts = self.sig, len(pattern), []
         i = sig.find(pattern)
         while i >= 0:
@@ -123,9 +123,9 @@ def _walk(low: Lowered, max_len: int, granularity: str):
     addressing the macro byte.
 
     granularity narrows where runs may end.  "free" allows any item
-    boundary; "instruction" keeps runs inside a single instruction
-    (whole instructions and their prefixes); "aligned" requires runs to
-    cover whole instructions.
+    boundary; "aligned" requires runs to cover whole instructions.  Runs
+    kept inside one instruction are counted from the table of distinct
+    instructions instead (see _instructions).
 
     Yields (t, runs) for t = 2, 3, ...: runs maps the key of every run of
     t items that may end there and whose key another run of t items
@@ -135,13 +135,11 @@ def _walk(low: Lowered, max_len: int, granularity: str):
     """
     if max_len < 2:
         raise ValueError("max_len must be at least 2")
-    if granularity not in ("free", "instruction", "aligned"):
+    if granularity not in ("free", "aligned"):
         raise ValueError(f"unknown granularity {granularity!r}")
     sig, marks = low.sig, low.marks
-    inside = granularity == "instruction"
     # joins[j]: a run begun before item j may take it in
-    joins = [c != _STOP and not (inside and m == _START)
-             for c, m in zip(sig, marks)] + [False]
+    joins = [c != _STOP for c in sig] + [False]
     # run widths are differences of these offsets; _STOP items count 2
     # here, which is harmless because no run holds one
     offset = [0, *accumulate(1 if c < _STOP else 2 for c in sig)]
@@ -186,6 +184,58 @@ def _leftmost(starts: list[int], t: int) -> int:
     return f
 
 
+def _instructions(low: Lowered, max_len: int) -> dict[str, list[int]]:
+    """The table of distinct instructions: each instruction-granular
+    slice of sig, mapped to the items where it starts, in stream order.
+
+    A slice runs from a _START up to the next _START or _STOP, capped at
+    max_len bytes.  The runs that stay inside one instruction are exactly
+    the prefixes of 2 or more items of these slices, and two such runs
+    never overlap, so a key's count is the sum of the occurrence counts
+    of the slices it prefixes.  Slices of one item are kept too: a
+    whole-stream match of a key may start there (see select_freq).
+    """
+    if max_len < 2:
+        raise ValueError("max_len must be at least 2")
+    sig, marks = low.sig, low.marks
+    at = [i for i, m in enumerate(marks) if m == _START]
+    # no slice holds more than max_len items, so cut the raw text there
+    raw: dict[str, list[int]] = defaultdict(list)
+    for a, b in zip(at, [*at[1:], len(sig)]):
+        raw[sig[a:b if b - a < max_len else a + max_len]].append(a)
+    table: dict[str, list[int]] = {}
+    for r, starts in raw.items():
+        s = r.split(_STOP, 1)[0]
+        while _width(s) > max_len:  # refs are two bytes wide
+            s = s[:-1]
+        table[s] = sorted(table[s] + starts) if s in table else starts
+    return table
+
+
+def _prefix_nets(table: dict[str, list[int]]) -> dict[str, tuple[int, int]]:
+    """profitable_keys at the "instruction" granularity, from the table:
+    each prefix of 2 or more items of a slice adds the slice's count."""
+    counts: dict[str, int] = {}
+    for s, starts in table.items():
+        n = len(starts)
+        for t in range(2, len(s) + 1):
+            k = s[:t]
+            counts[k] = counts.get(k, 0) + n
+    return {k: (f * (b - 1) - b, b) for k, f in counts.items()
+            if f > 1 and f * ((b := _width(k)) - 1) > b}
+
+
+def _prefix_runs(table: dict[str, list[int]], keys) -> dict[str, list[int]]:
+    """For each of keys, the starts of the slices of table it prefixes,
+    in stream order."""
+    runs: dict[str, list[int]] = defaultdict(list)
+    for s, starts in table.items():
+        for t in range(2, len(s) + 1):
+            if s[:t] in keys:
+                runs[s[:t]] += starts
+    return {k: sorted(starts) for k, starts in runs.items()}
+
+
 def _paying_runs(low: Lowered, max_len: int, granularity: str):
     """Yields (key, f, b, runs) for every key whose net saving
     f*(b-1) - b is positive, b being its width in bytes and runs the
@@ -193,6 +243,12 @@ def _paying_runs(low: Lowered, max_len: int, granularity: str):
 
     f counts runs leftmost-greedy, as Lowered.runs takes them.
     """
+    if granularity == "instruction":
+        table = _instructions(low, max_len)
+        nets = _prefix_nets(table)
+        for k, starts in _prefix_runs(table, nets).items():
+            yield k, len(starts), nets[k][1], starts
+        return
     for t, runs in _walk(low, max_len, granularity):
         for s, starts in runs.items():
             f, b = _leftmost(starts, t), _width(s)
@@ -204,20 +260,23 @@ def profitable_keys(low: Lowered, max_len: int, granularity: str
                     ) -> dict[str, tuple[int, int]]:
     """Every key whose net saving is positive, as signature string ->
     (net, b); see _paying_runs."""
+    if granularity == "instruction":
+        return _prefix_nets(_instructions(low, max_len))
     return {s: (f * (b - 1) - b, b)
             for s, f, b, _ in _paying_runs(low, max_len, granularity)}
 
 
 def rank_keys(nets: dict[str, tuple[int, int]], limit: int) -> list[str]:
-    """Up to limit keys counted by profitable_keys, best first: the larger
-    net saving, then the longer body, then the smaller key."""
+    """Up to limit keys of nets, key -> (net, b) as profitable_keys
+    counts it, best first: the larger net saving, then the longer body,
+    then the smaller key."""
     return heapq.nsmallest(limit, nets,
                            key=lambda k: (-nets[k][0], -nets[k][1], k))
 
 
 def _is_run(low: Lowered, i: int, t: int, granularity: str) -> bool:
     """Whether the t items at i, none of them a _STOP, make a run that
-    _walk yields, width aside."""
+    _paying_runs counts, width aside."""
     marks = low.marks
     if marks[i] != _START:
         return False
@@ -232,7 +291,7 @@ class PayingKeys:
     """The keys that pay on a stream, each with an upper bound on its net
     saving, while the stream is substituted.
 
-    One full count (_paying_runs) runs on the first call of best, and
+    One full count (profitable_keys) runs on the first call of best, and
     every key it finds is exact.  A substitution only marks every key
     stale.  Put in as a macro byte, the replacement ends every run, so it
     only removes runs; every other run keeps its items, its neighbours
@@ -244,7 +303,7 @@ class PayingKeys:
     entry is then at least its stored one, so the top is the best key.
     A replacement put in as a literal (byte-level embedding) must be a
     character the stream did not hold, so the runs through it are new
-    keys.  They are counted once, at insertion, by the same walk as the
+    keys.  They are counted once, at insertion, by the same count as the
     full count, run over the windows around the new literals only (see
     _count_new), and are exact until the next substitution.
 
@@ -344,7 +403,7 @@ class PayingKeys:
         in a window [p - max_len + 1, p + max_len + 1) around a point;
         the last item of a window is there only for the aligned end
         test.  Windows that touch are merged, and the rest are joined
-        into one stream by a _STOP, which no run crosses.  One walk over
+        into one stream by a _STOP, which no run crosses.  One count over
         that stream sees every run of these keys, in stream order, and
         two of them overlap there exactly when they overlap in the
         stream, so their counts are exact.
@@ -428,26 +487,61 @@ def select_greedy(stream: Stream, max_macros: int, max_len: int
     return Stream(cur.items), adopted
 
 
-def _adopt_in_order(cur: Lowered, keys: list[str]
-                    ) -> tuple[Stream, list[StreamMacro]]:
-    """Adopt keys in the order given, opcodes assigned densely.
+def select_freq(stream: Stream, max_macros: int, max_len: int
+                ) -> tuple[Stream, list[StreamMacro]]:
+    """Rank the instruction-granular keys once, by net saving, and adopt
+    the top max_macros longest first, all in one splice.
 
-    An earlier key may consume a later one's matches; a key whose
-    remaining matches no longer pay for its table entry is passed over
-    entirely rather than kept as dead weight, so every entry in the
-    result saves bytes.  Skipping leaves the stream untouched, which is
-    what keeps a single pass exact.
+    Whole instructions and their prefixes cannot overlap, so a key's
+    count from the table of distinct instructions is what it would
+    replace if it ran alone.  Longest first, else a short key strands
+    its extensions' tails.  Each key then takes what a left-to-right
+    sweep of the stream left by the keys before it would: the
+    occurrences of the slices it prefixes that no earlier key took and,
+    on raw-hex lines, the matches that run past an instruction end.
+    Such a match starts only at an instruction whose whole slice is a
+    proper prefix of the key, so those starts are confirmed one by one
+    and swept leftmost with the rest; every instruction start it covers
+    is gone for later keys.  A key whose matches no longer pay for its
+    table entry takes nothing, so every entry in the result saves bytes.
     """
+    check_limits(max_macros, max_len)
+    low = lower(stream.items)
+    sig, marks = low.sig, low.marks
+    table = _instructions(low, max_len)
+    nets = _prefix_nets(table)
+    picked = rank_keys(nets, max_macros)
+    picked.sort(key=lambda s: (-_width(s), s))
+    runs_of = _prefix_runs(table, set(picked))
+
+    def starts(a: int, t: int) -> list[int]:
+        """The instruction starts among the t items from a."""
+        return [j for j in range(a, a + t) if marks[j] == _START]
+
+    gone: set[int] = set()  # the instruction starts that a cut covers
+    cuts: list[tuple] = []
     adopted: list[StreamMacro] = []
-    for s in keys:
-        starts, t, b = cur.runs(s, "free"), len(s), _width(s)
-        if len(starts) * (b - 1) - b <= 0:
+    for k in picked:
+        t, b = len(k), nets[k][1]
+        runs = [a for a in runs_of[k] if a not in gone]
+        cross = [a for j in range(1, t) for a in table.get(k[:j], ())
+                 if sig.startswith(k, a) and gone.isdisjoint(starts(a, t))]
+        if cross:  # leftmost among all matches, as a sweep takes them
+            found, runs, free = sorted(runs + cross), [], 0
+            for a in found:
+                if a >= free:
+                    runs.append(a)
+                    free = a + t
+        if len(runs) * (b - 1) - b <= 0:
             continue  # adopting it now would grow the image
-        code = isa.MACRO_OPCODE_BASE + len(adopted)
-        adopted.append(StreamMacro(code=code, byte_len=b,
-                                   items=cur.items[starts[0]:starts[0] + t]))
-        cur = cur.splice([(a, a + t, MacroByte(code)) for a in starts])
-    return Stream(cur.items), adopted
+        item = MacroByte(isa.MACRO_OPCODE_BASE + len(adopted))
+        adopted.append(StreamMacro(code=item.code, byte_len=b,
+                                   items=low.items[runs[0]:runs[0] + t]))
+        cuts += [(a, a + t, item) for a in runs]
+        gone.update(chain.from_iterable(starts(a, t) for a in runs)
+                    if cross else runs)
+    cuts.sort()
+    return Stream(low.splice(cuts).items), adopted
 
 
 def select_exact(stream: Stream, max_macros: int, max_len: int
@@ -491,16 +585,7 @@ def compact_stream(stream: Stream, mode: str, max_macros: int, max_len: int
     if mode == "greedy":
         return select_greedy(stream, max_macros, max_len)
     if mode == "freq":
-        # Single-instruction runs and their prefixes cannot overlap, so
-        # each key's count is what a sweep would replace if it ran alone:
-        # rank them by saving, then adopt longest first, else a short key
-        # strands its extensions' tails.
-        check_limits(max_macros, max_len)
-        low = lower(stream.items)
-        picked = rank_keys(profitable_keys(low, max_len, "instruction"),
-                           max_macros)
-        picked.sort(key=lambda s: (-_width(s), s))
-        return _adopt_in_order(low, picked)
+        return select_freq(stream, max_macros, max_len)
     if mode == "exact":
         return select_exact(stream, max_macros, max_len)
     raise ValueError(f"unknown mode {mode!r}")

@@ -20,7 +20,11 @@ after each adoption; they share the lowering, the full count and the
 ranking of the package, substitute by a scan of their own, and
 select_greedy defers prefixes by a sorted-neighbour filter of its own.
 Differential tests hold the lazily recounting selectors to their
-output.  generate_corpus drives the package's program generator
+output.  select_freq ranks the keys as the package does but adopts
+them one at a time, each by a sweep of Lowered.runs over the whole
+stream and a splice of its own, where the package assigns instruction
+occurrences to keys from its table of distinct instructions and
+splices once.  generate_corpus drives the package's program generator
 but assembles the whole program after every chunk, where
 corpus.generate_corpus sums the sizes of the chunks.
 reference_assemble_stream parses, encodes and lays out every line on
@@ -457,6 +461,44 @@ def greedy_select(data: Sequence[int], max_macros: int, max_len: int,
     residual = _stream_bytes(cur.items)
     objective = len(residual) + sum(len(m.body) for m in macros)
     return CompactionResult(macros=macros, residual=residual, objective=objective)
+
+
+# ---------------------------------------------------------------------------
+# Frequency selection that sweeps and splices the stream once per key
+
+def _adopt_in_order(cur: Lowered, keys: list[str]
+                    ) -> tuple[Stream, list[StreamMacro]]:
+    """Adopt keys in the order given, opcodes assigned densely.
+
+    An earlier key may consume a later one's matches; a key whose
+    remaining matches no longer pay for its table entry is passed over
+    entirely rather than kept as dead weight, so every entry in the
+    result saves bytes.  Skipping leaves the stream untouched, which is
+    what keeps a single pass exact.
+    """
+    adopted: list[StreamMacro] = []
+    for s in keys:
+        starts, t, b = cur.runs(s, "free"), len(s), macros._width(s)
+        if len(starts) * (b - 1) - b <= 0:
+            continue  # adopting it now would grow the image
+        code = isa.MACRO_OPCODE_BASE + len(adopted)
+        adopted.append(StreamMacro(code=code, byte_len=b,
+                                   items=cur.items[starts[0]:starts[0] + t]))
+        cur = cur.splice([(a, a + t, MacroByte(code)) for a in starts])
+    return Stream(cur.items), adopted
+
+
+def select_freq(stream: Stream, max_macros: int, max_len: int
+                ) -> tuple[Stream, list[StreamMacro]]:
+    """Rank the instruction-granular keys by net saving, then adopt the
+    top max_macros longest first, each by a whole-stream match sweep and
+    a splice of its own."""
+    check_limits(max_macros, max_len)
+    low = lower(stream.items)
+    picked = rank_keys(profitable_keys(low, max_len, "instruction"),
+                       max_macros)
+    picked.sort(key=lambda s: (-macros._width(s), s))
+    return _adopt_in_order(low, picked)
 
 
 # ---------------------------------------------------------------------------

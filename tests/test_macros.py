@@ -221,11 +221,20 @@ def test_frequency_ignores_multi_instruction_runs():
 def test_freq_compaction_lowers_once(monkeypatch):
     stream = stream_for(corpus.generate_program(3))
     real, calls = macros.lower, []
+    splice, runs, splices = macros.Lowered.splice, macros.Lowered.runs, []
     with monkeypatch.context() as m:
         m.setattr(macros, "lower",
                   lambda items: calls.append(len(items)) or real(items))
+        m.setattr(macros.Lowered, "splice",
+                  lambda self, cuts: splices.append(len(cuts))
+                  or splice(self, cuts))
+        m.setattr(macros.Lowered, "runs",
+                  lambda *args: pytest.fail("freq swept the stream"))
         got = compact_stream(stream, "freq", 176, 20)
     assert calls == [len(stream.items)]
+    # every key's cuts go in by one splice, and no key sweeps the stream
+    assert len(splices) == 1
+    assert splices[0] == sum(isinstance(it, MacroByte) for it in got[0].items)
     # ranked keys are applied longest first, each to what is left
     widths = [m.byte_len for m in got[1]]
     assert widths == sorted(widths, reverse=True)

@@ -8,7 +8,8 @@ both must produce the same bytes.  The candidate walk drops a start as
 soon as its key cannot repeat; oracles.reference_walk lists every run.
 Lowered.runs, the one match scan behind recounting and substitution,
 is held to a scan of every position that reads the run rules off the
-items.
+items.  Frequency selection, which splices once, is held to
+oracles.select_freq, which sweeps and splices once per key.
 """
 
 import random
@@ -154,7 +155,7 @@ def test_each_stage_walks_the_stream_once(monkeypatch, criterion_corpus):
     assert info["macro_count"] == 120  # one round each
     stream, _ = asm.assemble_stream(criterion_corpus)
     assert walks[0] == ("aligned", len(stream.items))
-    assert [g for g, _ in walks] == ["aligned", "instruction"]
+    assert [g for g, _ in walks] == ["aligned"]
     assert windows == []
 
     walks.clear()
@@ -177,7 +178,7 @@ def test_exact_and_freq_walk_the_stream_once(monkeypatch):
     walks.clear()
     _, info = compact_source(text, mode="freq")
     assert info["macro_count"] > 2
-    assert walks == ["instruction"]
+    assert walks == []
 
 
 def test_no_free_opcode_needs_no_walk(monkeypatch):
@@ -292,6 +293,40 @@ def test_instruction_end_decides_a_recount(monkeypatch):
     assert [bytes(it.value for it in m.items) for m in got[1]] == [
         b"\x32\x00\x00", b"\x40\x00", b"\x44\x00\x01"]
     assert ("instruction", "\x44\x00\x01", 2) in recounts
+
+
+# Raw-hex lines whose operand bytes spell the lines around them: ZER 00,
+# 01 is ZER WA then NOP, and MOV 00, 32, 10 is MOV 00 then MOV WA, WB.
+# A whole-stream match of such a line's prefix runs past the end of an
+# instruction whose whole slice prefixes it, and may cover the start of
+# an instruction that a longer key took.
+CROSSING_LINES = ("ZER WA", "NOP", "OUT WA", "MOV WA, WB", "HLT", "MOV 00")
+
+
+def crossing_program(rng: random.Random) -> str:
+    lines = []
+    for _ in range(rng.randint(4, 40)):
+        if rng.random() < 0.4:
+            lines.append(rng.choice(CROSSING_LINES))
+        else:
+            ops = ["00", *rng.choices(("00", "01", "10", "32", "40", "44"),
+                                      k=rng.randint(0, 3))]
+            lines.append(f"{rng.choice(('ZER', 'OUT', 'MOV'))} "
+                         + ", ".join(ops))
+    return "".join(f"       {line}\n" for line in lines) + "       HLT\n"
+
+
+def test_freq_matches_oracle():
+    rng = random.Random(11)
+    texts = [CROSSING, *map(corpus.generate_program, range(6)),
+             *(crossing_program(rng) for _ in range(60))]
+    for case, text in enumerate(texts):
+        stream, _ = asm.assemble_stream(text)
+        for max_len in (2, 3, 5, 20):
+            for budget in (1, 2, 8, 176):
+                got = macros.compact_stream(stream, "freq", budget, max_len)
+                want = oracles.select_freq(stream, budget, max_len)
+                assert got == want, (case, max_len, budget)
 
 
 def reference_paying_runs(low, max_len, granularity):
