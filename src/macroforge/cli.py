@@ -219,10 +219,10 @@ def cmd_stats(args) -> int:
     image = parse(_read_bytes(args.object))
     if args.original:
         blob = _read_bytes(args.original)
-        if blob[:4] == MAGIC:
-            input_bytes = len(parse(blob).code)
-        elif image.is_raw:
+        if image.is_raw:  # pack read the whole file, whatever it holds
             input_bytes = len(blob)
+        elif blob[:4] == MAGIC:
+            input_bytes = len(parse(blob).code)
         else:
             input_bytes = len(asm.assemble(_text(args.original, blob)).code)
     else:

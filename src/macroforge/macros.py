@@ -82,13 +82,26 @@ class Lowered:
                        "".join(marks) + self.marks[pos:])
 
     def runs(self, pattern: str, granularity: str) -> list[int]:
-        """The first item of each run of key pattern at granularity (see
-        _paying_runs), taken left to right: a match counts when it is a
-        run and starts at or after the end of the last counted one."""
-        sig, t, starts = self.sig, len(pattern), []
+        """The first item of each run of key pattern at granularity,
+        taken left to right: a match counts when it is a run and starts
+        at or after the end of the last counted one.
+
+        This is the one statement of the run rule; pattern holds no
+        _STOP, and width is the caller's concern.  A run starts at a
+        _START.  At "free" it may end anywhere; at "aligned" it covers
+        whole instructions, so it ends before a _START, a _BOUNDARY or
+        the end of the stream; at "instruction" it holds no other
+        _START, so it stays inside one instruction.
+        """
+        sig, marks, t, starts = self.sig, self.marks, len(pattern), []
         i = sig.find(pattern)
         while i >= 0:
-            if _is_run(self, i, t, granularity):
+            if marks[i] == _START and (
+                    granularity == "free"
+                    or granularity == "aligned"
+                    and marks[i + t:i + t + 1] != _OTHER
+                    or granularity == "instruction"
+                    and _START not in marks[i + 1:i + t]):
                 starts.append(i)
                 i = sig.find(pattern, i + t)
             else:
@@ -237,18 +250,13 @@ def _prefix_runs(table: dict[str, list[int]], keys) -> dict[str, list[int]]:
 
 
 def _paying_runs(low: Lowered, max_len: int, granularity: str):
-    """Yields (key, f, b, runs) for every key whose net saving
-    f*(b-1) - b is positive, b being its width in bytes and runs the
-    first item of each of its runs in stream order.
+    """The walk's paying keys, at "free" or "aligned" granularity.
 
-    f counts runs leftmost-greedy, as Lowered.runs takes them.
+    Yields (key, f, b, runs) for every key whose net saving
+    f*(b-1) - b is positive, b being its width in bytes, runs the first
+    item of each run of _walk in stream order, and f their
+    leftmost-greedy count, as Lowered.runs takes them.
     """
-    if granularity == "instruction":
-        table = _instructions(low, max_len)
-        nets = _prefix_nets(table)
-        for k, starts in _prefix_runs(table, nets).items():
-            yield k, len(starts), nets[k][1], starts
-        return
     for t, runs in _walk(low, max_len, granularity):
         for s, starts in runs.items():
             f, b = _leftmost(starts, t), _width(s)
@@ -258,8 +266,14 @@ def _paying_runs(low: Lowered, max_len: int, granularity: str):
 
 def profitable_keys(low: Lowered, max_len: int, granularity: str
                     ) -> dict[str, tuple[int, int]]:
-    """Every key whose net saving is positive, as signature string ->
-    (net, b); see _paying_runs."""
+    """Every key whose net saving f*(b-1) - b is positive, as signature
+    string -> (net, b), f being its leftmost-greedy run count on low at
+    granularity and b its width in bytes.
+
+    This is the one net count: "free" and "aligned" read the walk (see
+    _paying_runs), and "instruction" reads the table of distinct
+    instructions (see _prefix_nets).
+    """
     if granularity == "instruction":
         return _prefix_nets(_instructions(low, max_len))
     return {s: (f * (b - 1) - b, b)
@@ -272,19 +286,6 @@ def rank_keys(nets: dict[str, tuple[int, int]], limit: int) -> list[str]:
     then the smaller key."""
     return heapq.nsmallest(limit, nets,
                            key=lambda k: (-nets[k][0], -nets[k][1], k))
-
-
-def _is_run(low: Lowered, i: int, t: int, granularity: str) -> bool:
-    """Whether the t items at i, none of them a _STOP, make a run that
-    _paying_runs counts, width aside."""
-    marks = low.marks
-    if marks[i] != _START:
-        return False
-    if granularity == "instruction":
-        return _START not in marks[i + 1:i + t]
-    if granularity == "aligned":
-        return i + t == len(marks) or marks[i + t] != _OTHER
-    return True
 
 
 class PayingKeys:
@@ -403,10 +404,11 @@ class PayingKeys:
         in a window [p - max_len + 1, p + max_len + 1) around a point;
         the last item of a window is there only for the aligned end
         test.  Windows that touch are merged, and the rest are joined
-        into one stream by a _STOP, which no run crosses.  One count over
-        that stream sees every run of these keys, in stream order, and
-        two of them overlap there exactly when they overlap in the
-        stream, so their counts are exact.
+        into one stream by a _STOP, which no run and no instruction
+        slice crosses.  profitable_keys over that stream, the full
+        count's own count, sees every run of these keys in stream order,
+        and two of them overlap there exactly when they overlap in the
+        stream, so the nets it gives the keys that hold char are exact.
         """
         low, reach, cuts = self.low, self.max_len, []
         for p in points:
@@ -417,9 +419,9 @@ class PayingKeys:
                 cuts.append([a, e])
         windows = Lowered([], _STOP.join(low.sig[a:e] for a, e in cuts),
                           _BOUNDARY.join(low.marks[a:e] for a, e in cuts))
-        for s, f, b, _ in _paying_runs(windows, reach, self.granularity):
+        nets = profitable_keys(windows, reach, self.granularity)
+        for s, (net, b) in nets.items():
             if char in s:
-                net = f * (b - 1) - b
                 self.nets[s] = (net, b)
                 self.exact.add(s)
                 heapq.heappush(self.heap, (-net, -b, s))

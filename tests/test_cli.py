@@ -571,6 +571,38 @@ def test_stats_without_reference_reports_zero_savings(tmp_path, capsys):
     assert report_from(out)["savingsBytes"] == 0
 
 
+def pack_then_stats(tmp_path, capsys, original):
+    """The pack report of original and the stats report of its container
+    against it."""
+    packed = tmp_path / "packed.mcp"
+    rc, out, _ = run_cli(capsys, "pack", original, "--out", packed,
+                         "--report", "-")
+    assert rc == 0
+    packing = report_from(out)
+    rc, out, _ = run_cli(capsys, "stats", packed, "--original", original)
+    assert rc == 0
+    return packing, report_from(out)
+
+
+def test_stats_of_a_packed_text_file_matches_the_pack_report(tmp_path,
+                                                              capsys):
+    original = write(tmp_path, "p.txt", corpus.generate_program(seed=2))
+    packing, stats = pack_then_stats(tmp_path, capsys, original)
+    assert stats["inputBytes"] == packing["inputBytes"]
+    assert stats["savingsBytes"] == packing["savingsBytes"] > 0
+
+
+def test_stats_of_a_packed_container_takes_the_whole_file(tmp_path, capsys):
+    # pack reads an .mco as bytes, header and all, so stats must too
+    src = write(tmp_path, "two.mcrl", "       OUT =2A\n       HLT\n")
+    obj = tmp_path / "two.mco"
+    run_cli(capsys, "asm", src, "--out", obj)
+    assert len(obj.read_bytes()) == 17
+    packing, stats = pack_then_stats(tmp_path, capsys, obj)
+    assert stats["inputBytes"] == packing["inputBytes"] == 17
+    assert stats["savingsBytes"] == packing["savingsBytes"]
+
+
 # --- plumbing -----------------------------------------------------------------
 
 def test_no_subcommand_is_usage_error(capsys):

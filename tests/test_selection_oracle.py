@@ -331,7 +331,7 @@ def test_freq_matches_oracle():
 
 def reference_paying_runs(low, max_len, granularity):
     """_paying_runs over every run of the unpruned walk: keys seen more
-    than once, counted leftmost-greedy."""
+    than once, counted leftmost-greedy by a sweep of its own."""
     out = {}
     for t, starts in oracles.reference_walk(low, max_len, granularity):
         runs = defaultdict(list)
@@ -339,7 +339,11 @@ def reference_paying_runs(low, max_len, granularity):
             runs[low.sig[i:i + t]].append(i)
         for s, found in runs.items():
             if len(found) > 1:
-                f, b = macros._leftmost(found, t), macros._width(s)
+                f, free = 0, 0
+                for i in found:
+                    if i >= free:
+                        f, free = f + 1, i + t
+                b = macros._width(s)
                 if f * (b - 1) > b:
                     out[s] = (f, b, found)
     return out
@@ -356,15 +360,22 @@ def walk_cases():
 
 
 def test_pruned_walk_matches_reference():
+    # "instruction" nets come from the table of distinct instructions,
+    # not the walk; test_freq_matches_oracle and
+    # test_runs_match_brute_force cover the starts at that granularity.
     for name, items in walk_cases():
         low = macros.lower(items)
         for granularity in ("free", "instruction", "aligned"):
             for max_len in (2, 5, 20):
-                got = {s: (f, b, runs) for s, f, b, runs
-                       in macros._paying_runs(low, max_len, granularity)}
-                assert got == reference_paying_runs(low, max_len,
-                                                    granularity), (
-                    name, granularity, max_len)
+                want = reference_paying_runs(low, max_len, granularity)
+                if granularity == "instruction":
+                    got = macros.profitable_keys(low, max_len, granularity)
+                    want = {s: (f * (b - 1) - b, b)
+                            for s, (f, b, _) in want.items()}
+                else:
+                    got = {s: (f, b, runs) for s, f, b, runs
+                           in macros._paying_runs(low, max_len, granularity)}
+                assert got == want, (name, granularity, max_len)
 
 
 def test_lazy_bounds_on_self_overlapping_inputs(monkeypatch):
