@@ -16,7 +16,7 @@ import heapq
 import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate
 
 from . import asm, isa
 from .asm import LabelRef, LiteralByte, MacroByte, Stream
@@ -86,22 +86,18 @@ class Lowered:
         taken left to right: a match counts when it is a run and starts
         at or after the end of the last counted one.
 
-        This is the one statement of the run rule; pattern holds no
-        _STOP, and width is the caller's concern.  A run starts at a
+        This is the one statement of the walk's run rule; pattern holds
+        no _STOP, and width is the caller's concern.  A run starts at a
         _START.  At "free" it may end anywhere; at "aligned" it covers
         whole instructions, so it ends before a _START, a _BOUNDARY or
-        the end of the stream; at "instruction" it holds no other
-        _START, so it stays inside one instruction.
+        the end of the stream.  Runs inside one instruction are read off
+        the table of distinct instructions instead (see _instructions).
         """
         sig, marks, t, starts = self.sig, self.marks, len(pattern), []
         i = sig.find(pattern)
         while i >= 0:
-            if marks[i] == _START and (
-                    granularity == "free"
-                    or granularity == "aligned"
-                    and marks[i + t:i + t + 1] != _OTHER
-                    or granularity == "instruction"
-                    and _START not in marks[i + 1:i + t]):
+            if marks[i] == _START and (granularity == "free"
+                                       or marks[i + t:i + t + 1] != _OTHER):
                 starts.append(i)
                 i = sig.find(pattern, i + t)
             else:
@@ -206,10 +202,8 @@ def _instructions(low: Lowered, max_len: int) -> dict[str, list[int]]:
     the prefixes of 2 or more items of these slices, and two such runs
     never overlap, so a key's count is the sum of the occurrence counts
     of the slices it prefixes.  Slices of one item are kept too: a
-    whole-stream match of a key may start there (see select_freq).
+    whole-stream match of a key may start there (see _adopt).
     """
-    if max_len < 2:
-        raise ValueError("max_len must be at least 2")
     sig, marks = low.sig, low.marks
     at = [i for i, m in enumerate(marks) if m == _START]
     # no slice holds more than max_len items, so cut the raw text there
@@ -225,28 +219,18 @@ def _instructions(low: Lowered, max_len: int) -> dict[str, list[int]]:
     return table
 
 
-def _prefix_nets(table: dict[str, list[int]]) -> dict[str, tuple[int, int]]:
-    """profitable_keys at the "instruction" granularity, from the table:
-    each prefix of 2 or more items of a slice adds the slice's count."""
-    counts: dict[str, int] = {}
-    for s, starts in table.items():
-        n = len(starts)
-        for t in range(2, len(s) + 1):
-            k = s[:t]
-            counts[k] = counts.get(k, 0) + n
-    return {k: (f * (b - 1) - b, b) for k, f in counts.items()
-            if f > 1 and f * ((b := _width(k)) - 1) > b}
-
-
-def _prefix_runs(table: dict[str, list[int]], keys) -> dict[str, list[int]]:
-    """For each of keys, the starts of the slices of table it prefixes,
-    in stream order."""
+def _prefix_keys(table: dict[str, list[int]]
+                 ) -> tuple[dict[str, tuple[int, int]], dict[str, list[int]]]:
+    """The instruction-granular keys, from the table: each prefix of 2
+    or more items of a slice runs wherever the slice starts.  Returns
+    every key that pays as key -> (net, b), as profitable_keys gives the
+    walk's keys, and every key's runs, not in stream order."""
     runs: dict[str, list[int]] = defaultdict(list)
     for s, starts in table.items():
         for t in range(2, len(s) + 1):
-            if s[:t] in keys:
-                runs[s[:t]] += starts
-    return {k: sorted(starts) for k, starts in runs.items()}
+            runs[s[:t]] += starts
+    return {k: (f * (b - 1) - b, b) for k, r in runs.items()
+            if (f := len(r)) > 1 and f * ((b := _width(k)) - 1) > b}, runs
 
 
 def _paying_runs(low: Lowered, max_len: int, granularity: str):
@@ -268,14 +252,12 @@ def profitable_keys(low: Lowered, max_len: int, granularity: str
                     ) -> dict[str, tuple[int, int]]:
     """Every key whose net saving f*(b-1) - b is positive, as signature
     string -> (net, b), f being its leftmost-greedy run count on low at
-    granularity and b its width in bytes.
+    granularity, "free" or "aligned", and b its width in bytes.
 
-    This is the one net count: "free" and "aligned" read the walk (see
-    _paying_runs), and "instruction" reads the table of distinct
-    instructions (see _prefix_nets).
+    This is the walk's one net count (see _paying_runs); keys inside one
+    instruction are counted from the table of distinct instructions (see
+    _prefix_keys).
     """
-    if granularity == "instruction":
-        return _prefix_nets(_instructions(low, max_len))
     return {s: (f * (b - 1) - b, b)
             for s, f, b, _ in _paying_runs(low, max_len, granularity)}
 
@@ -308,13 +290,7 @@ class PayingKeys:
     full count, run over the windows around the new literals only (see
     _count_new), and are exact until the next substitution.
 
-    At the "instruction" granularity the same loop defers prefixes.
-    Once the top is exact, it is set aside for this pick if a paying key
-    strictly extends it; a stale extension is recounted before it
-    counts.  The counts that set a key aside stay exact until the next
-    substitution, so the first exact top not set aside is the best key
-    that no paying key extends, and the keys set aside go back on the
-    heap for the next pick.
+    granularity is the walk's, "free" or "aligned".
     """
 
     def __init__(self, low: Lowered, max_len: int, granularity: str):
@@ -332,44 +308,34 @@ class PayingKeys:
         self.heap = [(-net, -b, s) for s, (net, b) in self.nets.items()]
         heapq.heapify(self.heap)
 
-    def _refresh(self, s: str) -> bool:
-        """Recount stale key s; whether it still pays.  A changed net
-        gets a heap entry of its own, which supersedes the old one."""
+    def _refresh(self, s: str) -> None:
+        """Recount stale key s, and drop it if it no longer pays.  A
+        changed net gets a heap entry of its own, which supersedes the
+        old one."""
         old, b = self.nets[s]
         net = self._recount(s) * (b - 1) - b
         if net <= 0:
             del self.nets[s]
-            return False
+            return
         self.exact.add(s)
         if net != old:
             self.nets[s] = (net, b)
             heapq.heappush(self.heap, (-net, -b, s))
-        return True
 
     def best(self) -> str | None:
-        """The key rank_keys(nets, 1) would pick on exact counts, if any;
-        at the "instruction" granularity, among the keys that no paying
-        key strictly extends (see select_greedy)."""
+        """The key rank_keys(nets, 1) would pick on exact counts, if any."""
         if self.nets is None:
             self._count_all()
-        nets, exact, heap = self.nets, self.exact, self.heap
-        aside, best = [], None
+        nets, heap = self.nets, self.heap
         while heap:
             net, b, s = heap[0]
             if nets.get(s) != (-net, -b):
                 heapq.heappop(heap)
-            elif s not in exact:
+            elif s not in self.exact:
                 self._refresh(s)
-            elif self.granularity == "instruction" and any(
-                    e != s and e.startswith(s)
-                    and (e in exact or self._refresh(e)) for e in list(nets)):
-                aside.append(heapq.heappop(heap))
             else:
-                best = s
-                break
-        for entry in aside:
-            heapq.heappush(heap, entry)
-        return best
+                return s
+        return None
 
     def substitute(self, pattern: str, item) -> tuple[list | None, int]:
         """Replace by item every match of pattern at a fetch position,
@@ -377,9 +343,9 @@ class PayingKeys:
         items removed by the first match (None if nothing matched) and
         the match count.
 
-        Every such match is replaced, whatever the stage's granularity,
-        so on raw-hex lines a stage can replace more matches than it
-        counted.
+        Every such match is replaced, whatever the granularity, so on
+        raw-hex lines an "aligned" stage can replace more matches than
+        it counted.
         """
         old, t = self.low, len(pattern)
         starts = old.runs(pattern, "free")
@@ -404,9 +370,9 @@ class PayingKeys:
         in a window [p - max_len + 1, p + max_len + 1) around a point;
         the last item of a window is there only for the aligned end
         test.  Windows that touch are merged, and the rest are joined
-        into one stream by a _STOP, which no run and no instruction
-        slice crosses.  profitable_keys over that stream, the full
-        count's own count, sees every run of these keys in stream order,
+        into one stream by a _STOP, which no run crosses.
+        profitable_keys over that stream, the full count's own count,
+        sees every run of these keys in stream order,
         and two of them overlap there exactly when they overlap in the
         stream, so the nets it gives the keys that hold char are exact.
         """
@@ -448,45 +414,126 @@ def select_greedy(stream: Stream, max_macros: int, max_len: int
 
     Each round scores every key on the current stream by its net saving
     f*(b-1) - b with f counted over non-overlapping occurrences, adopts
-    the best positive one, and substitutes at once so the next round
-    works on the shrunken stream.  Ties fall to the longer body, then the
-    smaller key.  Each stage counts candidates once; after that
-    PayingKeys recounts a key when it reaches the top of its heap, and
-    in stage two, at the "instruction" granularity, also a stale key that
-    would defer the top.
+    the best positive one, and replaces its matches before the next
+    round counts.  Ties fall to the longer body, then the smaller key.
 
     Selection runs coarse to fine.  The first stage admits only
     instruction-aligned runs: a mid-instruction prefix pools the counts
     of every instruction sharing it, so it outscores each full
     instruction, yet adopting it strands the extension bytes behind the
-    macro byte where no later candidate can reach them.  Once no aligned
-    run pays, a second stage admits prefixes to mop up instructions
-    whose full forms were too rare to adopt.
+    macro byte where no later candidate can reach them.  Stage one
+    counts the walk once and then lets PayingKeys recount a key when it
+    reaches the top of its heap.  Once no aligned run pays, a second
+    stage admits prefixes to mop up instructions whose full forms were
+    too rare to adopt (see _stage_two).
 
     Stage two defers any profitable key that strictly prefixes another
-    profitable key, as PayingKeys does at the "instruction" granularity:
-    the extension's leftovers are still there for the short key next
-    round, while the short key would strand the extension's tail bytes
-    for good.  Stage one, at the "aligned" granularity, must not; there
-    the prefix relation pits a high-count instruction against every
+    profitable key: the extension's leftovers are still there for the
+    short key next round, while the short key would strand the
+    extension's tail bytes for good.  Stage one must not; there the
+    prefix relation pits a high-count instruction against every
     barely-profitable longer run it starts, and deferring to those
     fragments the stream and squanders the opcode space on long bodies.
     """
     check_limits(max_macros, max_len)
-    cur = lower(stream.items)
+    keys = PayingKeys(lower(stream.items), max_len, "aligned")
     adopted: list[StreamMacro] = []
-    for granularity in ("aligned", "instruction"):
-        keys = PayingKeys(cur, max_len, granularity)
-        while len(adopted) < max_macros:
-            best = keys.best()
-            if best is None:
-                break
-            code = isa.MACRO_OPCODE_BASE + len(adopted)
-            b = keys.nets[best][1]
-            body, _ = keys.substitute(best, MacroByte(code))
-            adopted.append(StreamMacro(code=code, items=body, byte_len=b))
-        cur = keys.low
-    return Stream(cur.items), adopted
+    while len(adopted) < max_macros and (best := keys.best()) is not None:
+        code = isa.MACRO_OPCODE_BASE + len(adopted)
+        body, _ = keys.substitute(best, MacroByte(code))
+        adopted.append(StreamMacro(code=code, items=body,
+                                   byte_len=keys.nets[best][1]))
+    if len(adopted) == max_macros:  # no stage two, so no table to build
+        return Stream(keys.low.items), adopted
+    return _stage_two(keys.low, max_macros, max_len, adopted), adopted
+
+
+def _stage_two(low: Lowered, max_macros: int, max_len: int,
+               adopted: list[StreamMacro]) -> Stream:
+    """select_greedy's stage two on stage one's stream: adopt the best
+    instruction-granular key that no paying key strictly extends, until
+    max_macros are adopted or no key pays, then splice once.
+
+    The table of distinct instructions gives each key's net and runs,
+    which never overlap (see _instructions).  Each key has one entry
+    (-net, -b, key) on a heap, as in PayingKeys: a cut only removes
+    runs, so a stored net is an upper bound.  The popped key is
+    recounted exactly, from its runs whose start no cut has covered; if
+    it was stale, it goes back with its net now while it still pays.
+    An exact top is set aside for this pick while a paying key strictly
+    extends it, and is otherwise the best key: it is adopted, taking
+    its matches as select_freq's keys do (see _adopt), and the keys set
+    aside go back on the heap.
+    """
+    table = _instructions(low, max_len)
+    nets, runs_of = _prefix_keys(table)
+    heap = [(-net, -b, s) for s, (net, b) in nets.items()]
+    heapq.heapify(heap)
+    gone, cuts, aside = set(), [], []
+
+    def net(s: str) -> int:
+        """The net of key s now."""
+        b = nets[s][1]
+        return sum(a not in gone for a in runs_of[s]) * (b - 1) - b
+
+    while heap and len(adopted) < max_macros:
+        top, b, s = heapq.heappop(heap)
+        if (now := net(s)) < -top:
+            if now > 0:
+                heapq.heappush(heap, (-now, b, s))
+        elif any(e != s and e.startswith(s) and net(e) > 0 for e in nets):
+            aside.append((top, b, s))
+        else:
+            cuts += _adopt([s], low, table, nets, runs_of, gone, adopted)
+            while aside:
+                heapq.heappush(heap, aside.pop())
+    cuts.sort()
+    return Stream(low.splice(cuts).items)
+
+
+def _adopt(keys: list[str], low: Lowered, table: dict, nets: dict,
+           runs_of: dict, gone: set[int], adopted: list) -> list[tuple]:
+    """Adopt each of keys in turn as the next macro, over the matches
+    that a left-to-right sweep of the stream would replace, unless they
+    no longer pay for its table entry.  Returns the cuts (start, end,
+    macro byte) that replace them, in no set order.
+
+    This is the one adoption step of both selectors that read the table
+    of distinct instructions.  low is the stream before any cut, table
+    that table, nets and runs_of the keys as _prefix_keys gives them,
+    and gone holds every instruction start that an earlier cut covers.
+    Whole instructions and their prefixes cannot overlap, so the sweep
+    takes every run whose start is not gone and, on raw-hex lines, the
+    matches that run past an instruction end (the crossing rule).  Such
+    a match starts only at an instruction whose whole slice is a proper
+    prefix of the key, so those starts are confirmed one by one, by the
+    text and by gone, and swept leftmost with the rest.  A cut then adds
+    its start to gone, or every item it covers if it crosses an
+    instruction end, so that gone meets exactly the matches that
+    overlap a cut.
+    """
+    sig, cuts = low.sig, []
+    for k in keys:
+        t, b = len(k), nets[k][1]
+        runs = [a for a in runs_of[k] if a not in gone]
+        cross = [a for j in range(1, t) for a in table.get(k[:j], ())
+                 if sig.startswith(k, a) and gone.isdisjoint(range(a, a + t))]
+        if cross:  # leftmost among all matches, as a sweep takes them
+            found, runs, free = sorted(runs + cross), [], 0
+            for a in found:
+                if a >= free:
+                    runs.append(a)
+                    free = a + t
+        if len(runs) * (b - 1) - b <= 0:
+            continue  # adopting it now would grow the image
+        gone.update([i for a in runs for i in range(a, a + t)]
+                    if cross else runs)
+        first = min(runs)  # the body is copied from the first match
+        item = MacroByte(isa.MACRO_OPCODE_BASE + len(adopted))
+        adopted.append(StreamMacro(code=item.code, byte_len=b,
+                                   items=low.items[first:first + t]))
+        cuts += [(a, a + t, item) for a in runs]
+    return cuts
 
 
 def select_freq(stream: Stream, max_macros: int, max_len: int
@@ -498,50 +545,18 @@ def select_freq(stream: Stream, max_macros: int, max_len: int
     count from the table of distinct instructions is what it would
     replace if it ran alone.  Longest first, else a short key strands
     its extensions' tails.  Each key then takes what a left-to-right
-    sweep of the stream left by the keys before it would: the
-    occurrences of the slices it prefixes that no earlier key took and,
-    on raw-hex lines, the matches that run past an instruction end.
-    Such a match starts only at an instruction whose whole slice is a
-    proper prefix of the key, so those starts are confirmed one by one
-    and swept leftmost with the rest; every instruction start it covers
-    is gone for later keys.  A key whose matches no longer pay for its
-    table entry takes nothing, so every entry in the result saves bytes.
+    sweep of the stream left by the keys before it would (see _adopt),
+    or nothing if that no longer pays, so every entry in the result
+    saves bytes.
     """
     check_limits(max_macros, max_len)
     low = lower(stream.items)
-    sig, marks = low.sig, low.marks
     table = _instructions(low, max_len)
-    nets = _prefix_nets(table)
+    nets, runs_of = _prefix_keys(table)
     picked = rank_keys(nets, max_macros)
     picked.sort(key=lambda s: (-_width(s), s))
-    runs_of = _prefix_runs(table, set(picked))
-
-    def starts(a: int, t: int) -> list[int]:
-        """The instruction starts among the t items from a."""
-        return [j for j in range(a, a + t) if marks[j] == _START]
-
-    gone: set[int] = set()  # the instruction starts that a cut covers
-    cuts: list[tuple] = []
     adopted: list[StreamMacro] = []
-    for k in picked:
-        t, b = len(k), nets[k][1]
-        runs = [a for a in runs_of[k] if a not in gone]
-        cross = [a for j in range(1, t) for a in table.get(k[:j], ())
-                 if sig.startswith(k, a) and gone.isdisjoint(starts(a, t))]
-        if cross:  # leftmost among all matches, as a sweep takes them
-            found, runs, free = sorted(runs + cross), [], 0
-            for a in found:
-                if a >= free:
-                    runs.append(a)
-                    free = a + t
-        if len(runs) * (b - 1) - b <= 0:
-            continue  # adopting it now would grow the image
-        item = MacroByte(isa.MACRO_OPCODE_BASE + len(adopted))
-        adopted.append(StreamMacro(code=item.code, byte_len=b,
-                                   items=low.items[runs[0]:runs[0] + t]))
-        cuts += [(a, a + t, item) for a in runs]
-        gone.update(chain.from_iterable(starts(a, t) for a in runs)
-                    if cross else runs)
+    cuts = _adopt(picked, low, table, nets, runs_of, set(), adopted)
     cuts.sort()
     return Stream(low.splice(cuts).items), adopted
 

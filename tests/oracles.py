@@ -378,6 +378,13 @@ def generate_corpus(seed: int, min_bytes: int = 8000) -> str:
 # ---------------------------------------------------------------------------
 # Greedy selection that recounts every candidate each round
 
+def instruction_nets(low: Lowered, max_len: int
+                     ) -> dict[str, tuple[int, int]]:
+    """The package's full count of the keys inside one instruction, from
+    its table of distinct instructions, as key -> (net, b)."""
+    return macros._prefix_keys(macros._instructions(low, max_len))[0]
+
+
 def select_greedy(stream: Stream, max_macros: int, max_len: int
                   ) -> tuple[Stream, list[StreamMacro]]:
     """Iterative best-first adoption over whole-instruction runs.
@@ -410,7 +417,8 @@ def select_greedy(stream: Stream, max_macros: int, max_len: int
     for granularity, defer_prefixes in (("aligned", False),
                                         ("instruction", True)):
         while len(adopted) < max_macros:
-            nets = profitable_keys(cur, max_len, granularity)
+            nets = (instruction_nets(cur, max_len) if defer_prefixes
+                    else profitable_keys(cur, max_len, granularity))
             if defer_prefixes:
                 # in sorted order every extension of a key follows it,
                 # and anything between them extends it too, so checking
@@ -495,8 +503,7 @@ def select_freq(stream: Stream, max_macros: int, max_len: int
     a splice of its own."""
     check_limits(max_macros, max_len)
     low = lower(stream.items)
-    picked = rank_keys(profitable_keys(low, max_len, "instruction"),
-                       max_macros)
+    picked = rank_keys(instruction_nets(low, max_len), max_macros)
     picked.sort(key=lambda s: (-macros._width(s), s))
     return _adopt_in_order(low, picked)
 

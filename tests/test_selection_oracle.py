@@ -6,10 +6,13 @@ stored net is an upper bound once the stream has been substituted.  The
 oracles in tests/oracles.py recount everything after every adoption;
 both must produce the same bytes.  The candidate walk drops a start as
 soon as its key cannot repeat; oracles.reference_walk lists every run.
-Lowered.runs, the one match scan behind recounting and substitution,
-is held to a scan of every position that reads the run rules off the
-items.  Frequency selection, which splices once, is held to
-oracles.select_freq, which sweeps and splices once per key.
+Lowered.runs, the one match scan behind the walk's recounts and every
+PayingKeys substitution, is held to a scan of every position that
+reads the run rules off the items.  Greedy's stage two and frequency
+selection count, recount and substitute on the table of distinct
+instructions and splice once; they are held to oracles.select_greedy
+and oracles.select_freq, which sweep and splice once per key, also on
+raw-hex lines whose matches run past an instruction end.
 """
 
 import random
@@ -285,14 +288,12 @@ CROSSING = ("       ZER WA\n       NOP\n"
             + "       HLT\n")
 
 
-def test_instruction_end_decides_a_recount(monkeypatch):
-    recounts = spy_recounts(monkeypatch)
+def test_instruction_end_decides_a_recount():
     stream, _ = asm.assemble_stream(CROSSING)
     got = macros.select_greedy(stream, 176, 20)
     assert got == oracles.select_greedy(stream, 176, 20)
     assert [bytes(it.value for it in m.items) for m in got[1]] == [
         b"\x32\x00\x00", b"\x40\x00", b"\x44\x00\x01"]
-    assert ("instruction", "\x44\x00\x01", 2) in recounts
 
 
 # Raw-hex lines whose operand bytes spell the lines around them: ZER 00,
@@ -317,6 +318,7 @@ def crossing_program(rng: random.Random) -> str:
 
 
 def test_freq_matches_oracle():
+    # greedy's stage two takes its matches by the same crossing rule
     rng = random.Random(11)
     texts = [CROSSING, *map(corpus.generate_program, range(6)),
              *(crossing_program(rng) for _ in range(60))]
@@ -327,6 +329,9 @@ def test_freq_matches_oracle():
                 got = macros.compact_stream(stream, "freq", budget, max_len)
                 want = oracles.select_freq(stream, budget, max_len)
                 assert got == want, (case, max_len, budget)
+                got = macros.compact_stream(stream, "greedy", budget, max_len)
+                want = oracles.select_greedy(stream, budget, max_len)
+                assert got == want, ("greedy", case, max_len, budget)
 
 
 def reference_paying_runs(low, max_len, granularity):
@@ -361,15 +366,15 @@ def walk_cases():
 
 def test_pruned_walk_matches_reference():
     # "instruction" nets come from the table of distinct instructions,
-    # not the walk; test_freq_matches_oracle and
-    # test_runs_match_brute_force cover the starts at that granularity.
+    # not the walk; test_freq_matches_oracle covers the starts at that
+    # granularity.
     for name, items in walk_cases():
         low = macros.lower(items)
         for granularity in ("free", "instruction", "aligned"):
             for max_len in (2, 5, 20):
                 want = reference_paying_runs(low, max_len, granularity)
                 if granularity == "instruction":
-                    got = macros.profitable_keys(low, max_len, granularity)
+                    got = oracles.instruction_nets(low, max_len)
                     want = {s: (f * (b - 1) - b, b)
                             for s, (f, b, _) in want.items()}
                 else:
@@ -390,16 +395,47 @@ def test_lazy_bounds_on_self_overlapping_inputs(monkeypatch):
     assert len(recounts) > 100
 
 
-def test_stage_two_recounts_each_key_once_per_round(monkeypatch):
-    recounts = spy_recounts(monkeypatch)
-    for seed in range(6):
-        stream, _ = asm.assemble_stream(corpus.generate_program(seed))
-        assert (macros.select_greedy(stream, 176, 20)
-                == oracles.select_greedy(stream, 176, 20)), seed
-    # refreshing every stale key before each pick made 180 stage-two
-    # recounts here; the lazy loop recounts only the top and a stale key
-    # that would defer it
-    assert 0 < sum(g == "instruction" for g, _, _ in recounts) <= 120
+def spy_stages(monkeypatch):
+    """Counts of stage one's substitutions, of the tables of distinct
+    instructions built and of the splices, by name."""
+    calls = Counter()
+
+    def spy(name, real):
+        def counting(*args):
+            calls[name] += 1
+            return real(*args)
+        return counting
+
+    monkeypatch.setattr(macros.PayingKeys, "substitute",
+                        spy("substitute", macros.PayingKeys.substitute))
+    monkeypatch.setattr(macros, "_instructions",
+                        spy("table", macros._instructions))
+    monkeypatch.setattr(macros.Lowered, "splice",
+                        spy("splice", macros.Lowered.splice))
+    return calls
+
+
+def test_stage_two_builds_its_table_only_when_it_runs(monkeypatch):
+    calls = spy_stages(monkeypatch)
+    stream, _ = asm.assemble_stream(SHARED_PREFIX)
+    _, adopted = macros.select_greedy(stream, 1, 20)
+    assert [bytes(it.value for it in m.items) for m in adopted] == [
+        b"\x44\x00\x40\x02"]
+    assert calls == {"substitute": 1, "splice": 1}
+
+    # stage one adopts nothing, and stage two splices once
+    calls.clear()
+    stream, _ = asm.assemble_stream(CROSSING)
+    _, adopted = macros.select_greedy(stream, 176, 20)
+    assert len(adopted) == 3
+    assert calls == {"table": 1, "splice": 1}
+
+    calls.clear()
+    stream, _ = asm.assemble_stream(corpus.generate_program(0))
+    _, adopted = macros.select_greedy(stream, 176, 20)
+    assert 0 < calls["substitute"] < len(adopted)
+    assert calls["table"] == 1
+    assert calls["splice"] == calls["substitute"] + 1
 
 
 # Every line starts with MOV 00 (32 00), the stage-two key that pays
@@ -412,19 +448,17 @@ DEFERRED = ("".join(f"       MOV 00, 00, 00, 0{k}\n" for k in (1, 2, 3))
             + "       HLT\n")
 
 
-def test_stage_two_sets_a_deferred_top_aside(monkeypatch):
-    recounts = spy_recounts(monkeypatch)
+def test_stage_two_sets_a_deferred_top_aside():
     stream, _ = asm.assemble_stream(DEFERRED)
     low = macros.lower(stream.items)
     assert macros.profitable_keys(low, 20, "aligned") == {}
-    nets = macros.profitable_keys(low, 20, "instruction")
+    nets = oracles.instruction_nets(low, 20)
     assert macros.rank_keys(nets, 3) == ["\x32\x00", "\x32\x00\x00\x00",
                                          "\x32\x00\x00"]
     got = macros.select_greedy(stream, 176, 20)
     assert got == oracles.select_greedy(stream, 176, 20)
     assert [bytes(it.value for it in m.items) for m in got[1]] == [
         b"\x32\x00\x00\x00", b"\x32\x00"]
-    assert ("instruction", "\x32\x00\x00", 0) in recounts
 
 
 def brute_runs(items, sig, pattern, granularity):
@@ -434,8 +468,6 @@ def brute_runs(items, sig, pattern, granularity):
     while i + t <= len(items):
         after = items[i + t] if i + t < len(items) else None
         run = (sig.startswith(pattern, i) and items[i].op_start
-               and (granularity != "instruction"
-                    or not any(it.op_start for it in items[i + 1:i + t]))
                and (granularity != "aligned" or after is None
                     or after.op_start or isinstance(after, asm.LabelDef)))
         if run:
@@ -457,7 +489,7 @@ def test_runs_match_brute_force():
         patterns = {low.sig[i:i + t] for i in range(len(items))
                     for t in (2, 3, 5)}
         for pattern in sorted(p for p in patterns if macros._STOP not in p):
-            for granularity in ("free", "instruction", "aligned"):
+            for granularity in ("free", "aligned"):
                 assert (low.runs(pattern, granularity)
                         == brute_runs(items, low.sig, pattern, granularity)
                         ), (pattern, granularity)
@@ -516,13 +548,15 @@ def test_keys_born_at_whole_instruction_granularities(monkeypatch):
         free = min(set(range(256)) - {ord(c) for c in low.sig})
         fetched = Counter(c for c, m in zip(low.sig, low.marks)
                           if m == macros._START)
-        for granularity in ("aligned", "instruction"):
-            for max_len in (2, 3, 20):
-                keys = macros.PayingKeys(low, max_len, granularity)
-                keys.best()
-                for opcode, _ in fetched.most_common(2):
-                    keys.substitute(opcode, LiteralByte(free, op_start=True))
+        for max_len in (2, 3, 20):
+            keys = macros.PayingKeys(low, max_len, "aligned")
+            keys.best()
+            for opcode, _ in fetched.most_common(2):
+                keys.substitute(opcode, LiteralByte(free, op_start=True))
+                free += 1
+                while chr(free) in keys.low.sig:
                     free += 1
-                    while chr(free) in keys.low.sig:
-                        free += 1
-    assert len(checked) == 5 * 2 * 3 * 2 and min(checked) > 1
+        # keys inside one instruction are counted from the table instead
+        with pytest.raises(ValueError, match="unknown granularity"):
+            macros.PayingKeys(low, 20, "instruction").best()
+    assert len(checked) == 5 * 1 * 3 * 2 and min(checked) > 1
