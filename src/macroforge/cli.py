@@ -235,17 +235,24 @@ def cmd_stats(args) -> int:
 # ---------------------------------------------------------------------------
 # Argument plumbing
 
+def _unsigned_hex(text: str) -> int:
+    """int(text, 16), without the sign that int would take."""
+    if text.lstrip()[:1] in ("+", "-"):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is signed; give an unsigned hex number")
+    return int(text, 16)
+
+
 def _hex_word(text: str) -> int:
     try:
-        value = int(text, 16)
+        return _unsigned_hex(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a hex number")
-    return value
 
 
 def _entry_arg(text: str):
     try:
-        return int(text, 16)
+        return _unsigned_hex(text)
     except ValueError:
         return text  # label; resolved against the final symbol table
 

@@ -85,7 +85,8 @@ def greedy_select(data: Sequence[int], max_macros: int, max_len: int,
     allow_embed=True it goes in as a literal that later bodies may cover.
     Candidates are counted once, and with embedding the runs through
     each opcode as it goes in; after that macros.PayingKeys recounts only
-    the key at the top of its heap, whose stored count is an upper bound.
+    the key at the top of its heap, whose stored count is an upper bound
+    (see macros._exact_top).
     """
     check_limits(max_macros, max_len)
     keys = PayingKeys(lower(_byte_stream(data).items), max_len, "free")

@@ -270,25 +270,50 @@ def rank_keys(nets: dict[str, tuple[int, int]], limit: int) -> list[str]:
                            key=lambda k: (-nets[k][0], -nets[k][1], k))
 
 
-class PayingKeys:
-    """The keys that pay on a stream, each with an upper bound on its net
-    saving, while the stream is substituted.
+def _exact_top(heap: list, done: int, recount) -> str | None:
+    """The key on top of heap once its net is exact, left there, or
+    None once no key pays.
 
-    One full count (profitable_keys) runs on the first call of best, and
-    every key it finds is exact.  A substitution only marks every key
-    stale.  Put in as a macro byte, the replacement ends every run, so it
-    only removes runs; every other run keeps its items, its neighbours
-    and so its standing, and a leftmost-greedy count of equal-length runs
-    never rises when runs go.  So a stale net is an upper bound, and a
-    key that does not pay now never will.  best recounts the stale key
-    on top of a heap of (-net, -b, key) on the current stream until the
-    top is exact (Minoux's accelerated greedy): every other key's true
-    entry is then at least its stored one, so the top is the best key.
-    A replacement put in as a literal (byte-level embedding) must be a
-    character the stream did not hold, so the runs through it are new
-    keys.  They are counted once, at insertion, by the same count as the
-    full count, run over the windows around the new literals only (see
-    _count_new), and are exact until the next substitution.
+    This is the one lazy-greedy rule (Minoux's accelerated greedy) of
+    both stages of select_greedy and of greedy.greedy_select.  heap holds
+    one entry (-net, -b, key, counted) per key that may pay, b being the
+    key's width in bytes, net its saving f*(b-1) - b and counted the
+    number of adoptions made when f was counted; done is that number
+    now.  An adoption only removes runs (PayingKeys gives the runs an
+    embedded literal makes new entries), and a leftmost-greedy count of
+    equal-length runs never rises when runs go, so a stale net is an
+    upper bound, and a key that stops paying never pays again.  A stale
+    top is recounted, recount(key) giving its f now, and goes back with
+    its new net while it pays, or is dropped.  Every other key's true
+    entry then ranks at or below its stored one, so the first current
+    top is the best key: the larger net saving, then the longer body,
+    then the smaller key, as rank_keys ranks them.
+    """
+    while heap:
+        _, b, s, counted = heap[0]
+        if counted == done:
+            return s
+        net = recount(s) * (-b - 1) + b
+        if net > 0:
+            heapq.heapreplace(heap, (-net, b, s, done))
+        else:
+            heapq.heappop(heap)
+    return None
+
+
+class PayingKeys:
+    """The keys that pay on a stream while it is substituted, one heap
+    entry each, from which _exact_top picks the best.
+
+    One full count (profitable_keys) fills the heap on the first call
+    of best.  Put in as a macro byte, the replacement ends every run, so
+    it only removes runs, and every entry stays an upper bound.  A
+    replacement put in as a literal (byte-level embedding) must be a
+    character the stream does not hold, so the runs through it are new
+    keys.  They are counted at insertion by the same count as the full
+    count, run over the windows around the new literals only (see
+    _count_new), and their entries are current until the next
+    substitution.
 
     granularity is the walk's, "free" or "aligned".
     """
@@ -297,49 +322,23 @@ class PayingKeys:
         self.low = low
         self.max_len = max_len
         self.granularity = granularity
-        self.nets: dict[str, tuple[int, int]] | None = None
-        self.exact: set[str] = set()  # counted since the last substitution
-
-    def _count_all(self) -> None:
-        self.nets = profitable_keys(self.low, self.max_len, self.granularity)
-        self.exact = set(self.nets)
-        # best-first candidates (-net, -b, key); an entry whose key no
-        # longer has that net was superseded and is dropped when it surfaces
-        self.heap = [(-net, -b, s) for s, (net, b) in self.nets.items()]
-        heapq.heapify(self.heap)
-
-    def _refresh(self, s: str) -> None:
-        """Recount stale key s, and drop it if it no longer pays.  A
-        changed net gets a heap entry of its own, which supersedes the
-        old one."""
-        old, b = self.nets[s]
-        net = self._recount(s) * (b - 1) - b
-        if net <= 0:
-            del self.nets[s]
-            return
-        self.exact.add(s)
-        if net != old:
-            self.nets[s] = (net, b)
-            heapq.heappush(self.heap, (-net, -b, s))
+        self.substitutions = 0
+        self.heap: list | None = None
+        self.held: set[str] = set()  # every character a heap key may hold
 
     def best(self) -> str | None:
-        """The key rank_keys(nets, 1) would pick on exact counts, if any."""
-        if self.nets is None:
-            self._count_all()
-        nets, heap = self.nets, self.heap
-        while heap:
-            net, b, s = heap[0]
-            if nets.get(s) != (-net, -b):
-                heapq.heappop(heap)
-            elif s not in self.exact:
-                self._refresh(s)
-            else:
-                return s
-        return None
+        """The key rank_keys would rank first on a full count of the
+        stream now, if any."""
+        if self.heap is None:
+            self.heap = [(-net, -b, s, 0) for s, (net, b) in profitable_keys(
+                self.low, self.max_len, self.granularity).items()]
+            heapq.heapify(self.heap)
+            self.held = set(self.low.sig)  # after the walk, off its peak
+        return _exact_top(self.heap, self.substitutions, self._recount)
 
     def substitute(self, pattern: str, item) -> tuple[list | None, int]:
         """Replace by item every match of pattern at a fetch position,
-        taken left to right, and mark every count stale.  Returns the
+        taken left to right, which makes every count stale.  Returns the
         items removed by the first match (None if nothing matched) and
         the match count.
 
@@ -350,7 +349,7 @@ class PayingKeys:
         old, t = self.low, len(pattern)
         starts = old.runs(pattern, "free")
         self.low = old.splice([(a, a + t, item) for a in starts])
-        self.exact.clear()
+        self.substitutions += 1
         if isinstance(item, LiteralByte):
             # each replaced run before a start moved it t - 1 items down
             self._count_new([a - k * (t - 1) for k, a in enumerate(starts)],
@@ -366,15 +365,18 @@ class PayingKeys:
         """Count the paying keys that hold char, the signature character
         of the items just put in at points (in stream order).
 
-        The stream held no char before, so every run of such a key lies
-        in a window [p - max_len + 1, p + max_len + 1) around a point;
-        the last item of a window is there only for the aligned end
-        test.  Windows that touch are merged, and the rest are joined
+        The stream held no char just before, so every run of such a key
+        lies in a window [p - max_len + 1, p + max_len + 1) around a
+        point; the last item of a window is there only for the aligned
+        end test.  Windows that touch are merged, and the rest are joined
         into one stream by a _STOP, which no run crosses.
         profitable_keys over that stream, the full count's own count,
-        sees every run of these keys in stream order,
-        and two of them overlap there exactly when they overlap in the
-        stream, so the nets it gives the keys that hold char are exact.
+        sees every run of these keys in stream order, and two of them
+        overlap there exactly when they overlap in the stream, so the
+        nets it gives the keys that hold char are exact.  A char the
+        stream held earlier, and then lost to substitutions, may have
+        left entries of such keys behind; they go first, so that each
+        key keeps one entry.
         """
         low, reach, cuts = self.low, self.max_len, []
         for p in points:
@@ -386,11 +388,13 @@ class PayingKeys:
         windows = Lowered([], _STOP.join(low.sig[a:e] for a, e in cuts),
                           _BOUNDARY.join(low.marks[a:e] for a, e in cuts))
         nets = profitable_keys(windows, reach, self.granularity)
+        if char in self.held:
+            self.heap = [e for e in self.heap if char not in e[2]]
+            heapq.heapify(self.heap)
+        self.held.add(char)
         for s, (net, b) in nets.items():
             if char in s:
-                self.nets[s] = (net, b)
-                self.exact.add(s)
-                heapq.heappush(self.heap, (-net, -b, s))
+                heapq.heappush(self.heap, (-net, -b, s, self.substitutions))
 
 
 @dataclass
@@ -422,8 +426,8 @@ def select_greedy(stream: Stream, max_macros: int, max_len: int
     of every instruction sharing it, so it outscores each full
     instruction, yet adopting it strands the extension bytes behind the
     macro byte where no later candidate can reach them.  Stage one
-    counts the walk once and then lets PayingKeys recount a key when it
-    reaches the top of its heap.  Once no aligned run pays, a second
+    counts the walk once and then recounts a key only when it reaches
+    the top of the heap of PayingKeys (see _exact_top).  Once no aligned run pays, a second
     stage admits prefixes to mop up instructions whose full forms were
     too rare to adopt (see _stage_two).
 
@@ -442,7 +446,7 @@ def select_greedy(stream: Stream, max_macros: int, max_len: int
         code = isa.MACRO_OPCODE_BASE + len(adopted)
         body, _ = keys.substitute(best, MacroByte(code))
         adopted.append(StreamMacro(code=code, items=body,
-                                   byte_len=keys.nets[best][1]))
+                                   byte_len=_width(best)))
     if len(adopted) == max_macros:  # no stage two, so no table to build
         return Stream(keys.low.items), adopted
     return _stage_two(keys.low, max_macros, max_len, adopted), adopted
@@ -455,34 +459,29 @@ def _stage_two(low: Lowered, max_macros: int, max_len: int,
     max_macros are adopted or no key pays, then splice once.
 
     The table of distinct instructions gives each key's net and runs,
-    which never overlap (see _instructions).  Each key has one entry
-    (-net, -b, key) on a heap, as in PayingKeys: a cut only removes
-    runs, so a stored net is an upper bound.  The popped key is
-    recounted exactly, from its runs whose start no cut has covered; if
-    it was stale, it goes back with its net now while it still pays.
-    An exact top is set aside for this pick while a paying key strictly
-    extends it, and is otherwise the best key: it is adopted, taking
-    its matches as select_freq's keys do (see _adopt), and the keys set
-    aside go back on the heap.
+    which never overlap (see _instructions).  _exact_top picks the best
+    key, recounting a stale one from its runs whose start no cut has
+    covered.  That key is set aside for this pick while a paying key
+    strictly extends it, and is otherwise adopted, taking its matches as
+    select_freq's keys do (see _adopt); the keys set aside then go back
+    on the heap.
     """
     table = _instructions(low, max_len)
     nets, runs_of = _prefix_keys(table)
-    heap = [(-net, -b, s) for s, (net, b) in nets.items()]
+    heap = [(-net, -b, s, len(adopted)) for s, (net, b) in nets.items()]
     heapq.heapify(heap)
     gone, cuts, aside = set(), [], []
 
-    def net(s: str) -> int:
-        """The net of key s now."""
-        b = nets[s][1]
-        return sum(a not in gone for a in runs_of[s]) * (b - 1) - b
+    def count(s: str) -> int:
+        """How many runs of key s no cut has covered."""
+        return sum(a not in gone for a in runs_of[s])
 
-    while heap and len(adopted) < max_macros:
-        top, b, s = heapq.heappop(heap)
-        if (now := net(s)) < -top:
-            if now > 0:
-                heapq.heappush(heap, (-now, b, s))
-        elif any(e != s and e.startswith(s) and net(e) > 0 for e in nets):
-            aside.append((top, b, s))
+    while len(adopted) < max_macros and (
+            s := _exact_top(heap, len(adopted), count)) is not None:
+        top = heapq.heappop(heap)
+        if any(e != s and e.startswith(s) and count(e) * (b - 1) > b
+               for e, (_, b) in nets.items()):
+            aside.append(top)
         else:
             cuts += _adopt([s], low, table, nets, runs_of, gone, adopted)
             while aside:

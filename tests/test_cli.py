@@ -205,6 +205,30 @@ def test_hex_entry_inside_an_instruction_is_rejected(tmp_path, capsys,
     assert not (tmp_path / "o.mco").exists()
 
 
+def refused_flag(tmp_path, capsys, *flag):
+    """The exit code and stderr of asm with flag, which argparse refuses."""
+    src = write(tmp_path, "p.mcrl", COUNTER)
+    with pytest.raises(SystemExit) as exc:
+        main(["asm", str(src), "--out", str(tmp_path / "o.mco"), *flag])
+    assert not (tmp_path / "o.mco").exists()
+    return exc.value.code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sign", "-+")
+def test_signed_origin_is_refused_at_parsing(tmp_path, capsys, sign):
+    # int(text, 16) takes a sign, which once gave "origin -0x5 out of range"
+    rc, err = refused_flag(tmp_path, capsys, "--origin", sign + "5")
+    assert rc == 2
+    assert f"argument --origin: '{sign}5' is signed" in err
+
+
+@pytest.mark.parametrize("sign", "-+")
+def test_signed_entry_is_refused_at_parsing(tmp_path, capsys, sign):
+    rc, err = refused_flag(tmp_path, capsys, "--entry", sign + "1")
+    assert rc == 2
+    assert f"argument --entry: '{sign}1' is signed" in err
+
+
 def test_entry_inside_code_is_accepted(tmp_path, capsys):
     src = write(tmp_path, "p.mcrl", COUNTER)
     obj = tmp_path / "o.mco"

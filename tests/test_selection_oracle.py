@@ -15,6 +15,7 @@ and oracles.select_freq, which sweep and splice once per key, also on
 raw-hex lines whose matches run past an instruction end.
 """
 
+import heapq
 import random
 from collections import Counter, defaultdict
 
@@ -392,7 +393,53 @@ def test_lazy_bounds_on_self_overlapping_inputs(monkeypatch):
                     got = greedy.greedy_select(data, 176, max_len, embed)
                     want = oracles.greedy_select(data, 176, max_len, embed)
                     assert got == want, (data, max_len, embed)
+    # bytes that leave the stream and come back as macro codes; a key
+    # holding one must keep one heap entry, or it is recounted twice
+    data = corpus.generate_program(0).encode()[:160]
+    got = greedy.greedy_select(data, 176, 3, allow_embed=True)
+    assert got == oracles.greedy_select(data, 176, 3, True)
     assert len(recounts) > 100
+
+
+def test_exact_top_recounts_only_stale_tops():
+    recounts = []
+
+    def recount(s):
+        recounts.append(s)
+        return {"ab": 3, "cd": 1}[s]
+
+    # "ab" (b 2) counted at adoption 0, "cd" (b 2) and "xyz" (b 3) at 1
+    heap = [(-5, -2, "ab", 0), (-4, -3, "xyz", 1), (-2, -2, "cd", 1)]
+    heapq.heapify(heap)
+    # a current top is returned, and left on the heap
+    assert macros._exact_top(heap, 0, recount) == "ab"
+    assert recounts == [] and heap[0] == (-5, -2, "ab", 0)
+    # a stale top is recounted once and ranks by its new net, 3*1 - 2
+    assert macros._exact_top(heap, 1, recount) == "xyz"
+    assert recounts == ["ab"]
+    assert sorted(heap) == [(-4, -3, "xyz", 1), (-2, -2, "cd", 1),
+                            (-1, -2, "ab", 1)]
+    # a top that stops paying is dropped: "cd" runs once now
+    heapq.heappop(heap)
+    assert macros._exact_top(heap, 2, recount) == "ab"
+    assert recounts == ["ab", "cd", "ab"] and heap == [(-1, -2, "ab", 2)]
+    assert macros._exact_top([], 0, recount) is None
+
+
+def test_full_count_leaves_one_heap_entry_per_paying_key():
+    texts = [CROSSING, SHARED_PREFIX, corpus.generate_program(0)]
+    lows = [macros.lower(asm.assemble_stream(text)[0].items)
+            for text in texts]
+    lows += [macros.lower(greedy._byte_stream(data).items)
+             for data in (b"ab" * 40, corpus.generate_program(1).encode())]
+    for low in lows:
+        for granularity in ("free", "aligned"):
+            keys = macros.PayingKeys(low, 20, granularity)
+            keys.best()
+            want = macros.profitable_keys(low, 20, granularity)
+            assert len(keys.heap) == len(want)
+            assert {s: (-net, -b) for net, b, s, _ in keys.heap} == want
+            assert {counted for *_, counted in keys.heap} <= {0}
 
 
 def spy_stages(monkeypatch):
@@ -500,18 +547,17 @@ def born_keys(nets, char):
 
 
 def check_born_keys(monkeypatch):
-    """After every substitution by a literal, the keys counted exact
-    that hold its character are those a fresh full count finds, with
-    the same nets.  A key that held the character before it left the
-    stream may still be there, stale: its stored net bounds the count
-    of its new runs, which do not pay, or it would be exact.  Returns
-    the match count of each substitution checked, in order."""
+    """After every substitution by a literal, the keys whose heap
+    entries are current that hold its character are those a fresh full
+    count finds, with the same nets.  Returns the match count of each
+    substitution checked, in order."""
     substitute, checked = macros.PayingKeys.substitute, []
 
     def spy(self, pattern, item):
         out = substitute(self, pattern, item)
         char = chr(item.value)
-        exact = {s: self.nets[s] for s in self.exact}
+        exact = {s: (-net, -b) for net, b, s, counted in self.heap
+                 if counted == self.substitutions}
         fresh = macros.profitable_keys(self.low, self.max_len,
                                        self.granularity)
         assert born_keys(exact, char) == born_keys(fresh, char), (
