@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import string
 import sys
 import time
 
@@ -235,12 +236,19 @@ def cmd_stats(args) -> int:
 # ---------------------------------------------------------------------------
 # Argument plumbing
 
+_HEX_DIGITS = frozenset(string.hexdigits)
+
+
 def _unsigned_hex(text: str) -> int:
-    """int(text, 16), without the sign that int would take."""
+    """text, hex digits only, as a number; int(text, 16) alone would also
+    take a sign, a 0x prefix, digit separators and surrounding space.
+    Raises ValueError if text is not hex digits."""
     if text.lstrip()[:1] in ("+", "-"):
         raise argparse.ArgumentTypeError(
             f"{text!r} is signed; give an unsigned hex number")
-    return int(text, 16)
+    if not _HEX_DIGITS.issuperset(text):
+        raise ValueError(f"{text!r} is not hex digits")
+    return int(text, 16)  # ValueError for "" too
 
 
 def _hex_word(text: str) -> int:

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import heapq
 import time
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import cached_property
+from itertools import accumulate, repeat
 
 from . import asm, isa
 from .asm import LabelRef, LiteralByte, MacroByte, Stream
@@ -68,18 +70,62 @@ class Lowered:
     def splice(self, cuts: list[tuple]) -> Lowered:
         """Replace each span (start, end, item) of items by that item;
         spans come in stream order and do not overlap."""
+        old_items, old_sig, old_marks = self.items, self.sig, self.marks
         items, sig, marks = [], [], []
-        pos = 0
+        pos, last = 0, None  # runs of cuts often share their item
         for start, end, item in cuts:
-            c, m = _lower_item(item, {})
-            items += self.items[pos:start]
+            if item is not last:
+                last, (c, m) = item, _lower_item(item, {})
+            items += old_items[pos:start]
             items.append(item)
-            sig += (self.sig[pos:start], c)
-            marks += (self.marks[pos:start], m)
+            sig += (old_sig[pos:start], c)
+            marks += (old_marks[pos:start], m)
             pos = end
-        items += self.items[pos:]
-        return Lowered(items, "".join(sig) + self.sig[pos:],
-                       "".join(marks) + self.marks[pos:])
+        items += old_items[pos:]
+        return Lowered(items, "".join(sig) + old_sig[pos:],
+                       "".join(marks) + old_marks[pos:])
+
+    @cached_property
+    def fingerprint(self) -> tuple[str, list[int], list[int]] | None:
+        """The stream's instruction string, or None when the texts of its
+        instructions are not prefix-free.
+
+        The stream splits before every _START and every _BOUNDARY into
+        pieces: an instruction, from a _START, or a macro byte or label
+        def with what follows it.  An instruction's text is its slice of
+        sig.  Returns (fp, at, offset): fp has one character per piece,
+        at[j] is the first item of piece j, with at[-1] = len(sig), and
+        offset[j] is the width in bytes of the pieces before piece j,
+        exact for every piece that may join a run.  The texts are
+        numbered in sorted order from chr(0x101); a text that holds
+        _STOP, and every piece that is no instruction, maps to _STOP.  A
+        stream that starts mid-instruction has None.
+
+        Prefix-free means that no text is a proper prefix of another,
+        counting texts that hold _STOP.  Then a match of a run of whole
+        instructions that starts at a _START ends where an instruction
+        ends, and two runs of whole instructions have equal keys exactly
+        when their characters in fp are equal.  So such runs are counted
+        and matched in fp, one character per instruction (see _walk and
+        PayingKeys).  Raw-hex lines can break it: ZER 00, 01 begins with
+        the text of ZER WA.
+        """
+        sig, marks = self.sig, self.marks
+        if marks[:1] == _OTHER:  # a stream that starts mid-instruction
+            return None
+        at = [i for i, m in enumerate(marks) if m != _OTHER]
+        at.append(len(sig))
+        texts = [sig[a:b] for a, b in zip(at, at[1:])]
+        # instruction texts start with a literal, other pieces with _STOP
+        ordered = sorted(filter(_STOP.__gt__, set(texts)))
+        if (any(map(str.startswith, ordered[1:], ordered))
+                or len(ordered) > 0x10FFFF - 0x101):
+            return None
+        char_of = {x: _STOP if _STOP in x else chr(0x101 + i)
+                   for i, x in enumerate(ordered)}
+        width = {x: _width(x) for x in ordered}
+        return ("".join(map(char_of.get, texts, repeat(_STOP))), at,
+                [0, *accumulate(map(width.get, texts, repeat(0)))])
 
     def runs(self, pattern: str, granularity: str) -> list[int]:
         """The first item of each run of key pattern at granularity,
@@ -111,17 +157,21 @@ def lower(items: list) -> Lowered:
     symbols = sorted({it.symbol for it in items
                       if type(it) is LabelRef and not it.relaxed})
     char_of = {sym: chr(0x101 + i) for i, sym in enumerate(symbols)}
-    # literals, nearly every item, inline; _lower_item for the rest
-    sig = [chr(it.value) if type(it) is LiteralByte
-           else _lower_item(it, char_of)[0] for it in items]
-    marks = [(_START if it.op_start else _OTHER) if type(it) is LiteralByte
-             else _lower_item(it, char_of)[1] for it in items]
+    sig, marks = [], []
+    for it in items:  # literals, nearly every item, inline
+        if type(it) is LiteralByte:
+            sig.append(chr(it.value))
+            marks.append(_START if it.op_start else _OTHER)
+        else:
+            c, m = _lower_item(it, char_of)
+            sig.append(c)
+            marks.append(m)
     return Lowered(items, "".join(sig), "".join(marks))
 
 
 def _walk(low: Lowered, max_len: int, granularity: str):
     """The candidate runs of 2..max_len bytes that may repeat, one item
-    count at a time.
+    or one instruction count at a time.
 
     A run starts where an opcode is fetched (the body is spliced into the
     fetch stream, so a macro byte anywhere else would be read as operand
@@ -134,34 +184,58 @@ def _walk(low: Lowered, max_len: int, granularity: str):
     granularity narrows where runs may end.  "free" allows any item
     boundary; "aligned" requires runs to cover whole instructions.  Runs
     kept inside one instruction are counted from the table of distinct
-    instructions instead (see _instructions).
+    instructions instead (see _instructions).  At "aligned", a stream
+    whose instruction texts are prefix-free is walked over its
+    instruction string, one instruction at a time (see
+    Lowered.fingerprint); the runs are the same.
 
-    Yields (t, runs) for t = 2, 3, ...: runs maps the key of every run of
-    t items that may end there and whose key another run of t items
-    shares to the first item of each such run, in stream order.  A start
-    whose run of t items has a key of its own is dropped: every longer
-    run from it has a key of its own too, so none can repeat.
+    Yields dicts that map the key of every run that may end there and
+    whose key another run of as many items (or instructions) shares to
+    the first item of each such run, in stream order.  A start whose run
+    has a key of its own is dropped: every longer run from it has a key
+    of its own too, so none can repeat.
     """
     if max_len < 2:
         raise ValueError("max_len must be at least 2")
     if granularity not in ("free", "aligned"):
         raise ValueError(f"unknown granularity {granularity!r}")
     sig, marks = low.sig, low.marks
-    # joins[j]: a run begun before item j may take it in
-    joins = [c != _STOP for c in sig] + [False]
+    if granularity == "aligned" and (fingerprint := low.fingerprint):
+        fp, at, offset = fingerprint
+        for m, runs in _grow(fp, range(len(fp)), 1, offset, None, max_len):
+            keyed = {}
+            for starts in runs.values():
+                a, e = at[starts[0]], at[starts[0] + m]
+                if e - a > 1:  # one item is no candidate
+                    keyed[sig[a:e]] = [at[j] for j in starts]
+            yield keyed
+        return
     # run widths are differences of these offsets; _STOP items count 2
     # here, which is harmless because no run holds one
     offset = [0, *accumulate(1 if c < _STOP else 2 for c in sig)]
     ends = ([m != _OTHER for m in marks] + [True]
             if granularity == "aligned" else None)
-    live = [i for i, m in enumerate(marks) if m == _START and joins[i + 1]
-            and offset[i + 2] - offset[i] <= max_len]
-    t = 2
+    starts = [i for i, m in enumerate(marks) if m == _START]
+    for _, runs in _grow(sig, starts, 2, offset, ends, max_len):
+        yield runs
+
+
+def _grow(sig: str, starts, t: int, offset: list[int], ends, max_len: int):
+    """_walk's loop over the runs of t, t + 1, ... characters of sig
+    from starts, in order, whose first t - 1 characters are no _STOP:
+    yields (t, runs) for each t that has runs.
+
+    offset[i] is the width of sig[:i] in bytes.  A run takes in no
+    _STOP, and when ends is given, it ends only where ends is true."""
+    # joins[j]: a run begun before character j may take it in
+    joins = [c != _STOP for c in sig] + [False]
+    live = [i for i in starts if joins[i + t - 1]
+            and offset[i + t] - offset[i] <= max_len]
     while live:
         keys = [sig[i:i + t] for i in live]
         seen = Counter(keys)
         runs: dict[str, list[int]] = defaultdict(list)
-        longer = []  # the starts of runs of t + 1 items that may repeat
+        longer = []  # the starts of runs of t + 1 that may repeat
         for i, s in zip(live, keys):
             if seen[s] > 1:
                 if ends is None or ends[i + t]:
@@ -177,8 +251,8 @@ def _walk(low: Lowered, max_len: int, granularity: str):
 
 def _width(s: str) -> int:
     """Byte width of the run a signature string stands for; refs are
-    two bytes wide."""
-    return len(s) if max(s) < _STOP else len(s) + sum(c > _STOP for c in s)
+    two bytes wide, and they are the characters that latin-1 drops."""
+    return 2 * len(s) - len(s.encode("latin-1", "ignore"))
 
 
 def _leftmost(starts: list[int], t: int) -> int:
@@ -241,9 +315,9 @@ def _paying_runs(low: Lowered, max_len: int, granularity: str):
     item of each run of _walk in stream order, and f their
     leftmost-greedy count, as Lowered.runs takes them.
     """
-    for t, runs in _walk(low, max_len, granularity):
+    for runs in _walk(low, max_len, granularity):
         for s, starts in runs.items():
-            f, b = _leftmost(starts, t), _width(s)
+            f, b = _leftmost(starts, len(s)), _width(s)
             if f * (b - 1) > b:
                 yield s, f, b, starts
 
@@ -305,17 +379,25 @@ class PayingKeys:
     """The keys that pay on a stream while it is substituted, one heap
     entry each, from which _exact_top picks the best.
 
-    One full count (profitable_keys) fills the heap on the first call
-    of best.  Put in as a macro byte, the replacement ends every run, so
-    it only removes runs, and every entry stays an upper bound.  A
-    replacement put in as a literal (byte-level embedding) must be a
-    character the stream does not hold, so the runs through it are new
-    keys.  They are counted at insertion by the same count as the full
-    count, run over the windows around the new literals only (see
-    _count_new), and their entries are current until the next
-    substitution.
+    One full count (the walk's, as profitable_keys counts it) fills the
+    heap on the first call of best.  Put in as a macro byte, the
+    replacement ends every run, so it only removes runs, and every entry
+    stays an upper bound.  A replacement put in as a literal (byte-level
+    embedding) must be a character the stream does not hold, so the runs
+    through it are new keys.  They are counted at insertion by the same
+    count as the full count, run over the windows around the new
+    literals only (see _count_new), and their entries are current until
+    the next substitution.
 
-    granularity is the walk's, "free" or "aligned".
+    granularity is the walk's, "free" or "aligned".  At "aligned", on a
+    stream whose instruction texts are prefix-free (see
+    Lowered.fingerprint), every key is a run of whole instructions, and
+    so is every match of one at a fetch position.  Then a recount is one
+    str.count of the key's characters in the instruction string, which
+    one str.replace per substitution keeps in step: a _STOP stands for
+    each macro byte.  Any other substitution gives the string up, and
+    recounts sweep the stream from then on.  Either way the stream itself
+    is spliced at every substitution.
     """
 
     def __init__(self, low: Lowered, max_len: int, granularity: str):
@@ -325,15 +407,25 @@ class PayingKeys:
         self.substitutions = 0
         self.heap: list | None = None
         self.held: set[str] = set()  # every character a heap key may hold
+        self.fp: str | None = None  # the instruction string, while kept
+        self.fp_keys: dict[str, str] = {}  # key -> its characters in fp
 
     def best(self) -> str | None:
         """The key rank_keys would rank first on a full count of the
         stream now, if any."""
         if self.heap is None:
-            self.heap = [(-net, -b, s, 0) for s, (net, b) in profitable_keys(
-                self.low, self.max_len, self.granularity).items()]
+            low, self.heap = self.low, []
+            if self.granularity == "aligned" and low.fingerprint:
+                self.fp, at, _ = low.fingerprint
+            for s, f, b, starts in _paying_runs(low, self.max_len,
+                                                self.granularity):
+                self.heap.append((f * (1 - b) + b, -b, s, 0))
+                if self.fp is not None:  # the characters of its first run
+                    a = starts[0]
+                    self.fp_keys[s] = self.fp[bisect_left(at, a):
+                                              bisect_left(at, a + len(s))]
             heapq.heapify(self.heap)
-            self.held = set(self.low.sig)  # after the walk, off its peak
+            self.held = set(low.sig)  # after the walk, off its peak
         return _exact_top(self.heap, self.substitutions, self._recount)
 
     def substitute(self, pattern: str, item) -> tuple[list | None, int]:
@@ -350,6 +442,9 @@ class PayingKeys:
         starts = old.runs(pattern, "free")
         self.low = old.splice([(a, a + t, item) for a in starts])
         self.substitutions += 1
+        if self.fp is not None:
+            key = type(item) is MacroByte and self.fp_keys.get(pattern)
+            self.fp = self.fp.replace(key, _STOP) if key else None
         if isinstance(item, LiteralByte):
             # each replaced run before a start moved it t - 1 items down
             self._count_new([a - k * (t - 1) for k, a in enumerate(starts)],
@@ -359,6 +454,8 @@ class PayingKeys:
 
     def _recount(self, s: str) -> int:
         """Leftmost-greedy count of the runs of key s on the stream."""
+        if self.fp is not None:
+            return self.fp.count(self.fp_keys[s])
         return len(self.low.runs(s, self.granularity))
 
     def _count_new(self, points: list[int], char: str) -> None:
@@ -427,9 +524,15 @@ def select_greedy(stream: Stream, max_macros: int, max_len: int
     instruction, yet adopting it strands the extension bytes behind the
     macro byte where no later candidate can reach them.  Stage one
     counts the walk once and then recounts a key only when it reaches
-    the top of the heap of PayingKeys (see _exact_top).  Once no aligned run pays, a second
-    stage admits prefixes to mop up instructions whose full forms were
-    too rare to adopt (see _stage_two).
+    the top of the heap of PayingKeys (see _exact_top).  When no
+    instruction's text is a proper prefix of another's, which only
+    raw-hex lines can break, stage one works on the instruction string,
+    one character per instruction: the walk goes one instruction at a
+    time, a recount is one str.count and each adoption one str.replace
+    there (see Lowered.fingerprint); otherwise it walks, recounts and
+    matches item by item.  Once no aligned run pays, a second stage
+    admits prefixes to mop up instructions whose full forms were too
+    rare to adopt (see _stage_two).
 
     Stage two defers any profitable key that strictly prefixes another
     profitable key: the extension's leftovers are still there for the

@@ -222,6 +222,28 @@ def test_signed_origin_is_refused_at_parsing(tmp_path, capsys, sign):
     assert f"argument --origin: '{sign}5' is signed" in err
 
 
+# int(text, 16) also takes a 0x prefix, digit separators and surrounding
+# space, which once made --origin 1_00 assemble at 0100
+NOT_HEX_DIGITS = ["1_00", "0x100", " 100", "100 "]
+
+
+@pytest.mark.parametrize("text", NOT_HEX_DIGITS)
+def test_origin_takes_hex_digits_only(tmp_path, capsys, text):
+    rc, err = refused_flag(tmp_path, capsys, "--origin", text)
+    assert rc == 2
+    assert f"argument --origin: {text!r} is not a hex number" in err
+
+
+@pytest.mark.parametrize("text", NOT_HEX_DIGITS)
+def test_entry_of_other_than_hex_digits_is_a_label(tmp_path, capsys, text):
+    src = write(tmp_path, "p.mcrl", COUNTER)
+    rc, _, err = run_cli(capsys, "asm", src, "--out", tmp_path / "o.mco",
+                         "--entry", text)
+    assert rc == 2
+    assert f"entry label {text!r} is not defined" in err
+    assert not (tmp_path / "o.mco").exists()
+
+
 @pytest.mark.parametrize("sign", "-+")
 def test_signed_entry_is_refused_at_parsing(tmp_path, capsys, sign):
     rc, err = refused_flag(tmp_path, capsys, "--entry", sign + "1")
