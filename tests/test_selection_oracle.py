@@ -18,6 +18,7 @@ raw-hex lines whose matches run past an instruction end.
 import heapq
 import random
 from collections import Counter, defaultdict
+from itertools import accumulate
 
 import pytest
 
@@ -157,8 +158,10 @@ def test_each_stage_walks_the_stream_once(monkeypatch, criterion_corpus):
     monkeypatch.setattr(macros.PayingKeys, "substitute", spy_substitute)
     _, info = compact_source(criterion_corpus, mode="greedy")
     assert info["macro_count"] == 120  # one round each
+    # stage one walks the pieces, one per instruction
     stream, _ = asm.assemble_stream(criterion_corpus)
-    assert walks[0] == ("aligned", len(stream.items))
+    pieces = macros.lower(stream.items).pieces
+    assert walks[0] == ("aligned", len(pieces.sig))
     assert [g for g, _ in walks] == ["aligned"]
     assert windows == []
 
@@ -355,10 +358,17 @@ def reference_paying_runs(low, max_len, granularity):
     return out
 
 
+# Whole instructions that hold a two-byte ref and repeat, so that keys
+# of several widths hold refs.
+REPEATED_REFS = ("       MOV =L1, WA\n       OUT WA\n       MOV =L2, WB\n" * 5
+                 + "L1     HLT\nL2     HLT\n")
+
+
 def walk_cases():
     for seed in range(12):
         stream, _ = asm.assemble_stream(corpus.generate_program(seed))
         yield f"program {seed}", stream.items
+    yield "repeated refs", asm.assemble_stream(REPEATED_REFS)[0].items
     for name, data in (("all-equal", bytes(90)), ("period 2", b"ab" * 45),
                        ("period 3", b"aab" * 30),
                        ("all values", bytes(range(256)) * 2)):
@@ -382,6 +392,23 @@ def test_pruned_walk_matches_reference():
                     got = {s: (f, b, runs) for s, f, b, runs
                            in macros._paying_runs(low, max_len, granularity)}
                 assert got == want, (name, granularity, max_len)
+                if granularity == "aligned" and low.pieces is not None:
+                    got = pieces_paying_runs(low, max_len)
+                    assert got == want, (name, "pieces", max_len)
+
+
+def pieces_paying_runs(low, max_len):
+    """_paying_runs on low's pieces, mapped back to keys and starts of
+    items; the keys of pieces must sort as those keys of items do."""
+    pieces = low.pieces
+    at = [0, *accumulate(map(len, pieces.items))]
+    got = {}
+    for s, f, b, runs in macros._paying_runs(pieces, max_len, "aligned"):
+        j = runs[0]
+        got[s] = (low.sig[at[j]:at[j + len(s)]], f, b, [at[i] for i in runs])
+    assert ([got[s][0] for s in sorted(got)]
+            == sorted(key for key, *_ in got.values()))
+    return {key: (f, b, runs) for key, f, b, runs in got.values()}
 
 
 def test_lazy_bounds_on_self_overlapping_inputs(monkeypatch):
