@@ -100,9 +100,9 @@ def greedy_select(data: Sequence[int], max_macros: int, max_len: int,
         best = keys.best()
         if best is None:
             break
-        removed, count = keys.substitute(
+        _, count = keys.substitute(
             best, _BYTE_ITEMS[code] if allow_embed else MacroByte(code))
-        body = bytes(it.value for it in removed)
+        body = best.encode("latin-1")  # a byte stream's key is its bytes
         left.subtract(body * count)
         macros.append(Macro(body=body, code=code))
         assigned.add(code)

@@ -13,11 +13,12 @@ instruction.
 from __future__ import annotations
 
 import heapq
+import re
 import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 
 from . import asm, isa
 from .asm import LabelRef, LiteralByte, MacroByte, Stream
@@ -33,8 +34,8 @@ _START, _BOUNDARY, _OTHER = "s", "b", "-"  # item marks, see Lowered
 
 def _lower_item(it, char_of: dict[str, str]) -> tuple[str, str]:
     """The signature character and the mark of one item.  On a stream of
-    pieces, the piece put in for a macro byte is [MacroByte], and it
-    lowers as the macro byte does."""
+    pieces, a macro byte put in as the piece [MacroByte] lowers as the
+    macro byte does."""
     if isinstance(it, LiteralByte):
         return chr(it.value), _START if it.op_start else _OTHER
     if isinstance(it, LabelRef):
@@ -77,7 +78,13 @@ class Lowered:
 
     def splice(self, cuts: list[tuple]) -> Lowered:
         """Replace each span (start, end, item) of items by that item;
-        spans come in stream order and do not overlap."""
+        spans come in stream order and do not overlap.
+
+        Each selection stage splices its stream once, with every cut it
+        made.  Only greedy's stage one on a stream that is not whole
+        (see PayingKeys) splices at each adoption, because a recount
+        there reads the stream's marks.
+        """
         old_items, old_sig, old_marks = self.items, self.sig, self.marks
         items, sig, marks = [], [], []
         pos, last = 0, None  # runs of cuts often share their item
@@ -167,15 +174,10 @@ def lower(items: list) -> Lowered:
                       if type(it) is LabelRef and not it.relaxed})
     char_of = {sym: chr(0x101 + i) for i, sym in enumerate(symbols)}
     sig, marks = [], []
-    # literals, nearly every item, and macro bytes, which stage one's
-    # flattened pieces hold many of, inline
     for it in items:
-        if type(it) is LiteralByte:
+        if type(it) is LiteralByte:  # nearly every item, inline
             sig.append(chr(it.value))
             marks.append(_START if it.op_start else _OTHER)
-        elif type(it) is MacroByte:
-            sig.append(_STOP)
-            marks.append(_BOUNDARY)
         else:
             c, m = _lower_item(it, char_of)
             sig.append(c)
@@ -191,7 +193,7 @@ def _walk(low: Lowered, max_len: int, granularity: str):
     fetch stream, so a macro byte anywhere else would be read as operand
     data) and may stop mid-instruction; the processor then finishes the
     instruction from the bytes after the macro byte.  It takes in only
-    items with a match key.  A label definition at the start of a run
+    items with a match key, its first one included.  A label definition at the start of a run
     needs no special case: it stays in the stream, where it ends up
     addressing the macro byte.
 
@@ -226,7 +228,7 @@ def _walk(low: Lowered, max_len: int, granularity: str):
     joins = [c != _STOP for c in sig] + [False]
     ends = ([m != _OTHER for m in marks] + [True]
             if granularity == "aligned" else None)
-    live = [i for i, m in enumerate(marks) if m == _START
+    live = [i for i, m in enumerate(marks) if m == _START and joins[i]
             and joins[i + t - 1] and offset[i + t] - offset[i] <= max_len]
     while live:
         keys = [sig[i:i + t] for i in live]
@@ -379,29 +381,73 @@ class PayingKeys:
     """The keys that pay on a stream while it is substituted, one heap
     entry each, from which _exact_top picks the best.
 
-    The stream is one of items or, for greedy's stage one, of pieces
-    (see Lowered.pieces); counts, recounts and substitutions are the
-    same on both.  One full count (the walk's, as profitable_keys counts
-    it) fills the heap on the first call of best, and a recount is one
-    Lowered.runs.  Put in as a macro byte, the replacement ends every
-    run, so it only removes runs, and every entry stays an upper bound.
-    A replacement put in as a literal (byte-level embedding) must be a
-    character the stream does not hold, so the runs through it are new
-    keys.  They are counted at insertion by the same count as the full
-    count, run over the windows around the new literals only (see
-    _count_new), and their entries are current until the next
-    substitution.
+    One full count (the walk's, as profitable_keys counts it) fills the
+    heap on the first call of best.  Put in as a macro byte, the
+    replacement ends every run, so it only removes runs, and every entry
+    stays an upper bound.  A replacement put in as a literal (byte-level
+    embedding) must be a character the stream does not hold, so the runs
+    through it are new keys.  They are counted at insertion by the same
+    count as the full count, run over the windows around the new
+    literals only (see _count_new), and their entries are current until
+    the next substitution.
+
+    A stream is whole when its marks hold no _OTHER, as pieces (see
+    Lowered.pieces) and byte streams do.  There every match of a key,
+    which holds no _STOP, starts at a _START and ends where an
+    instruction does, so it is a run at both granularities, and the runs
+    are the matches that str.count and str.replace take.  So on a whole stream only sig is
+    kept in step: a recount is sig.count(key), and a substitution is one
+    sig.replace(key, c), c being chr(value) for a literal and otherwise
+    a character of its own that ends every run, as _STOP does.  The
+    items are rebuilt from sig when low is read (see sites).  On any
+    other stream, such as raw-hex lines whose texts are not prefix-free,
+    a match can cross an instruction end, so a recount is one
+    Lowered.runs and a substitution one Lowered.splice of low.
 
     granularity is the walk's, "free" or "aligned".
     """
 
     def __init__(self, low: Lowered, max_len: int, granularity: str):
-        self.low = low
+        self.base, self.sig, self._low = low, low.sig, low
+        self.whole = _OTHER not in low.marks
         self.max_len = max_len
         self.granularity = granularity
         self.substitutions = 0
         self.heap: list | None = None
         self.held: set[str] = set()  # every character a heap key may hold
+        self.put_in: dict[str, tuple] = {}  # c -> (item, items of base)
+        # CPython's find and count skip by a 64-bit bloom mask of the
+        # pattern's characters, indexed by code point mod 64, so the
+        # characters of macro bytes are multiples of 64, as _STOP is:
+        # numbered densely they would share the bits of the key's own.
+        self._first = (ord(max(low.sig + _STOP)) // 64 + 1) * 64
+
+    @property
+    def low(self) -> Lowered:
+        """The stream now; on a whole stream it is rebuilt from sig, by
+        one splice of the stream PayingKeys began with, the first time
+        it is read after a substitution."""
+        if self._low is None:
+            base = self.base
+            self._low = base.splice(self.sites(range(len(base.items) + 1)))
+        return self._low
+
+    def sites(self, offsets) -> list[tuple]:
+        """On a whole stream, the cuts that turn the stream PayingKeys
+        began with into the one now: one per character of sig that a
+        substitution put in, in stream order, as (offsets[start],
+        offsets[end], item), start and end spanning the items of that
+        stream the character stands for."""
+        cuts, pos = [], 0
+        if self.put_in:  # parts: the text before each site, then the site
+            parts = re.split(f"([{''.join(map(re.escape, self.put_in))}])",
+                             self.sig)
+            for text, c in zip(parts[::2], parts[1::2]):
+                pos += len(text)
+                item, n = self.put_in[c]
+                cuts.append((offsets[pos], offsets[pos + n], item))
+                pos += n
+        return cuts
 
     def best(self) -> str | None:
         """The key rank_keys would rank first on a full count of the
@@ -411,60 +457,82 @@ class PayingKeys:
                          in _paying_runs(self.low, self.max_len,
                                          self.granularity)]
             heapq.heapify(self.heap)
-            self.held = set(self.low.sig)  # after the walk, off its peak
+            self.held = set(self.sig)  # after the walk, off its peak
         return _exact_top(self.heap, self.substitutions, self._recount)
 
     def substitute(self, pattern: str, item) -> tuple[list | None, int]:
         """Replace by item every match of pattern at a fetch position,
         taken left to right, which makes every count stale.  Returns the
-        items removed by the first match (None if nothing matched) and
-        the match count.
+        items removed by the first match and the match count; on a whole
+        stream, which keeps no positions, the items are None, and the
+        first site of item (see sites) is where they were.
 
         Every such match is replaced, whatever the granularity, so on
         raw-hex lines an "aligned" stage can replace more matches than
         it counted.
         """
-        old, t = self.low, len(pattern)
-        starts = old.runs(pattern, "free")
-        self.low = old.splice([(a, a + t, item) for a in starts])
         self.substitutions += 1
-        if isinstance(item, LiteralByte):
-            # each replaced run before a start moved it t - 1 items down
-            self._count_new([a - k * (t - 1) for k, a in enumerate(starts)],
-                            chr(item.value))
-        return (old.items[starts[0]:starts[0] + t] if starts else None,
-                len(starts))
+        literal = isinstance(item, LiteralByte)
+        if self.whole:
+            c = (chr(item.value) if literal
+                 else chr(self._first + 64 * len(self.put_in)))
+            count = self.sig.count(pattern)
+            self.sig = self.sig.replace(pattern, c)
+            self._low, removed = None, None
+            self.put_in[c] = (item, len(pattern) + sum(
+                self.put_in[x][1] - 1 for x in pattern if x in self.put_in))
+        else:
+            old, t = self._low, len(pattern)
+            starts = old.runs(pattern, "free")
+            self._low = old.splice([(a, a + t, item) for a in starts])
+            self.sig, count = self._low.sig, len(starts)
+            removed = old.items[starts[0]:starts[0] + t] if starts else None
+        if literal:
+            self._count_new(chr(item.value))
+        return removed, count
 
     def _recount(self, s: str) -> int:
         """Leftmost-greedy count of the runs of key s on the stream."""
-        return len(self.low.runs(s, self.granularity))
+        if self.whole:
+            return self.sig.count(s)
+        return len(self._low.runs(s, self.granularity))
 
-    def _count_new(self, points: list[int], char: str) -> None:
+    def _count_new(self, char: str) -> None:
         """Count the paying keys that hold char, the signature character
-        of the items just put in at points (in stream order).
+        of the items just put in.
 
         The stream held no char just before, so every run of such a key
         lies in a window [p - max_len + 1, p + max_len + 1) around a
-        point; the last item of a window is there only for the aligned
+        point p where sig holds char; the last item of a window is there only for the aligned
         end test.  Windows that touch are merged, and the rest are joined
         into one stream by a _STOP, which no run crosses.
         profitable_keys over that stream, the full count's own count,
         sees every run of these keys in stream order, and two of them
         overlap there exactly when they overlap in the stream, so the
-        nets it gives the keys that hold char are exact.  A char the
-        stream held earlier, and then lost to substitutions, may have
-        left entries of such keys behind; they go first, so that each
-        key keeps one entry.
+        nets it gives the keys that hold char are exact.  On a whole
+        stream a mark says nothing that the characters do not, since no
+        run starts at or takes in a character that ends runs (see
+        _walk), so the windows' marks are all _START, and the characters
+        of macro bytes become _STOP.  A char the stream held earlier,
+        and then lost to substitutions, may have left entries of such
+        keys behind; they go first, so that each key keeps one entry.
         """
-        low, reach, cuts = self.low, self.max_len, []
-        for p in points:
-            a, e = max(p - reach + 1, 0), min(p + reach + 1, len(low.sig))
+        sig, reach, cuts = self.sig, self.max_len, []
+        for p in (m.start() for m in re.finditer(re.escape(char), sig)):
+            a, e = max(p - reach + 1, 0), min(p + reach + 1, len(sig))
             if cuts and a <= cuts[-1][1]:
                 cuts[-1][1] = e
             else:
                 cuts.append([a, e])
-        windows = Lowered([], _STOP.join(low.sig[a:e] for a, e in cuts),
-                          _BOUNDARY.join(low.marks[a:e] for a, e in cuts))
+        text = _STOP.join(sig[a:e] for a, e in cuts)
+        if self.whole:
+            stops = {ord(c): _STOP for c, (it, _) in self.put_in.items()
+                     if not isinstance(it, LiteralByte)}
+            windows = Lowered([], text.translate(stops) if stops else text,
+                              _START * len(text))
+        else:
+            windows = Lowered([], text, _BOUNDARY.join(
+                self._low.marks[a:e] for a, e in cuts))
         nets = profitable_keys(windows, reach, self.granularity)
         if char in self.held:
             self.heap = [e for e in self.heap if char not in e[2]]
@@ -506,14 +574,17 @@ def select_greedy(stream: Stream, max_macros: int, max_len: int
     macro byte where no later candidate can reach them.  Stage one
     counts the walk once and then recounts a key only when it reaches
     the top of the heap of PayingKeys (see _exact_top).  It works on the
-    stream's pieces, one per instruction (see Lowered.pieces), or, where
-    raw-hex lines make an instruction's text a proper prefix of
-    another's, on pieces of one item each.  Either way the same walk,
-    recount and splice do the work, each adoption puts in a piece that
-    holds the macro byte, and the pieces are flattened back into items
-    at the end.  Once no aligned run pays, a second stage
-    admits prefixes to mop up instructions whose full forms were too
-    rare to adopt (see _stage_two).
+    stream's pieces, one per instruction (see Lowered.pieces), which are
+    whole: a recount is one str.count and an adoption one str.replace
+    of their signature string, and at the end each site of a macro
+    byte, mapped through the pieces' item offsets, is one cut of a
+    single splice of the item stream, whose first site gives the
+    macro's body.  Where raw-hex lines make an instruction's text a
+    proper prefix of another's, it works on the items instead, with one
+    Lowered.runs per recount and one splice per adoption.  Once no
+    aligned run pays, a second stage admits prefixes to mop up
+    instructions whose full forms were too rare to adopt (see
+    _stage_two).
 
     Stage two defers any profitable key that strictly prefixes another
     profitable key: the extension's leftovers are still there for the
@@ -525,20 +596,26 @@ def select_greedy(stream: Stream, max_macros: int, max_len: int
     """
     check_limits(max_macros, max_len)
     low = lower(stream.items)
-    keys = PayingKeys(low.pieces or Lowered([[it] for it in low.items],
-                                            low.sig, low.marks),
-                      max_len, "aligned")
+    pieces = low.pieces
+    keys = PayingKeys(pieces or low, max_len, "aligned")
     adopted: list[StreamMacro] = []
     while len(adopted) < max_macros and (best := keys.best()) is not None:
-        code = isa.MACRO_OPCODE_BASE + len(adopted)
-        body, _ = keys.substitute(best, [MacroByte(code)])  # a piece too
-        adopted.append(StreamMacro(code=code,
-                                   byte_len=_width(best, keys.low.widths),
-                                   items=list(chain.from_iterable(body))))
-    items = list(chain.from_iterable(keys.low.items))
+        item = MacroByte(isa.MACRO_OPCODE_BASE + len(adopted))
+        body, _ = keys.substitute(best, item)
+        adopted.append(StreamMacro(code=item.code, items=body,
+                                   byte_len=_width(best, keys.base.widths)))
+    if pieces is None:  # raw-hex lines, spliced at every adoption
+        low = keys.low
+    else:  # pieces are whole: each site, mapped to its items, is a cut
+        cuts = keys.sites([0, *accumulate(map(len, pieces.items))])
+        first = {item.code: (a, e) for a, e, item in reversed(cuts)}
+        for m in adopted:  # the body is copied from the first match
+            a, e = first[m.code]
+            m.items = low.items[a:e]
+        low = low.splice(cuts)
     if len(adopted) == max_macros:  # no stage two, so no table to build
-        return Stream(items), adopted
-    return _stage_two(lower(items), max_macros, max_len, adopted), adopted
+        return Stream(low.items), adopted
+    return _stage_two(low, max_macros, max_len, adopted), adopted
 
 
 def _stage_two(low: Lowered, max_macros: int, max_len: int,

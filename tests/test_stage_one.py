@@ -1,22 +1,24 @@
 """Greedy's stage one on either kind of stream.
 
 When no instruction's text is a proper prefix of another's, stage one
-walks, recounts and substitutes on the stream's pieces, one item per
-instruction (macros.Lowered.pieces).  Raw-hex lines can break that, and
-then it works item by item, with the same walk, recount and splice.
-Both are held to oracles.select_greedy, which recounts every key on the
-items after every adoption, and each recount on pieces to the
-item-level one.  A max_len of 2 or 4 leaves instructions too wide to
-join any run.
+walks the stream's pieces, one item per instruction
+(macros.Lowered.pieces), and recounts and substitutes on their
+signature string.  Raw-hex lines can break that, and then it works item
+by item, with the same walk, Lowered.runs recounts and a splice per
+adoption.  Both are held to oracles.select_greedy, which recounts every
+key on the items after every adoption, and each recount on the string,
+of pieces or of pack's bytes, to the item-level one.  A max_len of 2 or
+4 leaves instructions too wide to join any run.
 """
 
+import random
 from itertools import accumulate, chain
 
 import corpus
 import oracles
 import threaded
-from macroforge import asm, macros
-from macroforge.asm import MacroByte
+from macroforge import asm, greedy, macros
+from macroforge.asm import LiteralByte, MacroByte
 from test_selection_oracle import CROSSING, SHARED_PREFIX
 
 PREFIX_FREE = [*map(corpus.generate_program, range(40)), threaded.PROGRAM,
@@ -28,6 +30,11 @@ RAW_HEX = ("       NOP\n"
            + ("".join(f"       OUT 00, 0{k}\n" for k in range(1, 5))
               + "".join(f"       MOV 00, 00, 0{k}\n" for k in range(1, 9))) * 2
            + "       HLT\n")
+
+# Two branches with one key but not one item: only the first is
+# relaxable, and a body must be copied from the first match.
+BRANCHES = ("       BRN +L1\n       BRN L1\n" + "       NOP\n" * 180
+            + "L1     HLT\n")
 
 
 def lowered(text):
@@ -48,7 +55,8 @@ def test_which_programs_are_prefix_free():
 def test_both_paths_match_the_oracle():
     cases = [(threaded.PROGRAM, True),
              *((corpus.generate_program(seed), True) for seed in (6, 7, 8)),
-             (RAW_HEX, True), (CROSSING, False), (SHARED_PREFIX, False)]
+             (RAW_HEX, True), (BRANCHES, True), (CROSSING, False),
+             (SHARED_PREFIX, False)]
     for case, (text, on_pieces) in enumerate(cases):
         stream, _ = asm.assemble_stream(text)
         assert (macros.lower(stream.items).pieces is not None) == on_pieces
@@ -81,3 +89,28 @@ def test_string_recounts_equal_the_item_recounts():
             assert list(chain.from_iterable(keys.low.items)) == items.items
             code += 1
         assert code > 0x50
+
+    # pack's byte streams, flat and with embedded literals: every heap
+    # key, recounted on the string, against its runs on an item stream
+    # spliced in step, which the rebuilt stream must equal
+    rng = random.Random(3)
+    for data in (b"ab" * 40, bytes(rng.choice(b"ACGT") for _ in range(400)),
+                 bytes(range(256)) * 3):
+        for embed in (False, True):
+            items = macros.lower(greedy._byte_stream(data).items)
+            keys = macros.PayingKeys(items, 20, "free")
+            code = 0x50
+            while (best := keys.best()) is not None:
+                for s in {e[2] for e in keys.heap}:
+                    assert macros._STOP not in s  # no key runs through one
+                    assert keys._recount(s) == len(items.runs(s, "free"))
+                item = MacroByte(code)
+                free = set(range(256)) - set(map(ord, items.sig))
+                if embed and free:  # else a macro byte frees some
+                    item = LiteralByte(min(free), op_start=True)
+                keys.substitute(best, item)
+                items = items.splice([(a, a + len(best), item)
+                                      for a in items.runs(best, "free")])
+                assert keys.low == items
+                code += 1
+            assert code > 0x50
