@@ -9,21 +9,22 @@ opcode.  The figure of merit throughout is
 i.e. the compacted string plus the table needed to expand it again.
 Occurrences are always counted and replaced leftmost-greedy.
 
-Selection runs on the stream selectors of macros: the string is lowered
-once to a stream of literals that each start an instruction, so a run
-may start and end at any byte.
+Selection runs on the stream selectors of macros.  greedy_select reads
+and writes only the signature string of the bytes, one latin-1
+character per byte, every byte marked as the start of an instruction,
+so a run may start and end at any byte; exact_select searches the
+stream of those literals.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Sequence
 
 from . import isa
 from .asm import LiteralByte, MacroByte, Stream
-from .macros import PayingKeys, check_limits, lower, select_exact
+from .macros import _START, Lowered, PayingKeys, check_limits, select_exact
 
 MODES = ("greedy", "exact")  # greedy_select and exact_select
 
@@ -87,26 +88,34 @@ def greedy_select(data: Sequence[int], max_macros: int, max_len: int,
     each opcode as it goes in; after that macros.PayingKeys recounts only
     the key at the top of its heap, whose stored count is an upper bound
     (see macros._exact_top).
+
+    The bytes become PayingKeys' signature string as they are, and only
+    that string is read and written: a free opcode is one its literal
+    characters do not hold (a macro byte's character is past 0xFF, so
+    the latin-1 encoding drops it), and the residual is the string with
+    each macro byte's character translated to its opcode.
     """
     check_limits(max_macros, max_len)
-    keys = PayingKeys(lower(_byte_stream(data).items), max_len, "free")
-    left = Counter(data)  # how often each input byte is still in the stream
+    sig = bytes(data).decode("latin-1")
+    keys = PayingKeys(Lowered(_byte_stream(data).items, sig, _START * len(sig)),
+                      max_len, "free")
     macros: list[Macro] = []
     assigned: set[int] = set()
     while len(macros) < max_macros:
-        code = pick_free_code(+left, assigned)
+        code = pick_free_code(keys.sig.encode("latin-1", "ignore"), assigned)
         if code is None:
             break
         best = keys.best()
         if best is None:
             break
-        _, count = keys.substitute(
+        keys.substitute(
             best, _BYTE_ITEMS[code] if allow_embed else MacroByte(code))
         body = best.encode("latin-1")  # a byte stream's key is its bytes
-        left.subtract(body * count)
         macros.append(Macro(body=body, code=code))
         assigned.add(code)
-    residual = _stream_bytes(keys.low.items)
+    residual = keys.sig.translate(
+        {ord(c): item.code for c, (item, _) in keys.put_in.items()
+         if isinstance(item, MacroByte)}).encode("latin-1")
     objective = len(residual) + sum(len(m.body) for m in macros)
     return CompactionResult(macros=macros, residual=residual, objective=objective)
 

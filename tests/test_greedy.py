@@ -3,7 +3,8 @@ import tracemalloc
 
 import pytest
 
-from macroforge.asm import LiteralByte
+from macroforge import greedy, macros
+from macroforge.asm import LiteralByte, MacroByte
 from macroforge.greedy import (
     CompactionResult,
     Macro,
@@ -276,6 +277,40 @@ def test_greedy_matches_naive_oracle():
             table, residual = naive_greedy(data, v, l, allow_embed=allow)
             assert [(m.body, m.code) for m in res.macros] == table, (data, v, l)
             assert res.residual == residual
+
+
+def test_greedy_reads_and_writes_only_the_signature_string(monkeypatch):
+    # pack lowers, splices and rereads no items; the stream PayingKeys
+    # keeps is still rebuilt from its string when read, as lower would
+    # lower it, and holds the residual
+    made, init = [], macros.PayingKeys.__init__
+
+    def spy(self, *args):
+        init(self, *args)
+        made.append(self)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("greedy_select touched the items")
+
+    data = WORKED * 6 + b"xyxyxyxyzxyxyzz" * 4
+    with monkeypatch.context() as m:
+        m.setattr(macros.PayingKeys, "__init__", spy)
+        m.setattr(macros, "lower", refuse)
+        m.setattr(greedy, "lower", refuse, raising=False)
+        m.setattr(macros.Lowered, "splice", refuse)
+        m.setattr(macros.PayingKeys, "sites", refuse)
+        m.setattr(greedy, "_stream_bytes", refuse)
+        results = [greedy_select(data, 176, 20, embed)
+                   for embed in (False, True)]
+    for keys, res, embed in zip(made, results, (False, True)):
+        items = keys.low.items
+        assert keys.low == lower(items)
+        assert bytes(it.code if isinstance(it, MacroByte) else it.value
+                     for it in items) == res.residual
+        # flat, the opcodes went in as macro bytes; nested, as literals
+        assert any(isinstance(it, MacroByte) for it in items) != embed
+        assert len(res.macros) > 1
+        assert expand_macros(res.residual, res.macros) == data
 
 
 def test_greedy_validates_arguments():

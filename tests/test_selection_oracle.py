@@ -124,6 +124,31 @@ def test_pack_matches_oracle_on_image_slices(criterion_corpus):
                     == oracles.greedy_select(data, 176, 20, embed))
 
 
+def test_pack_takes_opcodes_freed_while_packing():
+    # 0xFF is the one opcode free at the start.  The first body takes
+    # in 0x50 0x51 0x52, and its matches remove all of 0x50 and 0x51
+    # from the residual, so the next macro gets 0x50; flat, only the
+    # wxyz tail leaves a key that pays after that.  The oracle tracks
+    # each byte's count instead of reading the residual.
+    held = b"\x50\x51\x52" * 100 + bytes(range(0x53, 0xFF))
+    for data in (held, held + b"wxyz" * 30):
+        for max_len in (2, 3, 4, 20):
+            for embed in (False, True):
+                got = greedy.greedy_select(data, 176, max_len, embed)
+                want = oracles.greedy_select(data, 176, max_len, embed)
+                assert got == want, (len(data), max_len, embed)
+                codes = [m.code for m in got.macros]
+                assert codes[:2] == ([0xFF, 0x50] if embed or data != held
+                                     else [0xFF])
+    # a stream that holds every byte value frees none: no macro at all
+    every = bytes(range(256)) * 3
+    for max_len in (2, 20):
+        for embed in (False, True):
+            got = greedy.greedy_select(every, 176, max_len, embed)
+            assert got == oracles.greedy_select(every, 176, max_len, embed)
+            assert (got.macros, got.residual) == ([], every)
+
+
 def count_walks(monkeypatch):
     real, walks = macros._walk, []
 
