@@ -89,16 +89,16 @@ def greedy_select(data: Sequence[int], max_macros: int, max_len: int,
     the key at the top of its heap, whose stored count is an upper bound
     (see macros._exact_top).
 
-    The bytes become PayingKeys' signature string as they are, and only
-    that string is read and written: a free opcode is one its literal
-    characters do not hold (a macro byte's character is past 0xFF, so
-    the latin-1 encoding drops it), and the residual is the string with
-    each macro byte's character translated to its opcode.
+    The bytes become PayingKeys' signature string as they are, on a
+    stream with no items, and only that string is read and written: a
+    free opcode is one its literal characters do not hold (a macro
+    byte's character is past 0xFF, so the latin-1 encoding drops it),
+    and the residual is the string with each macro byte's character
+    translated to its opcode.
     """
     check_limits(max_macros, max_len)
     sig = bytes(data).decode("latin-1")
-    keys = PayingKeys(Lowered(_byte_stream(data).items, sig, _START * len(sig)),
-                      max_len, "free")
+    keys = PayingKeys(Lowered([], sig, _START * len(sig)), max_len)
     macros: list[Macro] = []
     assigned: set[int] = set()
     while len(macros) < max_macros:
@@ -113,9 +113,8 @@ def greedy_select(data: Sequence[int], max_macros: int, max_len: int,
         body = best.encode("latin-1")  # a byte stream's key is its bytes
         macros.append(Macro(body=body, code=code))
         assigned.add(code)
-    residual = keys.sig.translate(
-        {ord(c): item.code for c, (item, _) in keys.put_in.items()
-         if isinstance(item, MacroByte)}).encode("latin-1")
+    codes = {ord(c): item.code for c, (item, _) in keys.put_in.items()}
+    residual = keys.sig.translate(codes).encode("latin-1")
     objective = len(residual) + sum(len(m.body) for m in macros)
     return CompactionResult(macros=macros, residual=residual, objective=objective)
 

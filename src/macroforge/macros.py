@@ -33,9 +33,7 @@ _START, _BOUNDARY, _OTHER = "s", "b", "-"  # item marks, see Lowered
 
 
 def _lower_item(it, char_of: dict[str, str]) -> tuple[str, str]:
-    """The signature character and the mark of one item.  On a stream of
-    pieces, a macro byte put in as the piece [MacroByte] lowers as the
-    macro byte does."""
+    """The signature character and the mark of one item."""
     if isinstance(it, LiteralByte):
         return chr(it.value), _START if it.op_start else _OTHER
     if isinstance(it, LabelRef):
@@ -78,7 +76,8 @@ class Lowered:
 
     def splice(self, cuts: list[tuple]) -> Lowered:
         """Replace each span (start, end, item) of items by that item;
-        spans come in stream order and do not overlap.
+        spans come in stream order and do not overlap.  The result is a
+        stream of items, whose widths are None.
 
         Each selection stage splices its stream once, with every cut it
         made.  Only greedy's stage one on a stream that is not whole
@@ -98,7 +97,7 @@ class Lowered:
             pos = end
         items += old_items[pos:]
         return Lowered(items, "".join(sig) + old_sig[pos:],
-                       "".join(marks) + old_marks[pos:], self.widths)
+                       "".join(marks) + old_marks[pos:])
 
     @cached_property
     def pieces(self) -> Lowered | None:
@@ -119,11 +118,11 @@ class Lowered:
         counting texts that hold _STOP.  Then a match of a run of whole
         instructions that starts at a _START ends where an instruction
         ends, so the runs of a key of pieces are the "aligned" runs of
-        its key of items, whatever the granularity: the same walk finds
-        them and the same Lowered.runs matches them, one instruction per
-        character.  As the numbering keeps the order of the texts, keys
-        of pieces sort as their keys of items do.  Raw-hex lines can
-        break it: ZER 00, 01 begins with the text of ZER WA.
+        its key of items, one instruction per character.  The pieces are
+        whole (see PayingKeys): every match of a key of pieces is a run.
+        As the numbering keeps the order of the texts, keys of pieces
+        sort as their keys of items do.  Raw-hex lines can break it:
+        ZER 00, 01 begins with the text of ZER WA.
         """
         sig, marks, items = self.sig, self.marks, self.items
         if marks[:1] == _OTHER:  # a stream that starts mid-instruction
@@ -193,17 +192,17 @@ def _walk(low: Lowered, max_len: int, granularity: str):
     fetch stream, so a macro byte anywhere else would be read as operand
     data) and may stop mid-instruction; the processor then finishes the
     instruction from the bytes after the macro byte.  It takes in only
-    items with a match key, its first one included.  A label definition at the start of a run
-    needs no special case: it stays in the stream, where it ends up
-    addressing the macro byte.
+    items with a match key, its first one included.  A label definition
+    at the start of a run needs no special case: it stays in the stream,
+    where it ends up addressing the macro byte.
 
     granularity narrows where runs may end.  "free" allows any item
     boundary; "aligned" requires runs to cover whole instructions.  Runs
     kept inside one instruction are counted from the table of distinct
-    instructions instead (see _instructions).  On pieces every item is a
-    whole instruction (see Lowered.pieces), so both granularities give
-    the "aligned" runs of the items, and a run of one piece may be a
-    candidate too.
+    instructions instead (see _instructions).  On a whole stream (see
+    PayingKeys) every item boundary ends an instruction, so both
+    granularities give the same runs; on pieces those are the "aligned"
+    runs of the items, and a run of one piece may be a candidate too.
 
     Yields dicts that map the key of every run of t items, t = 2, 3, ...
     (from t = 1 on pieces), that may end there and whose key another run
@@ -227,7 +226,7 @@ def _walk(low: Lowered, max_len: int, granularity: str):
     # joins[j]: a run begun before item j may take it in
     joins = [c != _STOP for c in sig] + [False]
     ends = ([m != _OTHER for m in marks] + [True]
-            if granularity == "aligned" else None)
+            if granularity == "aligned" and _OTHER in marks else None)
     live = [i for i, m in enumerate(marks) if m == _START and joins[i]
             and joins[i + t - 1] and offset[i + t] - offset[i] <= max_len]
     while live:
@@ -255,6 +254,15 @@ def _width(s: str, widths: dict[str, int] | None = None) -> int:
     if widths:
         return sum(map(widths.__getitem__, s))
     return 2 * len(s) - len(s.encode("latin-1", "ignore"))
+
+
+def _net(f: int, b: int) -> int:
+    """The net saving of a key of width b bytes adopted at f runs: each
+    run leaves one macro byte of its b, and the table entry costs b.
+    The key pays when this is positive.  This is every selector's one
+    price of a table entry; optimal.exact_over_occurrences charges the
+    same b per body."""
+    return f * (b - 1) - b
 
 
 def _leftmost(starts: list[int], t: int) -> int:
@@ -305,28 +313,28 @@ def _prefix_keys(table: dict[str, list[int]]
     for s, starts in table.items():
         for t in range(2, len(s) + 1):
             runs[s[:t]] += starts
-    return {k: (f * (b - 1) - b, b) for k, r in runs.items()
-            if (f := len(r)) > 1 and f * ((b := _width(k)) - 1) > b}, runs
+    return {k: (net, b) for k, r in runs.items()
+            if len(r) > 1 and (net := _net(len(r), b := _width(k))) > 0}, runs
 
 
 def _paying_runs(low: Lowered, max_len: int, granularity: str):
     """The walk's paying keys, at "free" or "aligned" granularity.
 
-    Yields (key, f, b, runs) for every key whose net saving
-    f*(b-1) - b is positive, b being its width in bytes, runs the first
-    item of each run of _walk in stream order, and f their
-    leftmost-greedy count, as Lowered.runs takes them.
+    Yields (key, f, b, runs) for every key whose net saving _net(f, b)
+    is positive, b being its width in bytes, runs the first item of each
+    run of _walk in stream order, and f their leftmost-greedy count, as
+    Lowered.runs takes them.
     """
     for runs in _walk(low, max_len, granularity):
         for s, starts in runs.items():
             f, b = _leftmost(starts, len(s)), _width(s, low.widths)
-            if f * (b - 1) > b:
+            if _net(f, b) > 0:
                 yield s, f, b, starts
 
 
 def profitable_keys(low: Lowered, max_len: int, granularity: str
                     ) -> dict[str, tuple[int, int]]:
-    """Every key whose net saving f*(b-1) - b is positive, as signature
+    """Every key whose net saving _net(f, b) is positive, as signature
     string -> (net, b), f being its leftmost-greedy run count on low at
     granularity, "free" or "aligned", and b its width in bytes.
 
@@ -334,7 +342,7 @@ def profitable_keys(low: Lowered, max_len: int, granularity: str
     instruction are counted from the table of distinct instructions (see
     _prefix_keys).
     """
-    return {s: (f * (b - 1) - b, b)
+    return {s: (_net(f, b), b)
             for s, f, b, _ in _paying_runs(low, max_len, granularity)}
 
 
@@ -353,7 +361,7 @@ def _exact_top(heap: list, done: int, recount) -> str | None:
     This is the one lazy-greedy rule (Minoux's accelerated greedy) of
     both stages of select_greedy and of greedy.greedy_select.  heap holds
     one entry (-net, -b, key, counted) per key that may pay, b being the
-    key's width in bytes, net its saving f*(b-1) - b and counted the
+    key's width in bytes, net its saving _net(f, b) and counted the
     number of adoptions made when f was counted; done is that number
     now.  An adoption only removes runs (PayingKeys gives the runs an
     embedded literal makes new entries), and a leftmost-greedy count of
@@ -369,7 +377,7 @@ def _exact_top(heap: list, done: int, recount) -> str | None:
         _, b, s, counted = heap[0]
         if counted == done:
             return s
-        net = recount(s) * (-b - 1) + b
+        net = _net(recount(s), -b)
         if net > 0:
             heapq.heapreplace(heap, (-net, b, s, done))
         else:
@@ -381,63 +389,52 @@ class PayingKeys:
     """The keys that pay on a stream while it is substituted, one heap
     entry each, from which _exact_top picks the best.
 
-    One full count (the walk's, as profitable_keys counts it) fills the
-    heap on the first call of best.  Put in as a macro byte, the
-    replacement ends every run, so it only removes runs, and every entry
-    stays an upper bound.  A replacement put in as a literal (byte-level
-    embedding) must be a character the stream does not hold, so the runs
-    through it are new keys.  They are counted at insertion by the same
-    count as the full count, run over the windows around the new
-    literals only (see _count_new), and their entries are current until
-    the next substitution.
+    One full count, the walk's at "aligned" as profitable_keys counts
+    it, fills the heap on the first call of best.  Put in as a macro
+    byte, the replacement ends every run, so it only removes runs, and
+    every entry stays an upper bound.
 
     A stream is whole when its marks hold no _OTHER, as pieces (see
     Lowered.pieces) and byte streams do.  There every match of a key,
     which holds no _STOP, starts at a _START and ends where an
-    instruction does, so it is a run at both granularities, and the runs
-    are the matches that str.count and str.replace take.  So on a whole stream only sig is
-    kept in step: a recount is sig.count(key), and a substitution is one
-    sig.replace(key, c), c being chr(value) for a literal and otherwise
-    a character of its own that ends every run, as _STOP does.  The
-    items are rebuilt from sig when low is read (see sites).  On any
-    other stream, such as raw-hex lines whose texts are not prefix-free,
-    a match can cross an instruction end, so a recount is one
-    Lowered.runs and a substitution one Lowered.splice of low.
+    instruction does, so it is a run, and the runs are the matches that
+    str.count and str.replace take.  So on a whole stream only sig is
+    kept in step: a recount is sig.count(key), and a substitution is
+    one sig.replace(key, c), c being a character of the macro byte's
+    own that ends every run, as _STOP does.  low stays the stream
+    PayingKeys began with, and sites gives the cuts from it to now.
 
-    granularity is the walk's, "free" or "aligned".
+    Only a whole stream takes a literal as the replacement (byte-level
+    embedding).  c is then its value, which the stream must not hold,
+    so the runs through it are new keys.  They are counted at insertion
+    by the full count's own count, run over the windows around the new
+    literals only (see _count_new), and their entries are current until
+    the next substitution.
+
+    On any other stream, such as raw-hex lines whose texts are not
+    prefix-free, a match can cross an instruction end, so a recount is
+    one Lowered.runs and a substitution one Lowered.splice of low,
+    which keeps it in step.
     """
 
-    def __init__(self, low: Lowered, max_len: int, granularity: str):
-        self.base, self.sig, self._low = low, low.sig, low
+    def __init__(self, low: Lowered, max_len: int):
+        self.low, self.sig, self.max_len = low, low.sig, max_len
         self.whole = _OTHER not in low.marks
-        self.max_len = max_len
-        self.granularity = granularity
         self.substitutions = 0
         self.heap: list | None = None
         self.held: set[str] = set()  # every character a heap key may hold
-        self.put_in: dict[str, tuple] = {}  # c -> (item, items of base)
+        self.put_in: dict[str, tuple] = {}  # c -> (macro byte, len(key))
         # CPython's find and count skip by a 64-bit bloom mask of the
         # pattern's characters, indexed by code point mod 64, so the
         # characters of macro bytes are multiples of 64, as _STOP is:
         # numbered densely they would share the bits of the key's own.
         self._first = (ord(max(low.sig + _STOP)) // 64 + 1) * 64
 
-    @property
-    def low(self) -> Lowered:
-        """The stream now; on a whole stream it is rebuilt from sig, by
-        one splice of the stream PayingKeys began with, the first time
-        it is read after a substitution."""
-        if self._low is None:
-            base = self.base
-            self._low = base.splice(self.sites(range(len(base.items) + 1)))
-        return self._low
-
     def sites(self, offsets) -> list[tuple]:
-        """On a whole stream, the cuts that turn the stream PayingKeys
-        began with into the one now: one per character of sig that a
-        substitution put in, in stream order, as (offsets[start],
-        offsets[end], item), start and end spanning the items of that
-        stream the character stands for."""
+        """On a whole stream, the cuts that turn low into the stream now:
+        one per macro byte's character in sig, in stream order, as
+        (offsets[start], offsets[end], macro byte), start and end
+        spanning the items of low that the character stands for."""
         cuts, pos = [], 0
         if self.put_in:  # parts: the text before each site, then the site
             parts = re.split(f"([{''.join(map(re.escape, self.put_in))}])",
@@ -453,9 +450,8 @@ class PayingKeys:
         """The key rank_keys would rank first on a full count of the
         stream now, if any."""
         if self.heap is None:
-            self.heap = [(f * (1 - b) + b, -b, s, 0) for s, f, b, _
-                         in _paying_runs(self.low, self.max_len,
-                                         self.granularity)]
+            self.heap = [(-_net(f, b), -b, s, 0) for s, f, b, _
+                         in _paying_runs(self.low, self.max_len, "aligned")]
             heapq.heapify(self.heap)
             self.held = set(self.sig)  # after the walk, off its peak
         return _exact_top(self.heap, self.substitutions, self._recount)
@@ -467,73 +463,64 @@ class PayingKeys:
         stream, which keeps no positions, the items are None, and the
         first site of item (see sites) is where they were.
 
-        Every such match is replaced, whatever the granularity, so on
-        raw-hex lines an "aligned" stage can replace more matches than
-        it counted.
+        On raw-hex lines a match may cross an instruction end, so this
+        can replace more matches than the "aligned" recount counted.
         """
         self.substitutions += 1
-        literal = isinstance(item, LiteralByte)
-        if self.whole:
-            c = (chr(item.value) if literal
-                 else chr(self._first + 64 * len(self.put_in)))
-            count = self.sig.count(pattern)
-            self.sig = self.sig.replace(pattern, c)
-            self._low, removed = None, None
-            self.put_in[c] = (item, len(pattern) + sum(
-                self.put_in[x][1] - 1 for x in pattern if x in self.put_in))
-        else:
-            old, t = self._low, len(pattern)
+        if not self.whole:
+            old, t = self.low, len(pattern)
             starts = old.runs(pattern, "free")
-            self._low = old.splice([(a, a + t, item) for a in starts])
-            self.sig, count = self._low.sig, len(starts)
-            removed = old.items[starts[0]:starts[0] + t] if starts else None
-        if literal:
-            self._count_new(chr(item.value))
-        return removed, count
+            self.low = old.splice([(a, a + t, item) for a in starts])
+            self.sig = self.low.sig
+            return (old.items[starts[0]:starts[0] + t] if starts else None,
+                    len(starts))
+        if isinstance(item, LiteralByte):
+            c = chr(item.value)
+        else:
+            c = chr(self._first + 64 * len(self.put_in))
+            self.put_in[c] = (item, len(pattern))
+        count = self.sig.count(pattern)
+        self.sig = self.sig.replace(pattern, c)
+        if c not in self.put_in:  # a literal: the runs through it are new
+            self._count_new(c)
+        return None, count
 
     def _recount(self, s: str) -> int:
         """Leftmost-greedy count of the runs of key s on the stream."""
         if self.whole:
             return self.sig.count(s)
-        return len(self._low.runs(s, self.granularity))
+        return len(self.low.runs(s, "aligned"))
 
     def _count_new(self, char: str) -> None:
-        """Count the paying keys that hold char, the signature character
-        of the items just put in.
+        """Count the paying keys that hold char, the value of the literals
+        just put in on a whole stream.
 
         The stream held no char just before, so every run of such a key
-        lies in a window [p - max_len + 1, p + max_len + 1) around a
-        point p where sig holds char; the last item of a window is there only for the aligned
-        end test.  Windows that touch are merged, and the rest are joined
-        into one stream by a _STOP, which no run crosses.
-        profitable_keys over that stream, the full count's own count,
-        sees every run of these keys in stream order, and two of them
-        overlap there exactly when they overlap in the stream, so the
-        nets it gives the keys that hold char are exact.  On a whole
-        stream a mark says nothing that the characters do not, since no
-        run starts at or takes in a character that ends runs (see
-        _walk), so the windows' marks are all _START, and the characters
-        of macro bytes become _STOP.  A char the stream held earlier,
-        and then lost to substitutions, may have left entries of such
-        keys behind; they go first, so that each key keeps one entry.
+        lies in a window [p - max_len + 1, p + max_len) around a point p
+        where sig holds char.  Windows that touch are merged, and the
+        rest are joined into one stream by a _STOP, which no run crosses.
+        A mark there says nothing that the characters do not, since no
+        run starts at or takes in a character that ends runs (see _walk),
+        so every mark is _START, and the characters of macro bytes become
+        _STOP.  profitable_keys over that stream, the full count's own
+        count, sees every run of these keys in stream order, and two of
+        them overlap there exactly when they overlap in the stream, so
+        the nets it gives the keys that hold char are exact.  A char the
+        stream held earlier, and then lost to substitutions, may have
+        left entries of such keys behind; they go first, so that each
+        key keeps one entry.
         """
         sig, reach, cuts = self.sig, self.max_len, []
         for p in (m.start() for m in re.finditer(re.escape(char), sig)):
-            a, e = max(p - reach + 1, 0), min(p + reach + 1, len(sig))
+            a, e = max(p - reach + 1, 0), min(p + reach, len(sig))
             if cuts and a <= cuts[-1][1]:
                 cuts[-1][1] = e
             else:
                 cuts.append([a, e])
-        text = _STOP.join(sig[a:e] for a, e in cuts)
-        if self.whole:
-            stops = {ord(c): _STOP for c, (it, _) in self.put_in.items()
-                     if not isinstance(it, LiteralByte)}
-            windows = Lowered([], text.translate(stops) if stops else text,
-                              _START * len(text))
-        else:
-            windows = Lowered([], text, _BOUNDARY.join(
-                self._low.marks[a:e] for a, e in cuts))
-        nets = profitable_keys(windows, reach, self.granularity)
+        text = _STOP.join(sig[a:e] for a, e in cuts).translate(
+            dict.fromkeys(map(ord, self.put_in), _STOP))
+        nets = profitable_keys(Lowered([], text, _START * len(text)), reach,
+                               "aligned")
         if char in self.held:
             self.heap = [e for e in self.heap if char not in e[2]]
             heapq.heapify(self.heap)
@@ -563,7 +550,7 @@ def select_greedy(stream: Stream, max_macros: int, max_len: int
     """Iterative best-first adoption over whole-instruction runs.
 
     Each round scores every key on the current stream by its net saving
-    f*(b-1) - b with f counted over non-overlapping occurrences, adopts
+    _net(f, b) with f counted over non-overlapping occurrences, adopts
     the best positive one, and replaces its matches before the next
     round counts.  Ties fall to the longer body, then the smaller key.
 
@@ -597,13 +584,13 @@ def select_greedy(stream: Stream, max_macros: int, max_len: int
     check_limits(max_macros, max_len)
     low = lower(stream.items)
     pieces = low.pieces
-    keys = PayingKeys(pieces or low, max_len, "aligned")
+    keys = PayingKeys(pieces or low, max_len)
     adopted: list[StreamMacro] = []
     while len(adopted) < max_macros and (best := keys.best()) is not None:
         item = MacroByte(isa.MACRO_OPCODE_BASE + len(adopted))
         body, _ = keys.substitute(best, item)
         adopted.append(StreamMacro(code=item.code, items=body,
-                                   byte_len=_width(best, keys.base.widths)))
+                                   byte_len=_width(best, keys.low.widths)))
     if pieces is None:  # raw-hex lines, spliced at every adoption
         low = keys.low
     else:  # pieces are whole: each site, mapped to its items, is a cut
@@ -645,7 +632,7 @@ def _stage_two(low: Lowered, max_macros: int, max_len: int,
     while len(adopted) < max_macros and (
             s := _exact_top(heap, len(adopted), count)) is not None:
         top = heapq.heappop(heap)
-        if any(e != s and e.startswith(s) and count(e) * (b - 1) > b
+        if any(e != s and e.startswith(s) and _net(count(e), b) > 0
                for e, (_, b) in nets.items()):
             aside.append(top)
         else:
@@ -689,7 +676,7 @@ def _adopt(keys: list[str], low: Lowered, table: dict, nets: dict,
                 if a >= free:
                     runs.append(a)
                     free = a + t
-        if len(runs) * (b - 1) - b <= 0:
+        if _net(len(runs), b) <= 0:
             continue  # adopting it now would grow the image
         gone.update([i for a in runs for i in range(a, a + t)]
                     if cross else runs)

@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 
 import corpus
@@ -16,9 +19,11 @@ from macroforge.macros import (
     select_exact,
     select_greedy,
 )
+from macroforge.greedy import greedy_select
 from macroforge.optimal import BudgetError
 
 from oracles import extract_candidates, match_key
+from test_selection_oracle import CROSSING, SHARED_PREFIX
 
 
 def stream_for(text, origin=0x100):
@@ -344,6 +349,37 @@ def test_exact_adopts_only_macros_that_pay(monkeypatch):
             assert f * (m.byte_len - 1) - m.byte_len > 0, (seed, m.items)
         adopted += len(macros)
     assert adopted == 24
+
+
+def test_every_adopted_macro_pays_what_net_charges(monkeypatch):
+    # every paying test goes through macros._net: charged 2 more bytes
+    # per table entry, each macro that greedy (both stages), freq and
+    # flat pack adopt saves more than 2 bytes at the sites it takes
+    net = macros._net
+    monkeypatch.setattr(macros, "_net", lambda f, b: net(f, b) - 2)
+    adopted = 0
+    for text in (CROSSING, SHARED_PREFIX,
+                 *map(corpus.generate_program, range(4))):
+        stream = stream_for(text)
+        for mode in ("greedy", "freq"):
+            for budget in (8, 176):
+                out, chosen = compact_stream(stream, mode, budget, 20)
+                sites = Counter(it.code for it in out.items
+                                if isinstance(it, MacroByte))
+                for m in chosen:
+                    f, b = sites[m.code], m.byte_len
+                    assert f * (b - 1) - b > 2, (mode, budget, m.items)
+                adopted += len(chosen)
+    rng = random.Random(5)
+    for data in (b"ab" * 100, bytes(rng.choice(b"ACGT") for _ in range(600)),
+                 corpus.generate_program(0).encode()[:800],
+                 asm.assemble(corpus.generate_program(1)).code):
+        result = greedy_select(data, 176, 20)
+        for m in result.macros:
+            f, b = result.residual.count(m.code), len(m.body)
+            assert f * (b - 1) - b > 2, (data[:8], m.body)
+        adopted += len(result.macros)
+    assert adopted > 100
 
 
 def test_exact_refuses_large_search():

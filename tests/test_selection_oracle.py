@@ -6,9 +6,9 @@ stored net is an upper bound once the stream has been substituted.  The
 oracles in tests/oracles.py recount everything after every adoption;
 both must produce the same bytes.  The candidate walk drops a start as
 soon as its key cannot repeat; oracles.reference_walk lists every run.
-Lowered.runs, the one match scan behind the walk's recounts and every
-PayingKeys substitution, is held to a scan of every position that
-reads the run rules off the items.  Greedy's stage two and frequency
+Lowered.runs, the one match scan behind PayingKeys' recounts and
+substitutions on a stream that is not whole, is held to a scan of every
+position that reads the run rules off the items.  Greedy's stage two and frequency
 selection count, recount and substitute on the table of distinct
 instructions and splice once; they are held to oracles.select_greedy
 and oracles.select_freq, which sweep and splice once per key, also on
@@ -25,7 +25,6 @@ import pytest
 import corpus
 import oracles
 from macroforge import asm, greedy, macros
-from macroforge.asm import LiteralByte
 from macroforge.macros import compact_source
 
 
@@ -174,7 +173,7 @@ def test_each_stage_walks_the_stream_once(monkeypatch, criterion_corpus):
         before = len(walks)
         removed, count = substitute(self, pattern, item)
         for _, n in walks[before:]:
-            assert n <= (2 * self.max_len + 1) * count, (n, count)
+            assert n <= 2 * self.max_len * count, (n, count)
         windows.extend(walks[before:])
         del walks[before:]
         return removed, count
@@ -195,8 +194,8 @@ def test_each_stage_walks_the_stream_once(monkeypatch, criterion_corpus):
     for embed in (False, True):
         result = greedy.greedy_select(code, 176, 20, allow_embed=embed)
         assert len(result.macros) > 10
-    assert walks == [("free", 1024), ("free", 1024)]
-    assert len(windows) > 10 and {g for g, _ in windows} == {"free"}
+    assert walks == [("aligned", 1024), ("aligned", 1024)]
+    assert len(windows) > 10 and {g for g, _ in windows} == {"aligned"}
 
 
 def test_exact_and_freq_walk_the_stream_once(monkeypatch):
@@ -240,7 +239,7 @@ def test_aligned_recount_matches_oracle(monkeypatch):
     real, recounts = macros.PayingKeys._recount, []
 
     def spy(self, s):
-        recounts.append(self.granularity)
+        recounts.append(s)
         return real(self, s)
 
     monkeypatch.setattr(macros.PayingKeys, "_recount", spy)
@@ -251,7 +250,7 @@ def test_aligned_recount_matches_oracle(monkeypatch):
             got = macros.select_greedy(stream, max_macros, max_len)
             want = oracles.select_greedy(stream, max_macros, max_len)
             assert got == want, (case, max_macros, max_len)
-    assert recounts.count("aligned") > 100
+    assert len(recounts) > 100
 
 
 # One whole instruction, ZER WA, also begins five raw-hex instructions
@@ -273,8 +272,8 @@ L4     ZER WA
 
 
 def spy_recounts(monkeypatch):
-    """The (granularity, key, count) of every recount, in order; fails
-    if a key is recounted twice between two substitutions."""
+    """The (key, count) of every recount, in order; fails if a key is
+    recounted twice between two substitutions."""
     recount = macros.PayingKeys._recount
     substitute = macros.PayingKeys.substitute
     recounts, since = [], set()
@@ -283,7 +282,7 @@ def spy_recounts(monkeypatch):
         assert s not in since, s
         since.add(s)
         f = recount(self, s)
-        recounts.append((self.granularity, s, f))
+        recounts.append((s, f))
         return f
 
     def spy_substitute(self, *args):
@@ -302,7 +301,7 @@ def test_aligned_end_decides_a_recount(monkeypatch):
     assert got == oracles.select_greedy(stream, 176, 20)
     assert [bytes(it.value for it in m.items) for m in got[1]] == [
         b"\x44\x00\x40\x02", b"\x40\x00", b"\x44\x00"]
-    assert ("aligned", "\x44\x00", 2) in recounts
+    assert ("\x44\x00", 2) in recounts
 
 
 # Raw-hex lines whose bytes no symbolic line shares, so stage one adopts
@@ -485,13 +484,12 @@ def test_full_count_leaves_one_heap_entry_per_paying_key():
     lows += [macros.lower(greedy._byte_stream(data).items)
              for data in (b"ab" * 40, corpus.generate_program(1).encode())]
     for low in lows:
-        for granularity in ("free", "aligned"):
-            keys = macros.PayingKeys(low, 20, granularity)
-            keys.best()
-            want = macros.profitable_keys(low, 20, granularity)
-            assert len(keys.heap) == len(want)
-            assert {s: (-net, -b) for net, b, s, _ in keys.heap} == want
-            assert {counted for *_, counted in keys.heap} <= {0}
+        keys = macros.PayingKeys(low, 20)
+        keys.best()
+        want = macros.profitable_keys(low, 20, "aligned")
+        assert len(keys.heap) == len(want)
+        assert {s: (-net, -b) for net, b, s, _ in keys.heap} == want
+        assert {counted for *_, counted in keys.heap} <= {0}
 
 
 def spy_stages(monkeypatch):
@@ -602,8 +600,9 @@ def born_keys(nets, char):
 def check_born_keys(monkeypatch):
     """After every substitution by a literal, the keys whose heap
     entries are current that hold its character are those a fresh full
-    count finds, with the same nets.  Returns the match count of each
-    substitution checked, in order."""
+    count of the signature string finds, with the characters of macro
+    bytes as _STOP, and with the same nets.  Returns the match count of
+    each substitution checked, in order."""
     substitute, checked = macros.PayingKeys.substitute, []
 
     def spy(self, pattern, item):
@@ -611,10 +610,13 @@ def check_born_keys(monkeypatch):
         char = chr(item.value)
         exact = {s: (-net, -b) for net, b, s, counted in self.heap
                  if counted == self.substitutions}
-        fresh = macros.profitable_keys(self.low, self.max_len,
-                                       self.granularity)
+        sig = self.sig.translate(dict.fromkeys(map(ord, self.put_in),
+                                               macros._STOP))
+        fresh = macros.profitable_keys(
+            macros.Lowered([], sig, macros._START * len(sig)), self.max_len,
+            "aligned")
         assert born_keys(exact, char) == born_keys(fresh, char), (
-            self.granularity, self.max_len, pattern, char)
+            self.max_len, pattern, char)
         checked.append(out[1])
         return out
 
@@ -634,28 +636,3 @@ def test_keys_born_through_an_embedded_literal_are_exact(monkeypatch):
         for max_len in (2, 3, 20):
             greedy.greedy_select(data, 176, max_len, allow_embed=True)
     assert len(checked) > 150
-
-
-def test_keys_born_at_whole_instruction_granularities(monkeypatch):
-    # The literal replaces every MOV opcode of CROSSING, whose eight
-    # lines read MOV 00, 00, 0k: a run of the literal and the 00 after it
-    # ends mid-instruction, which only the item after the run shows.
-    checked = check_born_keys(monkeypatch)
-    for text in [CROSSING] + [corpus.generate_program(s) for s in range(4)]:
-        stream, _ = asm.assemble_stream(text)
-        low = macros.lower(stream.items)
-        free = min(set(range(256)) - {ord(c) for c in low.sig})
-        fetched = Counter(c for c, m in zip(low.sig, low.marks)
-                          if m == macros._START)
-        for max_len in (2, 3, 20):
-            keys = macros.PayingKeys(low, max_len, "aligned")
-            keys.best()
-            for opcode, _ in fetched.most_common(2):
-                keys.substitute(opcode, LiteralByte(free, op_start=True))
-                free += 1
-                while chr(free) in keys.low.sig:
-                    free += 1
-        # keys inside one instruction are counted from the table instead
-        with pytest.raises(ValueError, match="unknown granularity"):
-            macros.PayingKeys(low, 20, "instruction").best()
-    assert len(checked) == 5 * 1 * 3 * 2 and min(checked) > 1

@@ -2,13 +2,16 @@
 
 When no instruction's text is a proper prefix of another's, stage one
 walks the stream's pieces, one item per instruction
-(macros.Lowered.pieces), and recounts and substitutes on their
-signature string.  Raw-hex lines can break that, and then it works item
-by item, with the same walk, Lowered.runs recounts and a splice per
-adoption.  Both are held to oracles.select_greedy, which recounts every
-key on the items after every adoption, and each recount on the string,
-of pieces or of pack's bytes, to the item-level one.  A max_len of 2 or
-4 leaves instructions too wide to join any run.
+(macros.Lowered.pieces).  They are whole, so it recounts and
+substitutes on their signature string alone and maps the sites of its
+macro bytes back to the item stream at the end.  Raw-hex lines can
+break that, and then it works item by item, with the same walk,
+Lowered.runs recounts and a splice per adoption.  Both are held to
+oracles.select_greedy, which recounts every key on the items after
+every adoption.  Each recount on the string, of pieces or of pack's
+bytes, is held to the item-level one, and the string to an item stream
+spliced in step.  A max_len of 2 or 4 leaves instructions too wide to
+join any run.
 """
 
 import random
@@ -70,35 +73,36 @@ def test_both_paths_match_the_oracle():
 def test_string_recounts_equal_the_item_recounts():
     # every heap key, recounted on the pieces after each of stage one's
     # adoptions, against its key of items on the item stream, which is
-    # spliced in step and must equal the flattened pieces
+    # spliced in step and must be what the sites cut from the first one
     for text in (threaded.PROGRAM, corpus.generate_corpus(2024), RAW_HEX):
-        items = lowered(text)
-        keys = macros.PayingKeys(items.pieces, 20, "aligned")
-        at = [0, *accumulate(map(len, keys.low.items))]
-        text_of = dict(zip(keys.low.sig, map(items.sig.__getitem__,
-                                             map(slice, at, at[1:]))))
+        base = items = lowered(text)
+        keys = macros.PayingKeys(base.pieces, 20)
+        at = [0, *accumulate(map(len, base.pieces.items))]
+        text_of = dict(zip(base.pieces.sig, map(base.sig.__getitem__,
+                                                map(slice, at, at[1:]))))
         code = 0x50
         while (best := keys.best()) is not None:
             for s in {e[2] for e in keys.heap}:
                 key = "".join(map(text_of.__getitem__, s))
                 assert keys._recount(s) == len(items.runs(key, "aligned"))
             key = "".join(map(text_of.__getitem__, best))
-            keys.substitute(best, [MacroByte(code)])
+            keys.substitute(best, MacroByte(code))
             items = items.splice([(a, a + len(key), MacroByte(code))
                                   for a in items.runs(key, "free")])
-            assert list(chain.from_iterable(keys.low.items)) == items.items
+            assert base.splice(keys.sites(at)) == items
             code += 1
         assert code > 0x50
 
     # pack's byte streams, flat and with embedded literals: every heap
     # key, recounted on the string, against its runs on an item stream
-    # spliced in step, which the rebuilt stream must equal
+    # spliced in step, whose signature string the string must equal once
+    # the characters of its macro bytes read as _STOP
     rng = random.Random(3)
     for data in (b"ab" * 40, bytes(rng.choice(b"ACGT") for _ in range(400)),
                  bytes(range(256)) * 3):
         for embed in (False, True):
             items = macros.lower(greedy._byte_stream(data).items)
-            keys = macros.PayingKeys(items, 20, "free")
+            keys = macros.PayingKeys(items, 20)
             code = 0x50
             while (best := keys.best()) is not None:
                 for s in {e[2] for e in keys.heap}:
@@ -111,6 +115,7 @@ def test_string_recounts_equal_the_item_recounts():
                 keys.substitute(best, item)
                 items = items.splice([(a, a + len(best), item)
                                       for a in items.runs(best, "free")])
-                assert keys.low == items
+                stops = dict.fromkeys(map(ord, keys.put_in), macros._STOP)
+                assert keys.sig.translate(stops) == items.sig
                 code += 1
             assert code > 0x50
