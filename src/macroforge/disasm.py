@@ -6,22 +6,29 @@ stops mid-instruction still renders as the complete instruction it
 produces in context.  A listing line for a macro opcode is flagged ***
 and shows everything the activation executes.
 
-Both steps work once per distinct instruction within a call.
-decode_image keeps a memo from decode.decode's fields, less the end
-position, to one shared, immutable DecodedInstr; the fields hold the
-absolute branch target, so a short branch at another address is
-another instruction.  It also keeps a memo from macro code to the
+One private walk, _units, decodes the code region unit by unit and
+yields each unit's offsets, instructions and macro code; decode_image
+and render_listing both read it, and only decode_image builds a
+DecodedUnit.  The walk keeps a memo from decode.decode's fields, less
+the end position, to one shared, immutable DecodedInstr; the fields
+hold the absolute branch target, so a short branch at another address
+is another instruction.  It also keeps a memo from macro code to the
 instructions of a body that ends on an instruction boundary: such a
-body reads no main-stream byte, so it decodes alike at every site,
-and each later activation is a unit of the macro opcode alone with a
-fresh copy of that list.  A body that ends mid-instruction reads the
-bytes after its opcode and is decoded at every site.  render_listing
-keeps a memo from a unit's main bytes and its shared instructions to
-the rendered line after the address (hex columns, continuation lines,
-*** flag and text), so a repeated unit costs one lookup and the
-address; the macro table takes a boundary-ending body's text from its
-activation and decodes only the other bodies.  Nothing is kept from
-one call to the next.
+body reads no main-stream byte, so it decodes alike at every site, and
+each later activation is a unit of the macro opcode alone that yields
+that same list.  A body that ends mid-instruction reads the bytes after
+its opcode and is decoded at every site.  decode_image copies the list
+of every macro unit, so each DecodedUnit owns its list while the
+instructions in it stay shared.
+
+render_listing renders straight from the walk.  An activation of a
+boundary-ending body reads its whole line after the address from a
+dict keyed by macro code, filled at the first activation, which also
+gives the macro table that body's text; the table decodes only the
+other bodies.  Every other unit looks up its line in a memo keyed by
+its main bytes and its shared instructions (hex columns, continuation
+lines, *** flag and text), so a repeated unit costs one lookup and the
+address.  Nothing is kept from one call to the next.
 
 render_source only accepts macro-free images with canonical encodings:
 its output reassembles to the identical byte string, which is the
@@ -69,6 +76,11 @@ class DecodedInstr(NamedTuple):
 
 @dataclass
 class DecodedUnit:
+    """One unit of decode_image's result: the bytes at addr in the main
+    stream and the instructions they execute, through the body of
+    macro_code when set.  The unit owns its instrs list; the DecodedInstr
+    values in it are shared with every unit that decodes alike."""
+
     addr: int
     main_bytes: bytes
     instrs: list
@@ -109,10 +121,13 @@ def _decode_run(buf, pos: int, main_from: int, main_addr: int,
             return instrs, pos
 
 
-def decode_image(image) -> list[DecodedUnit]:
-    """Decode the whole code region into instruction units; units that
-    decode to the same fields share one DecodedInstr, and activations of
-    a macro whose body ends on an instruction boundary share its decode."""
+def _units(image):
+    """Walk the code region unit by unit, yielding (pos, end, instrs,
+    macro code or None) with pos and end offsets into image.code.  Units
+    that decode to the same fields share one DecodedInstr, and every
+    activation of a macro whose body ends on an instruction boundary
+    yields the one list of that body's instructions, so a caller must
+    not change the lists it is given."""
     if image.is_raw:
         raise DisasmError("raw container holds packed bytes, not a program")
     code, origin = image.code, image.origin
@@ -121,20 +136,18 @@ def decode_image(image) -> list[DecodedUnit]:
     # macro code -> instructions of its body, for a body that ends on an
     # instruction boundary and so reads no main-stream byte
     whole: dict = {}
-    units: list[DecodedUnit] = []
     pos = 0
     try:
         while pos < len(code):
             byte = code[pos]
             if byte < isa.MACRO_OPCODE_BASE:
                 instrs, end = _decode_run(code, pos, 0, origin, shared)
-                units.append(DecodedUnit(origin + pos, code[pos:end], instrs))
+                yield pos, end, instrs, None
                 pos = end
                 continue
             instrs = whole.get(byte)
             if instrs is not None:
-                units.append(DecodedUnit(origin + pos, code[pos:pos + 1],
-                                         instrs[:], macro_code=byte))
+                yield pos, pos + 1, instrs, byte
                 pos += 1
                 continue
             idx = byte - isa.MACRO_OPCODE_BASE
@@ -148,15 +161,23 @@ def decode_image(image) -> list[DecodedUnit]:
             if end == len(body):
                 whole[byte] = instrs
             end += pos + 1 - len(body)
-            units.append(DecodedUnit(origin + pos, code[pos:end], instrs,
-                                     macro_code=byte))
+            yield pos, end, instrs, byte
             pos = end
     except IndexError:
         raise DisasmError(f"truncated image: instruction at {origin + pos:04X}"
                           " runs past the end of code") from None
     except decode.DecodeError as err:
         raise DisasmError(f"{err} at {origin + pos:04X}") from None
-    return units
+
+
+def decode_image(image) -> list[DecodedUnit]:
+    """Decode the whole code region into instruction units.  Units that
+    decode alike share one DecodedInstr, and each unit owns its list:
+    a macro unit gets a copy of the list the walk yields."""
+    code, origin = image.code, image.origin
+    return [DecodedUnit(origin + pos, code[pos:end],
+                        instrs if macro is None else instrs[:], macro)
+            for pos, end, instrs, macro in _units(image)]
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +191,9 @@ def _text(instrs: list) -> str:
     return " / ".join([i.text() for i in instrs])
 
 
-def _tail(unit: DecodedUnit, text: str) -> str:
-    """A unit's listing lines after its address."""
-    data = unit.main_bytes
-    flag = "***" if unit.is_macro else "   "
+def _tail(data: bytes, is_macro: bool, text: str) -> str:
+    """A unit's listing lines after its address, from its main bytes."""
+    flag = "***" if is_macro else "   "
     head = data[:_BYTES_PER_LINE].hex(" ").upper()
     tail = f"  {head:<{_WIDTH}}  {flag}  {text}"
     for i in range(_BYTES_PER_LINE, len(data), _BYTES_PER_LINE):
@@ -183,29 +203,36 @@ def _tail(unit: DecodedUnit, text: str) -> str:
 
 
 def render_listing(image) -> str:
-    units = decode_image(image)
-    if not units:
-        return ""
-    lines = [f"origin {image.origin:04X}  entry {image.entry:04X}", ""]
+    code, origin = image.code, image.origin
+    lines = [f"origin {origin:04X}  entry {image.entry:04X}", ""]
     tails: dict = {}   # (main bytes, *shared instructions) -> line tail
-    # macro code -> text of a body that ends on an instruction boundary,
-    # taken from an activation: its unit holds the macro opcode alone
+    # macro code -> line tail, and -> text, of a body that ends on an
+    # instruction boundary, from its first activation: every activation
+    # is the macro opcode alone and lists alike
+    whole_tails: dict = {}
     body_texts: dict = {}
-    for unit in units:
-        key = (unit.main_bytes, *unit.instrs)
-        tail = tails.get(key)
-        if tail is None:
-            text = _text(unit.instrs)
-            tail = tails[key] = _tail(unit, text)
-            if unit.is_macro and len(unit.main_bytes) == 1:
-                body_texts[unit.macro_code] = text
-        lines.append(f"{unit.addr:04X}{tail}")
+    for pos, end, instrs, macro in _units(image):
+        if macro is not None and end == pos + 1:
+            tail = whole_tails.get(macro)
+            if tail is None:
+                text = body_texts[macro] = _text(instrs)
+                tail = whole_tails[macro] = _tail(code[pos:end], True, text)
+        else:
+            data = code[pos:end]
+            key = (data, *instrs)
+            tail = tails.get(key)
+            if tail is None:
+                tail = tails[key] = _tail(data, macro is not None,
+                                          _text(instrs))
+        lines.append(f"{origin + pos:04X}{tail}")
+    if not code:   # after the walk, which refuses a raw container first
+        return ""
     if image.macros:
         lines.append("")
         lines.append("macro table:")
         shared: dict = {}
-        for code, m in enumerate(image.macros, isa.MACRO_OPCODE_BASE):
-            text = body_texts.get(code)
+        for opcode, m in enumerate(image.macros, isa.MACRO_OPCODE_BASE):
+            text = body_texts.get(opcode)
             if text is None:
                 text = _body_text(m.body, shared)
             lines.append(f"  {m.code:02X}  len {len(m.body):<3d} "

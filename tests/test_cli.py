@@ -463,6 +463,17 @@ def test_disasm_lists_object(tmp_path, capsys):
     assert "BLT WC, =3," in out
 
 
+@pytest.mark.parametrize("text, origin", [
+    (COUNTER, ()), (corpus.generate_program(1), ("--origin", "0200"))])
+def test_asm_list_prints_what_disasm_prints(tmp_path, capsys, text, origin):
+    src = write(tmp_path, "p.mcrl", text)
+    obj = tmp_path / "p.mco"
+    rc, listed, _ = run_cli(capsys, "asm", src, "--out", obj, *origin,
+                            "--list")
+    assert rc == 0
+    assert run_cli(capsys, "disasm", obj) == (0, listed, "")
+
+
 def test_disasm_rejects_raw_container(tmp_path, capsys):
     raw = write(tmp_path, "b.bin", B_STAR)
     packed = tmp_path / "b.mcp"

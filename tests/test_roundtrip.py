@@ -3,7 +3,8 @@ import dataclasses
 import pytest
 
 import corpus
-from macroforge import asm, macros
+import oracles
+from macroforge import asm, disasm, macros
 from macroforge.disasm import DisasmError, decode_image, render_listing, render_source
 from macroforge.objfile import FLAG_RAW, MacroEntry, ObjectImage
 
@@ -146,9 +147,10 @@ def test_decoded_instructions_are_shared_and_frozen():
 
 
 # --- shared macro activations -----------------------------------------------
-# decode_image decodes a body that ends on an instruction boundary once per
-# call and copies its instructions into every activation; a body that ends
-# mid-instruction reads main-stream bytes and is decoded at every site.
+# The walk decodes a body that ends on an instruction boundary once per
+# call; decode_image copies its instructions into every activation, and
+# render_listing renders its line once and builds no unit.  A body that
+# ends mid-instruction reads main-stream bytes and is decoded at every site.
 
 def macro_image(code, *bodies):
     return ObjectImage(code=bytes(code), macros=[
@@ -208,6 +210,37 @@ def test_bad_body_fails_at_its_first_activation(body, reason):
     image = macro_image([0x01, 0x50, 0x01, 0x50, 0x00], body)
     with pytest.raises(DisasmError, match=f"^{reason} at 0101$"):
         decode_image(image)
+
+
+def test_listing_builds_no_units(monkeypatch):
+    text = corpus.generate_program(0)
+    images = [macros.compact_source(text, mode=mode)[0]
+              for mode in ("greedy", "freq")]
+    expected = [oracles.reference_render_listing(image) for image in images]
+
+    def no_unit(*args, **kwargs):
+        raise AssertionError("render_listing built a DecodedUnit")
+    monkeypatch.setattr(disasm, "DecodedUnit", no_unit)
+    assert [render_listing(image) for image in images] == expected
+
+
+def test_whole_body_line_is_rendered_once_per_call(monkeypatch):
+    # ZER WC at eight sites; MOV's opcode and header at two, each with
+    # its own literal (=5 short, =87 long); then HLT
+    image = macro_image([0x50] * 4 + [0x51, 0x85] + [0x50] * 4
+                        + [0x51, 0x00, 0x87, 0x00], [0x44, 0x02], [0x32, 0x4B])
+    rendered = []
+    tail = disasm._tail
+
+    def spy(data, is_macro, text):
+        rendered.append(data)
+        return tail(data, is_macro, text)
+    monkeypatch.setattr(disasm, "_tail", spy)
+    for _ in range(2):
+        rendered.clear()
+        assert render_listing(image) == oracles.reference_render_listing(image)
+        assert sorted(rendered) == [b"\x00", b"\x50", b"\x51\x00\x87",
+                                    b"\x51\x85"]
 
 
 def test_units_own_their_instruction_lists():
