@@ -19,6 +19,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, repeat
+from operator import itemgetter
 
 from . import asm, isa
 from .asm import LabelRef, LiteralByte, MacroByte, Stream
@@ -75,28 +76,27 @@ class Lowered:
     widths: dict[str, int] | None = None
 
     def splice(self, cuts: list[tuple]) -> Lowered:
-        """Replace each span (start, end, item) of items by that item;
-        spans come in stream order and do not overlap.  The result is a
-        stream of items, whose widths are None.
+        """Replace each span (start, end, item) of items by that item,
+        in sig and marks too; spans come in stream order and do not
+        overlap.  The result is a stream of items, whose widths are None.
 
-        Each selection stage splices its stream once, with every cut it
-        made.  Only greedy's stage one on a stream that is not whole
-        (see PayingKeys) splices at each adoption, because a recount
-        there reads the stream's marks.
+        Only a stream that is counted again is spliced: greedy's hand-over
+        from stage one to stage two, and each adoption of its stage one
+        on a stream that is not whole (see PayingKeys), where a recount
+        reads the stream's marks.  A stage whose stream nothing counts
+        again cuts only its items (see _cut).
         """
-        old_items, old_sig, old_marks = self.items, self.sig, self.marks
-        items, sig, marks = [], [], []
-        pos, last = 0, None  # runs of cuts often share their item
+        old_sig, old_marks = self.sig, self.marks
+        sig, marks, pos = [], [], 0
         for start, end, item in cuts:
-            if item is not last:
-                last, (c, m) = item, _lower_item(item, {})
-            items += old_items[pos:start]
-            items.append(item)
-            sig += (old_sig[pos:start], c)
-            marks += (old_marks[pos:start], m)
+            c, m = ((_STOP, _BOUNDARY) if type(item) is MacroByte
+                    else _lower_item(item, {}))
+            sig.append(old_sig[pos:start])
+            sig.append(c)
+            marks.append(old_marks[pos:start])
+            marks.append(m)
             pos = end
-        items += old_items[pos:]
-        return Lowered(items, "".join(sig) + old_sig[pos:],
+        return Lowered(_cut(self.items, cuts), "".join(sig) + old_sig[pos:],
                        "".join(marks) + old_marks[pos:])
 
     @cached_property
@@ -164,6 +164,21 @@ class Lowered:
             else:
                 i = sig.find(pattern, i + 1)
         return starts
+
+
+def _cut(items: list, cuts: list[tuple]) -> list:
+    """A new list of items in which each span (start, end, item) is
+    replaced by its item; spans come in stream order and do not overlap,
+    and items is left as it was.  Lowered.splice takes its items from
+    here, and a selector whose result nothing counts again calls it
+    alone."""
+    out, pos = [], 0
+    for start, end, item in cuts:
+        out += items[pos:start]
+        out.append(item)
+        pos = end
+    out += items[pos:]
+    return out
 
 
 def lower(items: list) -> Lowered:
@@ -564,14 +579,15 @@ def select_greedy(stream: Stream, max_macros: int, max_len: int
     stream's pieces, one per instruction (see Lowered.pieces), which are
     whole: a recount is one str.count and an adoption one str.replace
     of their signature string, and at the end each site of a macro
-    byte, mapped through the pieces' item offsets, is one cut of a
-    single splice of the item stream, whose first site gives the
-    macro's body.  Where raw-hex lines make an instruction's text a
-    proper prefix of another's, it works on the items instead, with one
-    Lowered.runs per recount and one splice per adoption.  Once no
-    aligned run pays, a second stage admits prefixes to mop up
-    instructions whose full forms were too rare to adopt (see
-    _stage_two).
+    byte, mapped through the pieces' item offsets, is one cut of the
+    item stream, whose first site gives the macro's body.  If stage one
+    fills the budget, the cuts only make the item list (see _cut);
+    otherwise they splice the lowered stream, which stage two counts.
+    Where raw-hex lines make an instruction's text a proper prefix of
+    another's, it works on the items instead, with one Lowered.runs per
+    recount and one splice per adoption.  Once no aligned run pays, a
+    second stage admits prefixes to mop up instructions whose full forms
+    were too rare to adopt (see _stage_two).
 
     Stage two defers any profitable key that strictly prefixes another
     profitable key: the extension's leftovers are still there for the
@@ -591,6 +607,7 @@ def select_greedy(stream: Stream, max_macros: int, max_len: int
         body, _ = keys.substitute(best, item)
         adopted.append(StreamMacro(code=item.code, items=body,
                                    byte_len=_width(best, keys.low.widths)))
+    full = len(adopted) == max_macros  # no stage two: no table, no splice
     if pieces is None:  # raw-hex lines, spliced at every adoption
         low = keys.low
     else:  # pieces are whole: each site, mapped to its items, is a cut
@@ -599,8 +616,10 @@ def select_greedy(stream: Stream, max_macros: int, max_len: int
         for m in adopted:  # the body is copied from the first match
             a, e = first[m.code]
             m.items = low.items[a:e]
-        low = low.splice(cuts)
-    if len(adopted) == max_macros:  # no stage two, so no table to build
+        if full:
+            return Stream(_cut(low.items, cuts)), adopted
+        low = low.splice(cuts)  # stage two counts the spliced stream
+    if full:
         return Stream(low.items), adopted
     return _stage_two(low, max_macros, max_len, adopted), adopted
 
@@ -609,7 +628,8 @@ def _stage_two(low: Lowered, max_macros: int, max_len: int,
                adopted: list[StreamMacro]) -> Stream:
     """select_greedy's stage two on stage one's stream: adopt the best
     instruction-granular key that no paying key strictly extends, until
-    max_macros are adopted or no key pays, then splice once.
+    max_macros are adopted or no key pays, then cut the items once;
+    nothing counts the result, so no signature is spliced.
 
     The table of distinct instructions gives each key's net and runs,
     which never overlap (see _instructions).  _exact_top picks the best
@@ -639,8 +659,8 @@ def _stage_two(low: Lowered, max_macros: int, max_len: int,
             cuts += _adopt([s], low, table, nets, runs_of, gone, adopted)
             while aside:
                 heapq.heappush(heap, aside.pop())
-    cuts.sort()
-    return Stream(low.splice(cuts).items)
+    cuts.sort(key=itemgetter(0))  # starts are unique
+    return Stream(_cut(low.items, cuts))
 
 
 def _adopt(keys: list[str], low: Lowered, table: dict, nets: dict,
@@ -691,7 +711,8 @@ def _adopt(keys: list[str], low: Lowered, table: dict, nets: dict,
 def select_freq(stream: Stream, max_macros: int, max_len: int
                 ) -> tuple[Stream, list[StreamMacro]]:
     """Rank the instruction-granular keys once, by net saving, and adopt
-    the top max_macros longest first, all in one splice.
+    the top max_macros longest first, all in one cut of the items,
+    which splices no signature.
 
     Whole instructions and their prefixes cannot overlap, so a key's
     count from the table of distinct instructions is what it would
@@ -709,8 +730,8 @@ def select_freq(stream: Stream, max_macros: int, max_len: int
     picked.sort(key=lambda s: (-_width(s), s))
     adopted: list[StreamMacro] = []
     cuts = _adopt(picked, low, table, nets, runs_of, set(), adopted)
-    cuts.sort()
-    return Stream(low.splice(cuts).items), adopted
+    cuts.sort(key=itemgetter(0))  # starts are unique
+    return Stream(_cut(low.items, cuts)), adopted
 
 
 def select_exact(stream: Stream, max_macros: int, max_len: int
@@ -726,6 +747,8 @@ def select_exact(stream: Stream, max_macros: int, max_len: int
 
     Unlike the sweeping selectors this picks an explicit occurrence
     subset, so an adopted key may leave some of its matches in place.
+    The chosen occurrences go in by one cut of the items, which splices
+    no signature.
     """
     check_limits(max_macros, max_len)
     est = estimate_cost(stream.byte_size(), max_len, max_macros)
@@ -739,8 +762,9 @@ def select_exact(stream: Stream, max_macros: int, max_len: int
                                                 max_macros)
     code_of = {s: isa.MACRO_OPCODE_BASE + i for i, s in enumerate(combo)}
     # chosen occurrences are non-overlapping and in stream order
-    out = Stream(low.splice([(o.start, o.end + 1, MacroByte(code_of[o.content]))
-                             for o in chosen]).items)
+    out = Stream(_cut(low.items, [(o.start, o.end + 1,
+                                   MacroByte(code_of[o.content]))
+                                  for o in chosen]))
     macros = [StreamMacro(code=code_of[s], byte_len=_width(s),
                           items=next(low.items[o.start:o.end + 1]
                                      for o in chosen if o.content == s))

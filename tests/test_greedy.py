@@ -299,6 +299,7 @@ def test_greedy_reads_and_writes_only_the_signature_string(monkeypatch):
         m.setattr(macros, "lower", refuse)
         m.setattr(greedy, "lower", refuse, raising=False)
         m.setattr(macros.Lowered, "splice", refuse)
+        m.setattr(macros, "_cut", refuse)
         m.setattr(macros.PayingKeys, "sites", refuse)
         m.setattr(greedy, "_stream_bytes", refuse)
         results = [greedy_select(data, 176, 20, embed)

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 import corpus
-from macroforge import asm, macros, vm
+from macroforge import asm, greedy, macros, vm
 from macroforge.asm import (
     LabelDef,
     LiteralByte,
@@ -88,6 +88,44 @@ def test_macro_byte_blocks_run():
     assert starts == [0, 2, 4]
     assert out.items == [MacroByte(0x50)] * 3
     assert extract_candidates(Stream(out.items), 8) == {}
+
+
+def random_cuts(rng, n):
+    """Non-overlapping spans of 1-6 of n items, in stream order, each
+    replaced by a macro byte or an embedded literal."""
+    cuts, pos = [], rng.randrange(3)
+    while pos < n:
+        end = min(pos + rng.randint(1, 6), n)
+        item = (MacroByte(0x50 + rng.randrange(4)) if rng.random() < 0.7
+                else LiteralByte(rng.randrange(256), op_start=True))
+        cuts.append((pos, end, item))
+        pos = end + rng.randrange(8)
+    return cuts
+
+
+def test_cut_is_the_item_half_of_splice():
+    rng = random.Random(37)
+    streams = [stream_for(corpus.generate_program(k)).items for k in range(4)]
+    streams.append(greedy._byte_stream(rng.randbytes(300)).items)
+    for items in streams:
+        low = lower(items)
+        before = list(low.items)
+        for _ in range(5):
+            cuts = random_cuts(rng, len(items))
+            got = macros._cut(low.items, cuts)
+            spliced = low.splice(cuts)
+            assert got == spliced.items
+            assert low.items == before
+            assert got is not low.items
+            # sig and marks as a rebuild from the right gives them
+            sig, marks = list(low.sig), list(low.marks)
+            for start, end, item in reversed(cuts):
+                c, m = macros._lower_item(item, {})
+                sig[start:end], marks[start:end] = c, m
+            assert spliced.sig == "".join(sig)
+            assert spliced.marks == "".join(marks)
+            assert spliced.widths is None
+        assert macros._cut(low.items, []) == before
 
 
 def test_granularities_nest():
@@ -226,20 +264,23 @@ def test_frequency_ignores_multi_instruction_runs():
 def test_freq_compaction_lowers_once(monkeypatch):
     stream = stream_for(corpus.generate_program(3))
     real, calls = macros.lower, []
-    splice, runs, splices = macros.Lowered.splice, macros.Lowered.runs, []
+    cut, cuts, splice, splices = macros._cut, [], macros.Lowered.splice, []
     with monkeypatch.context() as m:
         m.setattr(macros, "lower",
                   lambda items: calls.append(len(items)) or real(items))
+        m.setattr(macros, "_cut",
+                  lambda items, c: cuts.append(len(c)) or cut(items, c))
         m.setattr(macros.Lowered, "splice",
-                  lambda self, cuts: splices.append(len(cuts))
-                  or splice(self, cuts))
+                  lambda self, c: splices.append(len(c)) or splice(self, c))
         m.setattr(macros.Lowered, "runs",
                   lambda *args: pytest.fail("freq swept the stream"))
         got = compact_stream(stream, "freq", 176, 20)
     assert calls == [len(stream.items)]
-    # every key's cuts go in by one splice, and no key sweeps the stream
-    assert len(splices) == 1
-    assert splices[0] == sum(isinstance(it, MacroByte) for it in got[0].items)
+    # every key's cuts go in by one cut of the items, no signature is
+    # spliced, and no key sweeps the stream
+    assert len(cuts) == 1
+    assert cuts[0] == sum(isinstance(it, MacroByte) for it in got[0].items)
+    assert splices == []
     # ranked keys are applied longest first, each to what is left
     widths = [m.byte_len for m in got[1]]
     assert widths == sorted(widths, reverse=True)
@@ -334,6 +375,17 @@ def test_exact_matches_reference_search(text):
     out, adopted = select_exact(stream, 2, 5)
     got = out.byte_size() + sum(m.byte_len for m in adopted)
     assert got == brute_best_objective(stream, 2, 5)
+
+
+def test_exact_cuts_its_items_once(monkeypatch):
+    cut, cuts = macros._cut, []
+    monkeypatch.setattr(macros, "_cut",
+                        lambda items, c: cuts.append(len(c)) or cut(items, c))
+    monkeypatch.setattr(macros.Lowered, "splice",
+                        lambda *args: pytest.fail("exact spliced a signature"))
+    out, adopted = select_exact(stream_for(EXACT_TOYS[0]), 2, 5)
+    assert adopted
+    assert cuts == [sum(isinstance(it, MacroByte) for it in out.items)]
 
 
 def test_exact_adopts_only_macros_that_pay(monkeypatch):

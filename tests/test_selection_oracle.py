@@ -10,9 +10,10 @@ Lowered.runs, the one match scan behind PayingKeys' recounts and
 substitutions on a stream that is not whole, is held to a scan of every
 position that reads the run rules off the items.  Greedy's stage two and frequency
 selection count, recount and substitute on the table of distinct
-instructions and splice once; they are held to oracles.select_greedy
-and oracles.select_freq, which sweep and splice once per key, also on
-raw-hex lines whose matches run past an instruction end.
+instructions and cut the item list once; they are held to
+oracles.select_greedy and oracles.select_freq, which sweep and splice
+once per key, also on raw-hex lines whose matches run past an
+instruction end.
 """
 
 import heapq
@@ -494,7 +495,8 @@ def test_full_count_leaves_one_heap_entry_per_paying_key():
 
 def spy_stages(monkeypatch):
     """Counts of stage one's substitutions, of the tables of distinct
-    instructions built and of the splices, by name."""
+    instructions built, of the cuts of an item list and of the splices,
+    which cut one too, by name."""
     calls = Counter()
 
     def spy(name, real):
@@ -507,6 +509,7 @@ def spy_stages(monkeypatch):
                         spy("substitute", macros.PayingKeys.substitute))
     monkeypatch.setattr(macros, "_instructions",
                         spy("table", macros._instructions))
+    monkeypatch.setattr(macros, "_cut", spy("cut", macros._cut))
     monkeypatch.setattr(macros.Lowered, "splice",
                         spy("splice", macros.Lowered.splice))
     return calls
@@ -518,22 +521,34 @@ def test_stage_two_builds_its_table_only_when_it_runs(monkeypatch):
     _, adopted = macros.select_greedy(stream, 1, 20)
     assert [bytes(it.value for it in m.items) for m in adopted] == [
         b"\x44\x00\x40\x02"]
-    assert calls == {"substitute": 1, "splice": 1}
+    # raw-hex lines: the adoption splices the stream, which it recounts
+    assert calls == {"substitute": 1, "cut": 1, "splice": 1}
 
-    # stage one adopts nothing, and stage two splices once
+    # stage one adopts nothing, and stage two cuts its items once and
+    # splices no signature
     calls.clear()
     stream, _ = asm.assemble_stream(CROSSING)
     _, adopted = macros.select_greedy(stream, 176, 20)
     assert len(adopted) == 3
-    assert calls == {"table": 1, "splice": 1}
+    assert calls == {"table": 1, "cut": 1}
 
     calls.clear()
     stream, _ = asm.assemble_stream(corpus.generate_program(0))
     _, adopted = macros.select_greedy(stream, 176, 20)
     assert 0 < calls["substitute"] < len(adopted)
     assert calls["table"] == 1
-    # the pieces are whole, so stage one splices once, at its end
-    assert calls["splice"] == 2
+    # the pieces are whole, so stage one splices once, at its end, for
+    # stage two to count, and stage two cuts its items once
+    assert calls["cut"] == 2
+    assert calls["splice"] == 1
+
+    # stage one fills the budget, so its one cut splices no signature
+    calls.clear()
+    _, adopted = macros.select_greedy(stream, 8, 20)
+    assert len(adopted) == 8
+    assert calls["table"] == 0
+    assert calls["cut"] == 1
+    assert calls["splice"] == 0
 
 
 # Every line starts with MOV 00 (32 00), the stage-two key that pays
