@@ -37,7 +37,7 @@ property the round-trip checks lean on.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import asm, decode, isa
@@ -51,7 +51,8 @@ class DecodedInstr(NamedTuple):
     """One decoded instruction.  decode_image shares one among all units
     that decode alike, so it is frozen and compares by identity.  A named
     tuple sets its fields in one tuple build, where a frozen dataclass
-    sets each through object.__setattr__."""
+    sets each through object.__setattr__.  It refuses an assignment to
+    a field or a new attribute with AttributeError."""
 
     name: str
     operand_texts: tuple
@@ -62,9 +63,6 @@ class DecodedInstr(NamedTuple):
     __eq__ = object.__eq__
     __ne__ = object.__ne__
     __hash__ = object.__hash__
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def text(self, target_text: str | None = None) -> str:
         texts = self.operand_texts

@@ -100,9 +100,9 @@ def greedy_select(data: Sequence[int], max_macros: int, max_len: int,
     sig = bytes(data).decode("latin-1")
     keys = PayingKeys(Lowered([], sig, _START * len(sig)), max_len)
     macros: list[Macro] = []
-    assigned: set[int] = set()
     while len(macros) < max_macros:
-        code = pick_free_code(keys.sig.encode("latin-1", "ignore"), assigned)
+        code = pick_free_code(keys.sig.encode("latin-1", "ignore"),
+                              (m.code for m in macros))
         if code is None:
             break
         best = keys.best()
@@ -112,7 +112,6 @@ def greedy_select(data: Sequence[int], max_macros: int, max_len: int,
             best, _BYTE_ITEMS[code] if allow_embed else MacroByte(code))
         body = best.encode("latin-1")  # a byte stream's key is its bytes
         macros.append(Macro(body=body, code=code))
-        assigned.add(code)
     codes = {ord(c): item.code for c, (item, _) in keys.put_in.items()}
     residual = keys.sig.translate(codes).encode("latin-1")
     objective = len(residual) + sum(len(m.body) for m in macros)

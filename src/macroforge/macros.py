@@ -429,7 +429,8 @@ class PayingKeys:
     On any other stream, such as raw-hex lines whose texts are not
     prefix-free, a match can cross an instruction end, so a recount is
     one Lowered.runs and a substitution one Lowered.splice of low,
-    which keeps it in step.
+    which keeps it in step.  sig is then read only by best, before the
+    first substitution, and is not kept in step.
     """
 
     def __init__(self, low: Lowered, max_len: int):
@@ -471,13 +472,15 @@ class PayingKeys:
             self.held = set(self.sig)  # after the walk, off its peak
         return _exact_top(self.heap, self.substitutions, self._recount)
 
-    def substitute(self, pattern: str, item) -> tuple[list | None, int]:
+    def substitute(self, pattern: str, item) -> list | None:
         """Replace by item every match of pattern at a fetch position,
         taken left to right, which makes every count stale.  Returns the
-        items removed by the first match and the match count; on a whole
-        stream, which keeps no positions, the items are None, and the
-        first site of item (see sites) is where they were.
+        items removed by the first match on a stream that is not whole;
+        a whole stream keeps no positions, so there it returns None, and
+        the first site of item (see sites) is where they were.
 
+        pattern comes from best, so it pays: on a stream that is not
+        whole it has at least two aligned runs, each of them a match.
         On raw-hex lines a match may cross an instruction end, so this
         can replace more matches than the "aligned" recount counted.
         """
@@ -486,19 +489,16 @@ class PayingKeys:
             old, t = self.low, len(pattern)
             starts = old.runs(pattern, "free")
             self.low = old.splice([(a, a + t, item) for a in starts])
-            self.sig = self.low.sig
-            return (old.items[starts[0]:starts[0] + t] if starts else None,
-                    len(starts))
+            return old.items[starts[0]:starts[0] + t]
         if isinstance(item, LiteralByte):
             c = chr(item.value)
         else:
             c = chr(self._first + 64 * len(self.put_in))
             self.put_in[c] = (item, len(pattern))
-        count = self.sig.count(pattern)
         self.sig = self.sig.replace(pattern, c)
         if c not in self.put_in:  # a literal: the runs through it are new
             self._count_new(c)
-        return None, count
+        return None
 
     def _recount(self, s: str) -> int:
         """Leftmost-greedy count of the runs of key s on the stream."""
@@ -583,6 +583,7 @@ def select_greedy(stream: Stream, max_macros: int, max_len: int
     item stream, whose first site gives the macro's body.  If stage one
     fills the budget, the cuts only make the item list (see _cut);
     otherwise they splice the lowered stream, which stage two counts.
+    With no cut, the stream goes on as it is.
     Where raw-hex lines make an instruction's text a proper prefix of
     another's, it works on the items instead, with one Lowered.runs per
     recount and one splice per adoption.  Once no aligned run pays, a
@@ -604,23 +605,21 @@ def select_greedy(stream: Stream, max_macros: int, max_len: int
     adopted: list[StreamMacro] = []
     while len(adopted) < max_macros and (best := keys.best()) is not None:
         item = MacroByte(isa.MACRO_OPCODE_BASE + len(adopted))
-        body, _ = keys.substitute(best, item)
-        adopted.append(StreamMacro(code=item.code, items=body,
-                                   byte_len=_width(best, keys.low.widths)))
-    full = len(adopted) == max_macros  # no stage two: no table, no splice
+        adopted.append(StreamMacro(code=item.code,
+                                   byte_len=_width(best, keys.low.widths),
+                                   items=keys.substitute(best, item)))
     if pieces is None:  # raw-hex lines, spliced at every adoption
-        low = keys.low
+        low, cuts = keys.low, []
     else:  # pieces are whole: each site, mapped to its items, is a cut
         cuts = keys.sites([0, *accumulate(map(len, pieces.items))])
         first = {item.code: (a, e) for a, e, item in reversed(cuts)}
         for m in adopted:  # the body is copied from the first match
             a, e = first[m.code]
             m.items = low.items[a:e]
-        if full:
-            return Stream(_cut(low.items, cuts)), adopted
-        low = low.splice(cuts)  # stage two counts the spliced stream
-    if full:
-        return Stream(low.items), adopted
+    if len(adopted) == max_macros:  # no stage two: no table, no splice
+        return Stream(_cut(low.items, cuts) if cuts else low.items), adopted
+    if cuts:  # stage two counts the spliced stream
+        low = low.splice(cuts)
     return _stage_two(low, max_macros, max_len, adopted), adopted
 
 

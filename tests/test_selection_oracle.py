@@ -16,6 +16,7 @@ once per key, also on raw-hex lines whose matches run past an
 instruction end.
 """
 
+import hashlib
 import heapq
 import random
 from collections import Counter, defaultdict
@@ -27,6 +28,7 @@ import corpus
 import oracles
 from macroforge import asm, greedy, macros
 from macroforge.macros import compact_source
+from macroforge.objfile import FLAG_RAW, MacroEntry, ObjectImage
 
 
 @pytest.fixture(scope="module")
@@ -171,13 +173,15 @@ def test_each_stage_walks_the_stream_once(monkeypatch, criterion_corpus):
         return walk(low, max_len, granularity)
 
     def spy_substitute(self, pattern, item):
-        before = len(walks)
-        removed, count = substitute(self, pattern, item)
+        # every substitution here is on a whole stream, whose matches are
+        # the ones str.count takes
+        before, count = len(walks), self.sig.count(pattern)
+        removed = substitute(self, pattern, item)
         for _, n in walks[before:]:
             assert n <= 2 * self.max_len * count, (n, count)
         windows.extend(walks[before:])
         del walks[before:]
-        return removed, count
+        return removed
 
     monkeypatch.setattr(macros, "_walk", spy_walk)
     monkeypatch.setattr(macros.PayingKeys, "substitute", spy_substitute)
@@ -345,6 +349,44 @@ def crossing_program(rng: random.Random) -> str:
                          + ", ".join(ops))
     return "".join(f"       {line}\n" for line in lines) + "       HLT\n"
 
+
+# SHA-256 over outputs that tests/test_output_pins.py does not pin, in
+# unpinned_outputs() order: compact_source images of CROSSING,
+# SHARED_PREFIX, DEFERRED and 60 seed-5 crossing programs, greedy and freq
+# at budgets 1, 8 and 176 and max_len 3 and 20; exact images at 2 macros
+# and max_len 4 of short programs; and the raw containers of flat and
+# embedded greedy_select at 176 macros and max_len 20.
+UNPINNED_OUTPUTS = "78d9a2f2b28318f0dbc1eb0f99e3676bc935f8ac513da80da4b3d9cbae02ff9b"
+
+
+def unpinned_outputs():
+    rng = random.Random(5)
+    texts = [CROSSING, SHARED_PREFIX, DEFERRED,
+             *(crossing_program(rng) for _ in range(60))]
+    for text in texts:
+        for mode in ("greedy", "freq"):
+            for budget in (1, 8, 176):
+                for max_len in (3, 20):
+                    yield compact_source(text, mode, budget, max_len)[0]
+    for seed in range(3):
+        text = corpus.generate_program(seed, min_instructions=6)
+        yield compact_source(text, "exact", 2, 4)[0]
+    acgt = bytes(random.Random(3).choices(b"ACGT", k=2048))
+    for data in (b"ab" * 40, acgt, bytes(range(256)) * 3):
+        for embed in (False, True):
+            result = greedy.greedy_select(data, 176, 20, allow_embed=embed)
+            table = [MacroEntry(code=m.code, body=m.body)
+                     for m in result.macros]
+            yield ObjectImage(code=result.residual, macros=table,
+                              flags=FLAG_RAW)
+
+
+def test_unpinned_outputs_are_pinned(monkeypatch):
+    monkeypatch.setenv("MACROFORGE_BUDGET", str(10 ** 18))
+    digest = hashlib.sha256()
+    for image in unpinned_outputs():
+        digest.update(image.serialize())
+    assert digest.hexdigest() == UNPINNED_OUTPUTS
 
 def test_freq_matches_oracle():
     # greedy's stage two takes its matches by the same crossing rule
@@ -621,6 +663,7 @@ def check_born_keys(monkeypatch):
     substitute, checked = macros.PayingKeys.substitute, []
 
     def spy(self, pattern, item):
+        count = self.sig.count(pattern)  # byte streams are whole
         out = substitute(self, pattern, item)
         char = chr(item.value)
         exact = {s: (-net, -b) for net, b, s, counted in self.heap
@@ -632,7 +675,7 @@ def check_born_keys(monkeypatch):
             "aligned")
         assert born_keys(exact, char) == born_keys(fresh, char), (
             self.max_len, pattern, char)
-        checked.append(out[1])
+        checked.append(count)
         return out
 
     monkeypatch.setattr(macros.PayingKeys, "substitute", spy)
